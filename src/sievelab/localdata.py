@@ -8,20 +8,29 @@ For the surface f(x) = t let
 where the sieved product is x1, x1*x2 or x1*x2*x3 depending on the chosen
 projection.  The local density entering the sieve is omega(p)/p = N0/N,
 extended multiplicatively to square-free moduli, and forced to 0 on the
-exceptional prime set B = {2, 3, 5, 7} (a prime is bad when N0 = N, which
-makes sieving at p impossible; for square-free d(f)t the bad primes all lie
-in B).
+exceptional prime set B = {2, 3, 5, 7} and at bad primes (a prime is bad
+when N0 = N, which makes sieving at p impossible; for square-free d(f)t the
+bad primes all lie in B).
 
-When p is odd, p does not divide d(f) t, d(f) is an integer and |d(f) t| is
-square-free, the count has the Cassels closed form
+For odd p both counts are closed forms (Cassels, Rational Quadratic Forms,
+ch. 2; Lidl-Niederreiter, Finite Fields, Thms 6.26-6.27).  A form in n
+variables of rank r mod p, whose nondegenerate part has discriminant D,
+takes the value t at p^(n-r) N_r points, where
+
+    N_r = [t = 0]                                            (r = 0)
+    N_r = p^(r-1) + p^((r-1)/2) legendre((-1)^((r-1)/2) t D, p)  (r odd)
+    N_r = p^(r-1) + v(t) p^((r-2)/2) legendre((-1)^(r/2) D, p)   (r even)
+
+with v(t) = p - 1 if t = 0 mod p and -1 otherwise.  N(p) is this count for
+the ternary form; N0(p) is inclusion-exclusion over the coordinate
+subspaces on which a sieved coordinate vanishes.  Either costs O(log p);
+p = 2 is counted over its 8 points.  When p does not divide d(f) t, d(f) is
+an integer and |d(f) t| is square-free, the rank-3 case is the Cassels count
 
     N(p) = p^2 + legendre(-d(f) t, p) * p,
 
-which cross-checks the enumeration.
-
-Counting is O(p^2): for fixed (x1, x2) the equation is a quadratic (or
-linear) in x3 whose root count mod p is read off a residue table.  An
-O(p^3) exhaustive oracle is retained for verification at small p.
+which local tables report beside N(p).  The O(p^2) residue-table sweep and
+the O(p^3) exhaustive count are kept as oracles in tests/test_localdata.py.
 
 Densities here are computed on the whole variety mod p.  The variety is a
 finite disjoint union of orbits of the integral automorph group, so these
@@ -33,14 +42,18 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 
-from .arith import factorint, is_prime, legendre_raw, primes_up_to
+from .arith import factorint, is_prime, is_squarefree, legendre_raw, primes_up_to
 from .errors import DegenerateLocalError, DomainError, ResourceError
 from .quadforms import TernaryForm, det_form, eval_form, transform
 
 BAD_SET = frozenset({2, 3, 5, 7})
 
 VARIANTS = ("x1", "x1x2", "x1x2x3")
+
+# Indices of the coordinates whose product each variant sieves.
+_SIEVED = {"x1": (0,), "x1x2": (0, 1), "x1x2x3": (0, 1, 2)}
 
 # Work guards for solvable_mod: modulus cap per prime power, then per-path
 # caps (O(q^2) completed-square sweep, O(q^3) full scan) beyond which an
@@ -63,28 +76,46 @@ def _check_variant(variant: str) -> None:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _chi_table(p: int) -> list[int]:
-    """chi[r] = 1 if r is a nonzero square mod p, -1 if non-square, 0 if r=0."""
-    chi = [-1] * p
-    chi[0] = 0
-    for y in range(1, p):
-        chi[y * y % p] = 1
-    return chi
+def _nondegenerate_count(r: int, disc: int, t: int, p: int) -> int:
+    """#{y in F_p^r : Q(y) = t} for Q of rank r >= 1 and discriminant disc, p odd."""
+    if r % 2:
+        return p ** (r - 1) + p ** ((r - 1) // 2) * legendre_raw(
+            (-1) ** ((r - 1) // 2) * t * disc, p)
+    v = p - 1 if t % p == 0 else -1
+    return p ** (r - 1) + v * p ** ((r - 2) // 2) * legendre_raw(
+        (-1) ** (r // 2) * disc, p)
 
 
-def _root_count(a: int, b: int, c: int, p: int, chi: list[int]) -> int:
-    """Number of x in F_p with a x^2 + b x + c = 0 (p odd)."""
-    if a % p == 0:
-        if b % p == 0:
-            return p if c % p == 0 else 0
-        return 1
-    disc = (b * b - 4 * a * c) % p
-    return 1 + chi[disc]
+def _principal_minors(f: TernaryForm) -> dict[tuple, int]:
+    """Principal minors of M = 2 * Gram(f), keyed by their sorted indices."""
+    a, b, c = 2 * f.a11, 2 * f.a22, 2 * f.a33
+    u, v, w = f.a23, f.a13, f.a12  # M[1][2], M[0][2], M[0][1]
+    return {(0,): a, (1,): b, (2,): c,
+            (0, 1): a * b - w * w, (0, 2): a * c - v * v, (1, 2): b * c - u * u,
+            (0, 1, 2): a * b * c + 2 * u * v * w - a * u * u - b * v * v - c * w * w}
 
 
-def _has_root_zero(c: int, p: int) -> bool:
-    """Whether x = 0 solves the cell's x3-equation (constant term vanishes)."""
-    return c % p == 0
+def _subspace_count(minors: dict, coords: tuple, t: int, p: int) -> int:
+    """#{x mod p : f(x) = t, x supported on coords}, p odd.
+
+    The rank r of the restriction is the size of its largest principal minor
+    that is nonzero mod p; that minor times 2^r is its discriminant modulo
+    squares, and the other len(coords) - r variables are free.
+    """
+    for r in range(len(coords), 0, -1):
+        for sub in combinations(coords, r):
+            minor = minors[sub] % p
+            if minor:
+                return p ** (len(coords) - r) * _nondegenerate_count(
+                    r, minor * 2 ** r, t, p)
+    return p ** len(coords) if t % p == 0 else 0
+
+
+def _count_mod_2(f: TernaryForm, t: int, sieved: tuple | None = None) -> int:
+    """Exhaustive count of the 8 points mod 2, or of those with even sieved product."""
+    return sum(1 for x in product(range(2), repeat=3)
+               if eval_form(f, x) % 2 == t % 2
+               and (sieved is None or not all(x[i] for i in sieved)))
 
 
 def count_Vt_mod_p(f: TernaryForm, t: int, p: int) -> int:
@@ -92,69 +123,28 @@ def count_Vt_mod_p(f: TernaryForm, t: int, p: int) -> int:
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
     if p == 2:
-        return sum(1 for x1 in range(2) for x2 in range(2) for x3 in range(2)
-                   if eval_form(f, (x1, x2, x3)) % 2 == t % 2)
-    chi = _chi_table(p)
-    total = 0
-    for x1 in range(p):
-        for x2 in range(p):
-            b = (f.a13 * x1 + f.a23 * x2) % p
-            c = (f.a11 * x1 * x1 + f.a22 * x2 * x2 + f.a12 * x1 * x2 - t) % p
-            total += _root_count(f.a33, b, c, p, chi)
-    return total
+        return _count_mod_2(f, t)
+    return _subspace_count(_principal_minors(f), (0, 1, 2), t, p)
 
 
 def count_V0_mod_p(f: TernaryForm, t: int, p: int, variant: str) -> int:
-    """Count of points of f = t mod p whose sieved coordinate product is 0 mod p."""
+    """Count of points of f = t mod p whose sieved coordinate product is 0 mod p.
+
+    For odd p, inclusion-exclusion over the coordinate subspaces on which
+    some sieved coordinate vanishes.
+    """
     _check_variant(variant)
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
+    sieved = _SIEVED[variant]
     if p == 2:
-        prod_index = {"x1": 1, "x1x2": 2, "x1x2x3": 3}[variant]
-        total = 0
-        for x1 in range(2):
-            for x2 in range(2):
-                for x3 in range(2):
-                    if eval_form(f, (x1, x2, x3)) % 2 != t % 2:
-                        continue
-                    prod = (x1, x1 * x2, x1 * x2 * x3)[prod_index - 1]
-                    total += prod % 2 == 0
-        return total
-
-    chi = _chi_table(p)
+        return _count_mod_2(f, t, sieved)
+    minors = _principal_minors(f)
     total = 0
-    for x1 in range(p):
-        for x2 in range(p):
-            b = (f.a13 * x1 + f.a23 * x2) % p
-            c = (f.a11 * x1 * x1 + f.a22 * x2 * x2 + f.a12 * x1 * x2 - t) % p
-            if variant == "x1":
-                if x1 == 0:
-                    total += _root_count(f.a33, b, c, p, chi)
-            elif variant == "x1x2":
-                if x1 == 0 or x2 == 0:
-                    total += _root_count(f.a33, b, c, p, chi)
-            else:
-                if x1 == 0 or x2 == 0:
-                    total += _root_count(f.a33, b, c, p, chi)
-                else:
-                    total += _has_root_zero(c, p)
-    return total
-
-
-def _count_bruteforce(f: TernaryForm, t: int, p: int, variant: str | None = None) -> int:
-    """O(p^3) exhaustive count; verification oracle for small p only."""
-    prod = {None: None, "x1": 1, "x1x2": 2, "x1x2x3": 3}[variant]
-    total = 0
-    for x1 in range(p):
-        for x2 in range(p):
-            for x3 in range(p):
-                if eval_form(f, (x1, x2, x3)) % p != t % p:
-                    continue
-                if prod is None:
-                    total += 1
-                else:
-                    value = (x1, x1 * x2, x1 * x2 * x3)[prod - 1]
-                    total += value % p == 0
+    for k in range(1, len(sieved) + 1):
+        for zero in combinations(sieved, k):
+            free = tuple(i for i in range(3) if i not in zero)
+            total += (-1) ** (k + 1) * _subspace_count(minors, free, t, p)
     return total
 
 
@@ -179,23 +169,31 @@ def cassels_count(f: TernaryForm, t: int, p: int) -> int:
     return p * p + legendre(-d * t, p) * p
 
 
-def raw_omega_over_p(f: TernaryForm, t: int, p: int, variant: str) -> Fraction:
-    """N0/N mod p as an exact rational, no exceptional-set convention."""
+def _local_counts(f: TernaryForm, t: int, p: int, variant: str) -> tuple[int, int]:
+    """(N, N0) mod p; no points at all leaves the density undefined."""
     _check_variant(variant)
     n = count_Vt_mod_p(f, t, p)
     if n == 0:
         raise DegenerateLocalError(f"no points mod {p}; density undefined")
-    return Fraction(count_V0_mod_p(f, t, p, variant), n)
+    return n, count_V0_mod_p(f, t, p, variant)
+
+
+def _density(p: int, n: int, n0: int, bad_set: frozenset) -> Fraction:
+    """omega(p)/p from the counts: 0 on the exceptional set and where N0 = N."""
+    return Fraction(0) if p in bad_set or n0 == n else Fraction(n0, n)
+
+
+def raw_omega_over_p(f: TernaryForm, t: int, p: int, variant: str) -> Fraction:
+    """N0/N mod p as an exact rational, no exceptional-set convention."""
+    n, n0 = _local_counts(f, t, p, variant)
+    return Fraction(n0, n)
 
 
 def omega_over_p(f: TernaryForm, t: int, p: int, variant: str,
                  bad_set: frozenset = BAD_SET) -> Fraction:
-    """Sieve density omega(p)/p: N0/N, forced to 0 for p in the exceptional set."""
-    if p in bad_set:
-        # evaluate anyway so degenerate local data still surfaces
-        raw_omega_over_p(f, t, p, variant)
-        return Fraction(0)
-    return raw_omega_over_p(f, t, p, variant)
+    """Sieve density omega(p)/p: N0/N, forced to 0 on the exceptional set and
+    at bad primes (N0 = N), as in LocalDensityTable."""
+    return _density(p, *_local_counts(f, t, p, variant), bad_set)
 
 
 def omega_d(f: TernaryForm, t: int, d: int, variant: str,
@@ -244,9 +242,6 @@ def _solvable_prime_power(f: TernaryForm, t: int, p: int, k: int) -> bool:
                     return True
 
     if k == 1 and q > 2:
-        if q > 3000:
-            raise ResourceError(
-                f"prime modulus {q} too large for an exhaustive count")
         return count_Vt_mod_p(f, t, p) > 0
 
     if p != 2:
@@ -388,9 +383,10 @@ def build_local_table(f: TernaryForm, t: int, variant: str, p_max: int,
     if p_max > 10 ** 4:
         raise ResourceError(f"p_max={p_max} exceeds the 10^4 table guard")
 
+    # Cassels' hypotheses on d(f) t, checked once for the whole table.
     d = det_form(f)
-    dt_squarefree = (d.denominator == 1 and t != 0
-                     and all(e == 1 for e in factorint(abs(int(d) * t)).values()))
+    dt = int(d) * t if d.denominator == 1 else 0  # 0: no Cassels column
+    dt_squarefree = is_squarefree(dt)
 
     table = LocalDensityTable(form=f, t=t, variant=variant, bad_set=bad_set)
     for p in primes_up_to(p_max):
@@ -398,11 +394,11 @@ def build_local_table(f: TernaryForm, t: int, variant: str, p_max: int,
         n0 = count_V0_mod_p(f, t, p, variant)
         raw = Fraction(n0, n) if n > 0 else Fraction(0)
         is_bad = n0 == n
-        omega = Fraction(0) if (p in bad_set or is_bad) else raw
+        omega = _density(p, n, n0, bad_set)
         cass = None
         agree = None
-        if dt_squarefree and p != 2 and (int(d) * t) % p != 0:
-            cass = cassels_count(f, t, p)
+        if dt_squarefree and p != 2 and dt % p != 0:
+            cass = p * p + legendre_raw(-dt, p) * p
             agree = cass == n
             if not agree:
                 table.findings.append(

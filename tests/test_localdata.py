@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelab.arith import primes_up_to
 from sievelab.errors import DegenerateLocalError, DomainError, ResourceError
-from sievelab.localdata import (BAD_SET, _count_bruteforce, bad_primes,
+from sievelab.localdata import (BAD_SET, VARIANTS, bad_primes,
                                 build_local_table, cassels_count,
                                 count_V0_mod_p, count_Vt_mod_p, legendre,
                                 omega_d, omega_over_p, raw_omega_over_p,
@@ -14,6 +16,52 @@ from sievelab.quadforms import TernaryForm, eval_form
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
 CROSS = TernaryForm(1, 1, -3, 1, 0, 1)
+ODD_PRIMES_TO_61 = primes_up_to(61)[1:]
+
+
+def _count_bruteforce(f: TernaryForm, t: int, p: int,
+                      variant: str | None = None) -> int:
+    """O(p^3) exhaustive count of f = t mod p (sieved product 0 with a variant)."""
+    prod = {None: None, "x1": 1, "x1x2": 2, "x1x2x3": 3}[variant]
+    total = 0
+    for x1 in range(p):
+        for x2 in range(p):
+            for x3 in range(p):
+                if eval_form(f, (x1, x2, x3)) % p != t % p:
+                    continue
+                if prod is None:
+                    total += 1
+                else:
+                    value = (x1, x1 * x2, x1 * x2 * x3)[prod - 1]
+                    total += value % p == 0
+    return total
+
+
+def _count_sweep(f: TernaryForm, t: int, p: int, variant: str | None = None) -> int:
+    """O(p^2) count for odd p: for fixed (x1, x2) the equation is a quadratic
+    (or linear) in x3 whose root count is read off a residue table."""
+    chi = [-1] * p
+    chi[0] = 0
+    for y in range(1, p):
+        chi[y * y % p] = 1
+
+    def roots(a, b, c):
+        if a % p == 0:
+            if b % p == 0:
+                return p if c % p == 0 else 0
+            return 1
+        return 1 + chi[(b * b - 4 * a * c) % p]
+
+    total = 0
+    for x1 in range(p):
+        for x2 in range(p):
+            b = (f.a13 * x1 + f.a23 * x2) % p
+            c = (f.a11 * x1 * x1 + f.a22 * x2 * x2 + f.a12 * x1 * x2 - t) % p
+            if variant is None or x1 == 0 or (variant != "x1" and x2 == 0):
+                total += roots(f.a33, b, c)
+            elif variant == "x1x2x3":
+                total += c == 0  # only x3 = 0 makes the product vanish
+    return total
 
 
 class TestLegendre:
@@ -62,10 +110,55 @@ class TestCounts:
             assert count_V0_mod_p(DIAG113, 1, p, "x1") in (p - 1, p + 1)
 
 
+class TestClosedFormAgainstSweep:
+    """The closed-form counts against the O(p^2) sweep at every odd p <= 61."""
+
+    CASES = [
+        (DIAG113, 1), (DIAG113, 0), (DIAG113, 3), (CROSS, 1), (CROSS, 15),
+        (TernaryForm(0, 0, 0, 0, 0, 0), 0),      # rank 0 at every p
+        (TernaryForm(0, 0, 0, 0, 0, 0), 2),
+        (TernaryForm(5, 0, 0, 0, 0, 0), 5),      # rank 1, rank 0 at p = 5
+        (TernaryForm(0, 0, 0, 1, 0, 0), 1),      # rank 2, hyperbolic plane
+        (TernaryForm(1, 1, 0, 0, 0, 0), 0),      # rank 2, x3 free
+        (TernaryForm(0, 0, 0, 1, 1, 1), 1),      # no square terms
+        (TernaryForm(3, 5, 15, 0, 0, 0), 15),    # p | coefficients and t
+        (TernaryForm(13, 11, -3, 0, 0, 0), 11),  # bad prime 11 on x1
+        (TernaryForm(1, 1, 1, 1, 1, 1), 1),      # d(f) = 1/2
+        (TernaryForm(1, 3, 0, 1, 0, 1), -2),     # d(f) = -1/4, a33 = 0
+        (TernaryForm(61, 59, -53, 47, 43, 41), 61 * 59),
+        (TernaryForm(10 ** 9 + 7, -3, 2, 0, 1, 0), -(10 ** 12)),
+    ]
+
+    @pytest.mark.parametrize("f,t", CASES)
+    def test_every_odd_prime_to_61(self, f, t):
+        for p in ODD_PRIMES_TO_61:
+            assert count_Vt_mod_p(f, t, p) == _count_sweep(f, t, p), p
+            for variant in VARIANTS:
+                assert (count_V0_mod_p(f, t, p, variant)
+                        == _count_sweep(f, t, p, variant)), (p, variant)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(st.integers(-60, 60), min_size=6, max_size=6),
+           t=st.integers(-60, 60), p=st.sampled_from(ODD_PRIMES_TO_61),
+           variant=st.sampled_from((None,) + VARIANTS))
+    def test_random_forms(self, coeffs, t, p, variant):
+        f = TernaryForm(*coeffs)
+        closed = (count_Vt_mod_p(f, t, p) if variant is None
+                  else count_V0_mod_p(f, t, p, variant))
+        assert closed == _count_sweep(f, t, p, variant)
+
+    def test_sweep_matches_exhaustive_oracle(self):
+        for f, t in self.CASES:
+            for p in (3, 5, 7, 11):
+                for variant in (None,) + VARIANTS:
+                    assert (_count_sweep(f, t, p, variant)
+                            == _count_bruteforce(f, t, p, variant)), (f, t, p, variant)
+
+
 class TestCasselsCount:
     def test_matches_enumeration(self):
         for p in [q for q in primes_up_to(97) if q not in (2, 3)]:
-            assert cassels_count(DIAG113, 1, p) == count_Vt_mod_p(DIAG113, 1, p)
+            assert cassels_count(DIAG113, 1, p) == _count_sweep(DIAG113, 1, p)
 
     def test_closed_form_values(self):
         assert cassels_count(DIAG113, 1, 7) == 42
@@ -96,6 +189,16 @@ class TestDensities:
     def test_density_below_one_at_good_primes(self):
         for p in (11, 13, 17, 19, 23):
             assert raw_omega_over_p(DIAG113, 1, p, "x1") < 1
+
+    def test_bad_prime_outside_exceptional_set_gets_zero(self):
+        # 13 x1^2 + 11 x2^2 - 3 x3^2 = 11 mod 11 forces x1 = x3 = 0, so N0 = N
+        f = TernaryForm(13, 11, -3)
+        assert raw_omega_over_p(f, 11, 11, "x1") == 1
+        assert omega_over_p(f, 11, 11, "x1") == 0
+        assert omega_d(f, 11, 11 * 13, "x1") == 0
+        table = build_local_table(f, 11, "x1", 13)
+        assert table.entries[11].omega_over_p == omega_over_p(f, 11, 11, "x1")
+        assert table.omega_d(11 * 13) == omega_d(f, 11, 11 * 13, "x1")
 
     def test_degenerate_local_data(self):
         # 2x^2 + 2y^2 + 2z^2 = 1 has no points mod 2
@@ -163,6 +266,10 @@ class TestSolvableMod:
         assert solvable_mod(DIAG113, 1, 81)
         assert solvable_mod(TernaryForm.diagonal(1, 1, 1), 3, 512)
 
+    def test_large_prime_modulus_without_points(self):
+        # every value is 0 mod 3001; the prime modulus needs no exhaustive count
+        assert not solvable_mod(TernaryForm.diagonal(3001, 3001, 3001), 1, 3001)
+
     def test_three_squares_obstruction_mod_8(self):
         # x^2 + y^2 + z^2 = 7 is impossible mod 8
         assert not solvable_mod(TernaryForm.diagonal(1, 1, 1), 7, 8)
@@ -203,6 +310,13 @@ class TestLocalDensityTable:
         assert ref_table.omega_d(143) == omega_d(DIAG113, 1, 143, "x1")
         with pytest.raises(DomainError):
             ref_table.omega_d(211 * 13)
+
+    def test_degenerate_form_has_no_cassels_column(self):
+        # d(f) = 0: the counts are still exact, Cassels' hypotheses fail
+        f = TernaryForm(1, 1, 0, 0, 0, 0)
+        table = build_local_table(f, 1, "x1", 23)
+        assert all(e.cassels is None for e in table.entries.values())
+        assert table.entries[23].count_V == _count_sweep(f, 1, 23)
 
     def test_caveat_present(self, ref_table):
         assert "orbit" in ref_table.caveat
