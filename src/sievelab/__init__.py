@@ -16,10 +16,10 @@ from .numerics import (EULER_GAMMA, MinimizeResult, QuadratureSpec,
 from .quadforms import (IsotropyCertificate, TernaryForm, det_form, diagonalize,
                         eval_form, hilbert_symbol, is_isotropic_Q, signature,
                         transform)
-from .sieve_functions import BETA, TWO_E_GAMMA, F_lin, SieveConstants, f_lin, hr_upper
-from .thresholds import (SieveParams, ThresholdReport, admissible_r,
-                         dh_threshold_linear, linear_threshold, m_zeta,
-                         minimize_m, reproduce_constants, tau_from_theta,
+from .sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin, hr_upper
+from .thresholds import (ThresholdReport, admissible_r, dh_threshold_linear,
+                         linear_threshold, m_zeta, minimize_m,
+                         reproduce_constants, tau_from_theta,
                          threshold_components)
 from .localdata import (BAD_SET, LocalDensityTable, bad_primes, build_local_table,
                         cassels_count, count_V0_mod_p, count_Vt_mod_p, legendre,
@@ -36,8 +36,8 @@ __all__ = [
     "integrate", "minimize_scalar",
     "IsotropyCertificate", "TernaryForm", "det_form", "diagonalize",
     "eval_form", "hilbert_symbol", "is_isotropic_Q", "signature", "transform",
-    "BETA", "TWO_E_GAMMA", "F_lin", "SieveConstants", "f_lin", "hr_upper",
-    "SieveParams", "ThresholdReport", "admissible_r", "dh_threshold_linear",
+    "BETA", "TWO_E_GAMMA", "F_lin", "f_lin", "hr_upper",
+    "ThresholdReport", "admissible_r", "dh_threshold_linear",
     "linear_threshold", "m_zeta", "minimize_m", "reproduce_constants",
     "tau_from_theta", "threshold_components",
     "BAD_SET", "LocalDensityTable", "bad_primes", "build_local_table",

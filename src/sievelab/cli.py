@@ -9,6 +9,10 @@ Subcommands:
     enumerate   integer points on f = t in a ball, as CSV
     automorphs  integral automorphs of a form by bounded search
 
+Each subcommand computes its data once and returns its exit code with one
+view per output format it supports: text lines, a JSON payload, or a CSV
+header and rows.  `_emit` builds only the requested view and writes it.
+
 Flags mirror an optional key=value config file (--config); explicit flags
 win.  All floating point output uses 10 significant digits and runs are
 fully deterministic, so identical configs produce byte-identical output.
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 from .errors import SieveLabError
 from .lattice_points import (PROJECTIONS, build_sequence, census,
                              enumerate_points, find_automorphs, level_statistic,
-                             points_to_csv, residual_Rd)
-from .localdata import BAD_SET, build_local_table
+                             residual_Rd, weight_FT)
+from .localdata import build_local_table, squarefree_primes
 from .quadforms import TernaryForm, det_form
 from .thresholds import reproduce_constants
 
@@ -38,10 +42,17 @@ _PUBLISHED_R = {
 }
 _KAPPA = {"x1": 1, "x1x2": 2, "x1x2x3": 3}
 
+# Config-file values accepted for an on/off flag such as --trend.
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
 
 @dataclass
 class RunConfig:
-    """Validated bundle of the common subcommand inputs."""
+    """Validated bundle of the common subcommand inputs.
+
+    argparse `choices` already restrict projection, mode and output.
+    """
 
     form: TernaryForm | None = None
     t: int | None = None
@@ -52,7 +63,7 @@ class RunConfig:
     dmax: int = 30
     r: int = 6
     pmax: int = 100
-    output: str = "text"
+    output: str | None = None  # None: the subcommand's first view
     out: str | None = None
 
     @classmethod
@@ -68,12 +79,6 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.projection not in PROJECTIONS:
-            raise SieveLabError(f"projection must be one of {PROJECTIONS}")
-        if self.mode not in ("unconditional", "selberg"):
-            raise SieveLabError("mode must be 'unconditional' or 'selberg'")
-        if self.output not in ("text", "json", "csv"):
-            raise SieveLabError("output must be text, json or csv")
         if self.t is not None and self.t == 0:
             raise SieveLabError("t must be a nonzero integer")
         if self.T is not None and self.T < 10:
@@ -84,65 +89,72 @@ class RunConfig:
             raise SieveLabError("form is degenerate (zero determinant)")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit(cfg: RunConfig, views: dict) -> None:
+    """Build the requested view and write it to --out or stdout.
+
+    A view is a zero-argument function returning text lines ("text"), a
+    JSON-ready payload ("json") or a CSV header line and rows ("csv").
+    """
+    kind = cfg.output or next(iter(views))
+    data = views[kind]()
+    if kind == "json":
+        text = json.dumps(data, indent=2, sort_keys=True)
+    elif kind == "csv":
+        header, rows = data
+        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)])
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        text = "\n".join(data)
+    fh = open(cfg.out, "w") if cfg.out else sys.stdout
+    try:
+        fh.write(text + "\n")
+    finally:
+        if cfg.out:
+            fh.close()
 
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def cmd_constants(cfg: RunConfig) -> int:
+def cmd_constants(cfg: RunConfig, args) -> tuple[int, dict]:
     report = reproduce_constants(cfg.mode)
-    if cfg.output == "json":
-        _emit(report.to_json(), cfg.out)
-    elif cfg.output == "csv":
-        lines = ["name,computed,expected,pass"]
-        lines += [f"{r.name.replace(',', ';')},{r.computed},"
-                  f"{r.expected.replace(',', ';')},{int(r.passed)}"
-                  for r in report.rows]
-        _emit("\n".join(lines), cfg.out)
-    else:
-        _emit(report.to_text(), cfg.out)
-    return 0 if report.all_pass else 1
+    rows = report.rows
+
+    def as_text():
+        width = max(len(r.name) for r in rows)
+        return [f"mode={report.mode}  theta={report.theta}  tau={report.tau}",
+                f"{'quantity'.ljust(width)} | {'computed'.ljust(24)} | "
+                f"{'expected'.ljust(28)} | pass",
+                *(f"{r.name.ljust(width)} | {r.computed.ljust(24)} | "
+                  f"{r.expected.ljust(28)} | {'yes' if r.passed else 'NO'}"
+                  for r in rows),
+                f"overall: {'pass' if report.all_pass else 'FAIL'}"]
+
+    def as_json():
+        return {"mode": report.mode, "theta": str(report.theta),
+                "tau": str(report.tau), "all_pass": report.all_pass,
+                "rows": [{"name": r.name, "computed": r.computed,
+                          "expected": r.expected, "pass": r.passed} for r in rows]}
+
+    def as_csv():
+        return "name,computed,expected,pass", [
+            (r.name.replace(",", ";"), r.computed, r.expected.replace(",", ";"),
+             int(r.passed)) for r in rows]
+
+    return (0 if report.all_pass else 1), {"text": as_text, "json": as_json, "csv": as_csv}
 
 
-def cmd_local(cfg: RunConfig) -> int:
+def cmd_local(cfg: RunConfig, args) -> tuple[int, dict]:
     if cfg.form is None or cfg.t is None:
         raise SieveLabError("local requires --form and --t")
     table = build_local_table(cfg.form, cfg.t, cfg.projection, cfg.pmax)
+    entries = [table.entries[p] for p in sorted(table.entries)]
     bad = sorted(table.bad_primes)
-    ok = not table.findings
 
-    if cfg.output == "csv":
-        lines = table.to_csv().rstrip("\n").splitlines()
-        header = lines[0] + ",cassels_agree"
-        body = []
-        for line, p in zip(lines[1:], sorted(table.entries)):
-            agree = table.entries[p].cassels_agree
-            body.append(line + "," + ("" if agree is None else str(int(agree))))
-        _emit("\n".join([header] + body), cfg.out)
-    elif cfg.output == "json":
-        payload = {
-            "form": cfg.form.to_string(), "t": cfg.t, "variant": cfg.projection,
-            "bad_primes": bad, "findings": table.findings,
-            "caveat": table.caveat,
-            "entries": [{
-                "p": e.p, "count_V": e.count_V, "count_V0": e.count_V0,
-                "omega": f"{e.omega_over_p.numerator}/{e.omega_over_p.denominator}",
-                "is_bad": e.is_bad, "cassels_agree": e.cassels_agree,
-            } for e in (table.entries[p] for p in sorted(table.entries))],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
-    else:
+    def as_text():
         lines = [f"form {cfg.form.to_string()}  t={cfg.t}  variant={cfg.projection}",
                  "p | count_V | count_V0 | omega(p)/p | bad | cassels_agree"]
-        for p in sorted(table.entries):
-            e = table.entries[p]
+        for e in entries:
             agree = "-" if e.cassels_agree is None else ("yes" if e.cassels_agree else "NO")
             lines.append(f"{e.p} | {e.count_V} | {e.count_V0} | "
                          f"{e.omega_over_p.numerator}/{e.omega_over_p.denominator} | "
@@ -150,19 +162,39 @@ def cmd_local(cfg: RunConfig) -> int:
         lines.append(f"bad primes <= {cfg.pmax}: {bad if bad else 'none'}")
         lines.extend(f"finding: {s}" for s in table.findings)
         lines.append(f"note: {table.caveat}")
-        _emit("\n".join(lines), cfg.out)
-    return 0 if ok else 1
+        return lines
+
+    def as_json():
+        return {
+            "form": cfg.form.to_string(), "t": cfg.t, "variant": cfg.projection,
+            "bad_primes": bad, "findings": table.findings,
+            "caveat": table.caveat,
+            "entries": [{
+                "p": e.p, "count_V": e.count_V, "count_V0": e.count_V0,
+                "omega": f"{e.omega_over_p.numerator}/{e.omega_over_p.denominator}",
+                "is_bad": e.is_bad, "cassels_agree": e.cassels_agree,
+            } for e in entries],
+        }
+
+    def as_csv():
+        return "p,count_V,count_V0,omega_num,omega_den,is_bad,cassels_agree", [
+            (e.p, e.count_V, e.count_V0, e.omega_over_p.numerator,
+             e.omega_over_p.denominator, int(e.is_bad),
+             "" if e.cassels_agree is None else int(e.cassels_agree))
+            for e in entries]
+
+    return (1 if table.findings else 0), {"text": as_text, "json": as_json, "csv": as_csv}
 
 
-def cmd_equidist(cfg: RunConfig, trend: bool = False) -> int:
+def cmd_equidist(cfg: RunConfig, args) -> tuple[int, dict]:
     if cfg.form is None or cfg.t is None or cfg.T is None:
         raise SieveLabError("equidist requires --form, --t and --T")
     table = build_local_table(cfg.form, cfg.t, cfg.projection,
                               max(7, cfg.dmax))
     seq = build_sequence(cfg.form, cfg.t, cfg.T, cfg.c0, cfg.projection)
 
-    moduli = [1] + [d for d in range(2, cfg.dmax + 1)
-                    if _is_squarefree_coprime(d)]
+    moduli = [d for d in range(1, cfg.dmax + 1)
+              if squarefree_primes(d, table.bad_set) is not None]
     rows = []
     for d in moduli:
         mass = seq.mass_in_progression(d)
@@ -174,50 +206,41 @@ def cmd_equidist(cfg: RunConfig, trend: bool = False) -> int:
     kappa = _KAPPA[cfg.projection]
     ref = seq.X / math.log(seq.X) ** (kappa + 1)
 
-    trend_line = None
-    if trend:
+    trend = []
+    if args.trend:
         seq2 = build_sequence(cfg.form, cfg.t, 2 * cfg.T, cfg.c0, cfg.projection)
         mean1 = _mean_residual_ratio(seq, table, moduli)
         mean2 = _mean_residual_ratio(seq2, table, moduli)
         grew = mean2 > 2.0 * mean1
-        trend_line = (f"trend: mean |R_d|/X {_fmt(mean1)} -> {_fmt(mean2)} "
-                      f"on T -> 2T: {'GREW' if grew else 'ok'}")
+        trend = [f"trend: mean |R_d|/X {_fmt(mean1)} -> {_fmt(mean2)} "
+                 f"on T -> 2T: {'GREW' if grew else 'ok'}"]
 
-    if cfg.output == "json":
-        payload = {
+    def cells():
+        return [(str(d), _fmt(m), _fmt(e), _fmt(r), _fmt(q)) for d, m, e, r, q in rows]
+
+    def as_text():
+        return [f"form {cfg.form.to_string()}  t={cfg.t}  T={_fmt(cfg.T)}  "
+                f"projection={cfg.projection}  X={_fmt(seq.X)}",
+                "d | |A_d| | omega(d)/d * X | R_d | R_d/X",
+                *(" | ".join(row) for row in cells()),
+                f"level statistic (d < {cfg.dmax}): {_fmt(stat)}",
+                f"X / log^{kappa + 1} X: {_fmt(ref)}",
+                *trend]
+
+    def as_json():
+        return {
             "form": cfg.form.to_string(), "t": cfg.t, "T": cfg.T,
             "projection": cfg.projection, "X": seq.X,
             "rows": [{"d": d, "mass": m, "expected": e, "R_d": r, "R_d_over_X": q}
                      for d, m, e, r, q in rows],
             "level_statistic": stat, "reference_X_log": ref,
+            **({"trend": trend[0]} if trend else {}),
         }
-        if trend_line:
-            payload["trend"] = trend_line
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
-    elif cfg.output == "csv":
-        lines = ["d,mass,expected,R_d,R_d_over_X"]
-        lines += [f"{d},{_fmt(m)},{_fmt(e)},{_fmt(r)},{_fmt(q)}"
-                  for d, m, e, r, q in rows]
-        _emit("\n".join(lines), cfg.out)
-    else:
-        lines = [f"form {cfg.form.to_string()}  t={cfg.t}  T={_fmt(cfg.T)}  "
-                 f"projection={cfg.projection}  X={_fmt(seq.X)}",
-                 "d | |A_d| | omega(d)/d * X | R_d | R_d/X"]
-        for d, m, e, r, q in rows:
-            lines.append(f"{d} | {_fmt(m)} | {_fmt(e)} | {_fmt(r)} | {_fmt(q)}")
-        lines.append(f"level statistic (d < {cfg.dmax}): {_fmt(stat)}")
-        lines.append(f"X / log^{kappa + 1} X: {_fmt(ref)}")
-        if trend_line:
-            lines.append(trend_line)
-        _emit("\n".join(lines), cfg.out)
-    return 0
 
+    def as_csv():
+        return "d,mass,expected,R_d,R_d_over_X", cells()
 
-def _is_squarefree_coprime(d: int) -> bool:
-    from .arith import factorint
-    factors = factorint(d)
-    return (all(e == 1 for e in factors.values())
-            and not any(p in BAD_SET for p in factors))
+    return 0, {"text": as_text, "json": as_json, "csv": as_csv}
 
 
 def _mean_residual_ratio(seq, table, moduli) -> float:
@@ -225,74 +248,101 @@ def _mean_residual_ratio(seq, table, moduli) -> float:
     return sum(vals) / len(vals) if vals else 0.0
 
 
-def cmd_census(cfg: RunConfig) -> int:
+def cmd_census(cfg: RunConfig, args) -> tuple[int, dict]:
     if cfg.form is None or cfg.t is None or cfg.T is None:
         raise SieveLabError("census requires --form, --t and --T")
     seq = build_sequence(cfg.form, cfg.t, cfg.T, cfg.c0, cfg.projection)
     weighted, raw = census(seq, cfg.r)
+    ratio = weighted / seq.X if seq.X else 0.0
     published = _PUBLISHED_R[cfg.projection][cfg.mode]
-    if cfg.output == "json":
-        _emit(json.dumps({
-            "form": cfg.form.to_string(), "t": cfg.t, "T": cfg.T,
-            "projection": cfg.projection, "r": cfg.r, "X": seq.X,
-            "weighted": weighted, "raw_count": raw,
-            "ratio": weighted / seq.X if seq.X else 0.0,
-            "published_r": published, "mode": cfg.mode,
-        }, indent=2, sort_keys=True), cfg.out)
-    elif cfg.output == "csv":
-        _emit("r,weighted,raw_count,X,ratio\n"
-              f"{cfg.r},{_fmt(weighted)},{raw},{_fmt(seq.X)},"
-              f"{_fmt(weighted / seq.X if seq.X else 0.0)}", cfg.out)
-    else:
-        lines = [f"form {cfg.form.to_string()}  t={cfg.t}  T={_fmt(cfg.T)}  "
-                 f"projection={cfg.projection}",
-                 f"census(r={cfg.r}): weighted {_fmt(weighted)}  raw {raw}",
-                 f"X = {_fmt(seq.X)}  census/X = "
-                 f"{_fmt(weighted / seq.X if seq.X else 0.0)}",
-                 f"published r for {cfg.projection} ({cfg.mode} mode): {published}"]
-        _emit("\n".join(lines), cfg.out)
-    return 0
+
+    def as_text():
+        return [f"form {cfg.form.to_string()}  t={cfg.t}  T={_fmt(cfg.T)}  "
+                f"projection={cfg.projection}",
+                f"census(r={cfg.r}): weighted {_fmt(weighted)}  raw {raw}",
+                f"X = {_fmt(seq.X)}  census/X = {_fmt(ratio)}",
+                f"published r for {cfg.projection} ({cfg.mode} mode): {published}"]
+
+    def as_json():
+        return {"form": cfg.form.to_string(), "t": cfg.t, "T": cfg.T,
+                "projection": cfg.projection, "r": cfg.r, "X": seq.X,
+                "weighted": weighted, "raw_count": raw, "ratio": ratio,
+                "published_r": published, "mode": cfg.mode}
+
+    def as_csv():
+        return "r,weighted,raw_count,X,ratio", [
+            (cfg.r, _fmt(weighted), raw, _fmt(seq.X), _fmt(ratio))]
+
+    return 0, {"text": as_text, "json": as_json, "csv": as_csv}
 
 
-def cmd_enumerate(cfg: RunConfig, radius: float | None) -> int:
+def cmd_enumerate(cfg: RunConfig, args) -> tuple[int, dict]:
     if cfg.form is None or cfg.t is None:
         raise SieveLabError("enumerate requires --form and --t")
+    radius = args.R
     if radius is None:
         if cfg.T is None:
             raise SieveLabError("enumerate requires --R (or --T with --c0)")
         radius = cfg.c0 * cfg.T
     points = enumerate_points(cfg.form, cfg.t, radius)
-    if cfg.T is not None:
-        text = points_to_csv(points, cfg.T, cfg.c0)
-    else:
-        text = points_to_csv(points)
-    _emit(text, cfg.out)
-    return 0
+
+    def as_csv():
+        return "x1,x2,x3,weight", [
+            (*x, "" if cfg.T is None else _fmt(weight_FT(x, cfg.T, cfg.c0)))
+            for x in points]
+
+    return 0, {"csv": as_csv}
 
 
-def cmd_automorphs(cfg: RunConfig, height: int) -> int:
+def cmd_automorphs(cfg: RunConfig, args) -> tuple[int, dict]:
     if cfg.form is None:
         raise SieveLabError("automorphs requires --form")
-    autos = find_automorphs(cfg.form, height)
-    if cfg.output == "json":
-        _emit(json.dumps({
-            "form": cfg.form.to_string(), "search_height": height,
-            "count": len(autos.generators),
-            "generators": [[list(row) for row in m] for m in autos.generators],
-        }, indent=2, sort_keys=True), cfg.out)
-    elif cfg.output == "csv":
-        lines = ["m11,m12,m13,m21,m22,m23,m31,m32,m33"]
-        lines += [",".join(str(e) for row in m for e in row)
-                  for m in autos.generators]
-        _emit("\n".join(lines), cfg.out)
-    else:
-        lines = [f"form {cfg.form.to_string()}  height={height}  "
-                 f"count={len(autos.generators)}"]
-        for m in autos.generators:
-            lines.append("  " + "; ".join(" ".join(f"{e:3d}" for e in row)
-                                          for row in m))
-        _emit("\n".join(lines), cfg.out)
-    return 0
+    gens = find_automorphs(cfg.form, args.H).generators
+
+    def as_text():
+        return [f"form {cfg.form.to_string()}  height={args.H}  count={len(gens)}",
+                *("  " + "; ".join(" ".join(f"{e:3d}" for e in row) for row in m)
+                  for m in gens)]
+
+    def as_json():
+        return {"form": cfg.form.to_string(), "search_height": args.H,
+                "count": len(gens), "generators": [[list(row) for row in m] for m in gens]}
+
+    def as_csv():
+        return "m11,m12,m13,m21,m22,m23,m31,m32,m33", [
+            [e for row in m for e in row] for m in gens]
+
+    return 0, {"text": as_text, "json": as_json, "csv": as_csv}
+
+
+# Flags by name; each subcommand takes the ones listed for it below.
+_FLAGS = {
+    "form": {"help": "a11,a22,a33,a12,a13,a23"},
+    "t": {"type": int}, "T": {"type": float}, "c0": {"type": float},
+    "projection": {"choices": PROJECTIONS},
+    "mode": {"choices": ("unconditional", "selberg")},
+    "output": {"choices": ("text", "json", "csv")},
+    "out": {"help": "write output to FILE instead of stdout"},
+    "pmax": {"type": int}, "dmax": {"type": int}, "r": {"type": int},
+    "trend": {"action": "store_true",
+              "help": "also run at 2T and flag residual-ratio growth"},
+    "R": {"type": float, "help": "enumeration radius (default c0*T)"},
+    "H": {"type": int, "default": 3, "help": "entry height bound"},
+}
+
+_SUBCOMMANDS = (
+    ("constants", cmd_constants, "reproduce the threshold constants", "mode output out"),
+    ("local", cmd_local, "local counts and densities mod p",
+     "form t projection output out pmax"),
+    ("equidist", cmd_equidist, "equidistribution residuals",
+     "form t T c0 projection output out dmax trend"),
+    ("census", cmd_census, "almost-prime census",
+     "form t T c0 projection mode output out r"),
+    ("enumerate", cmd_enumerate, "integer points in a ball, as CSV",
+     "form t T c0 out R"),
+    ("automorphs", cmd_automorphs, "integral automorphs of a form",
+     "form output out H"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -301,58 +351,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weighted-sieve constants and quadric point statistics.")
     parser.add_argument("--config", help="key=value file mirroring flag names")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *names):
-        if "form" in names:
-            p.add_argument("--form", help="a11,a22,a33,a12,a13,a23")
-        if "t" in names:
-            p.add_argument("--t", type=int)
-        if "T" in names:
-            p.add_argument("--T", type=float)
-        if "c0" in names:
-            p.add_argument("--c0", type=float)
-        if "projection" in names:
-            p.add_argument("--projection", choices=PROJECTIONS)
-        if "mode" in names:
-            p.add_argument("--mode", choices=("unconditional", "selberg"))
-        if "output" in names:
-            p.add_argument("--output", choices=("text", "json", "csv"))
-        p.add_argument("--out", help="write output to FILE instead of stdout")
-
-    p = sub.add_parser("constants", help="reproduce the threshold constants")
-    common(p, "mode", "output")
-
-    p = sub.add_parser("local", help="local counts and densities mod p")
-    common(p, "form", "t", "projection", "output")
-    p.add_argument("--pmax", type=int)
-
-    p = sub.add_parser("equidist", help="equidistribution residuals")
-    common(p, "form", "t", "T", "c0", "projection", "output")
-    p.add_argument("--dmax", type=int)
-    p.add_argument("--trend", action="store_true",
-                   help="also run at 2T and flag residual-ratio growth")
-
-    p = sub.add_parser("census", help="almost-prime census")
-    common(p, "form", "t", "T", "c0", "projection", "mode", "output")
-    p.add_argument("--r", type=int)
-
-    p = sub.add_parser("enumerate", help="integer points in a ball, as CSV")
-    common(p, "form", "t", "T", "c0")
-    p.add_argument("--R", type=float, help="enumeration radius (default c0*T)")
-
-    p = sub.add_parser("automorphs", help="integral automorphs of a form")
-    common(p, "form", "output")
-    p.add_argument("--H", type=int, default=3, help="entry height bound")
+    for name, run, about, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold key=value file entries in as leading flags (explicit flags win)."""
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Fold key=value file entries in after the subcommand (explicit flags win).
+
+    A key naming an on/off flag (--trend) takes a boolean value: 1, true,
+    yes or on sets the flag; 0, false, no or off leaves it unset.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return argv
+    commands = {name for name, *_ in _SUBCOMMANDS}
+    at = next((i for i, tok in enumerate(argv) if tok in commands), None)
+    if not known.config or at is None:
+        return argv  # without a subcommand argparse reports the error
     injected = []
     with open(known.config) as fh:
         for line in fh:
@@ -363,42 +382,26 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
                 raise SieveLabError(f"bad config line (want key=value): {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             flag = f"--{key}"
-            if flag not in argv and value != "":
+            if flag in argv or value == "":
+                continue
+            if _FLAGS.get(key, {}).get("action") != "store_true":
                 injected.extend([flag, value])
-    if not injected:
-        return argv
-    # insert after the subcommand token so subparsers see them
-    for i, tok in enumerate(argv):
-        if tok in ("constants", "local", "equidist", "census",
-                   "enumerate", "automorphs"):
-            return argv[: i + 1] + injected + argv[i + 1 :]
-    return argv + injected
+            elif value.lower() not in _SWITCH_VALUES:
+                raise SieveLabError(f"config key {key!r} wants a boolean, got {value!r}")
+            elif _SWITCH_VALUES[value.lower()]:
+                injected.append(flag)
+    return argv[: at + 1] + injected + argv[at + 1 :]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_apply_config_file(argv))
         cfg = RunConfig.from_args(args)
-        if args.command == "constants":
-            return cmd_constants(cfg)
-        if args.command == "local":
-            return cmd_local(cfg)
-        if args.command == "equidist":
-            return cmd_equidist(cfg, trend=args.trend)
-        if args.command == "census":
-            return cmd_census(cfg)
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg, args.R)
-        if args.command == "automorphs":
-            return cmd_automorphs(cfg, args.H)
-        raise SieveLabError(f"unknown command {args.command!r}")
-    except SieveLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        code, views = args.run(cfg, args)
+        _emit(cfg, views)
+        return code
+    except (SieveLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,21 +21,22 @@ Sieve-facing statistics:
     level = sum_{d < D, squarefree, (d,B)=1} 4^{nu(d)} |R_d|
     census(r) = sum of a_n over n with at most r prime factors outside B
 
-and a search for integral automorphs (M^T G M = G, det M = 1) with a
-union-find partition of point sets under their action.
+where d runs over the square-free moduli prime to B, the set that
+`localdata.squarefree_primes` tests, plus a search for integral automorphs
+(M^T G M = G, det M = 1) with a union-find partition of point sets under
+their action.  This module only computes; `sievelab.cli` renders points,
+sequences and statistics as text, JSON or CSV.
 """
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .arith import factorint
 from .errors import DomainError, ResourceError, StructureError
-from .localdata import BAD_SET, LocalDensityTable
+from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
 from .quadforms import TernaryForm, det_form, eval_form, transform
 
 PROJECTIONS = ("x1", "x1x2", "x1x2x3")
@@ -277,18 +278,11 @@ def build_sequence(f: TernaryForm, t: int, T: float, c0: float = 2.0,
 
 def residual_Rd(seq: WeightedSequence, omega: LocalDensityTable, d: int) -> float:
     """Equidistribution residual R_d = |A_d| - (omega(d)/d) X."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if d == 1:
-        return seq.mass_in_progression(1) - seq.X  # identically 0.0
-    factors = factorint(d)
-    if any(e > 1 for e in factors.values()):
-        raise DomainError(f"d must be square-free, got {d}")
-    if any(p in omega.bad_set for p in factors):
-        raise DomainError(f"d={d} shares a factor with the exceptional set")
+    if squarefree_primes(d, omega.bad_set) is None:
+        raise DomainError(f"d={d} must be square-free and prime to the "
+                          f"exceptional set {sorted(omega.bad_set)}")
     _check_table_match(seq, omega)
-    density = omega.omega_d(d)
-    return seq.mass_in_progression(d) - float(density) * seq.X
+    return seq.mass_in_progression(d) - float(omega.omega_d(d)) * seq.X
 
 
 def _check_table_match(seq: WeightedSequence, omega: LocalDensityTable) -> None:
@@ -300,26 +294,19 @@ def _check_table_match(seq: WeightedSequence, omega: LocalDensityTable) -> None:
 
 
 def level_statistic(seq: WeightedSequence, omega: LocalDensityTable,
-                    D: float, A1: float = 0.0) -> float:
+                    D: float) -> float:
     """sum over square-free d < D coprime to the exceptional set of 4^nu(d) |R_d|.
 
-    A1 is carried for report provenance (the canonical cutoff in the level
-    condition is X^tau log^-A1 X, which callers fold into D); it does not
-    change the sum.
+    The canonical cutoff in the level condition is X^tau log^-A X; callers
+    fold the log power into D.
     """
-    del A1
     if D <= 1:
         raise DomainError(f"D must exceed 1, got {D}")
     total = []
     for d in range(2, math.ceil(D)):
-        if d >= D:
-            break
-        factors = factorint(d)
-        if any(e > 1 for e in factors.values()):
-            continue
-        if any(p in omega.bad_set for p in factors):
-            continue
-        total.append(4 ** len(factors) * abs(residual_Rd(seq, omega, d)))
+        primes = squarefree_primes(d, omega.bad_set)
+        if primes is not None:
+            total.append(4 ** len(primes) * abs(residual_Rd(seq, omega, d)))
     return math.fsum(total)
 
 
@@ -458,24 +445,3 @@ def orbit_partition(points, autos: AutomorphSet) -> list[list[tuple[int, int, in
     for p, i in index.items():
         classes.setdefault(find(i), []).append(p)
     return sorted((sorted(cls) for cls in classes.values()), key=lambda c: c[0])
-
-
-def points_to_csv(points, T: float | None = None, c0: float | None = None) -> str:
-    """CSV dump x1,x2,x3,weight (weight requires T and c0; else blank)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x1", "x2", "x3", "weight"])
-    for x in points:
-        w = "" if T is None else f"{weight_FT(x, T, c0):.10g}"
-        writer.writerow([x[0], x[1], x[2], w])
-    return buf.getvalue()
-
-
-def sequence_to_csv(seq: WeightedSequence) -> str:
-    """CSV dump n,a_n in increasing n (n = 0 first when present)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "a_n"])
-    for n in sorted(seq.values):
-        writer.writerow([n, f"{seq.values[n]:.10g}"])
-    return buf.getvalue()

@@ -24,7 +24,9 @@ takes the value t at p^(n-r) N_r points, where
 with v(t) = p - 1 if t = 0 mod p and -1 otherwise.  N(p) is this count for
 the ternary form; N0(p) is inclusion-exclusion over the coordinate
 subspaces on which a sieved coordinate vanishes.  Either costs O(log p);
-p = 2 is counted over its 8 points.  When p does not divide d(f) t, d(f) is
+p = 2 is counted over its 8 points.  One private routine, `_count`, gives
+both; a table computes the principal minors of f once and calls it twice
+per prime, and the public counts validate p and call it the same way.  When p does not divide d(f) t, d(f) is
 an integer and |d(f) t| is square-free, the rank-3 case is the Cassels count
 
     N(p) = p^2 + legendre(-d(f) t, p) * p,
@@ -38,8 +40,6 @@ are aggregates over orbits; per-orbit ratios are not resolved by this
 module (see LocalDensityTable.caveat).
 """
 
-import csv
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -118,34 +118,41 @@ def _count_mod_2(f: TernaryForm, t: int, sieved: tuple | None = None) -> int:
                and (sieved is None or not all(x[i] for i in sieved)))
 
 
-def count_Vt_mod_p(f: TernaryForm, t: int, p: int) -> int:
-    """#{x in (Z/pZ)^3 : f(x) = t mod p}, exact."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    if p == 2:
-        return _count_mod_2(f, t)
-    return _subspace_count(_principal_minors(f), (0, 1, 2), t, p)
+def _count(f: TernaryForm, minors: dict, t: int, p: int,
+           sieved: tuple | None = None) -> int:
+    """N(p), or N0(p) for the sieved coordinates; p prime, minors of f.
 
-
-def count_V0_mod_p(f: TernaryForm, t: int, p: int, variant: str) -> int:
-    """Count of points of f = t mod p whose sieved coordinate product is 0 mod p.
-
-    For odd p, inclusion-exclusion over the coordinate subspaces on which
-    some sieved coordinate vanishes.
+    For odd p, N0 is inclusion-exclusion over the coordinate subspaces on
+    which some sieved coordinate vanishes.
     """
-    _check_variant(variant)
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    sieved = _SIEVED[variant]
     if p == 2:
         return _count_mod_2(f, t, sieved)
-    minors = _principal_minors(f)
+    if sieved is None:
+        return _subspace_count(minors, (0, 1, 2), t, p)
     total = 0
     for k in range(1, len(sieved) + 1):
         for zero in combinations(sieved, k):
             free = tuple(i for i in range(3) if i not in zero)
             total += (-1) ** (k + 1) * _subspace_count(minors, free, t, p)
     return total
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+
+
+def count_Vt_mod_p(f: TernaryForm, t: int, p: int) -> int:
+    """#{x in (Z/pZ)^3 : f(x) = t mod p}, exact."""
+    _check_prime(p)
+    return _count(f, _principal_minors(f), t, p)
+
+
+def count_V0_mod_p(f: TernaryForm, t: int, p: int, variant: str) -> int:
+    """Count of points of f = t mod p whose sieved coordinate product is 0 mod p."""
+    _check_variant(variant)
+    _check_prime(p)
+    return _count(f, _principal_minors(f), t, p, _SIEVED[variant])
 
 
 def cassels_count(f: TernaryForm, t: int, p: int) -> int:
@@ -164,7 +171,7 @@ def cassels_count(f: TernaryForm, t: int, p: int) -> int:
         raise DomainError("violated: t must be nonzero")
     if (d * t) % p == 0:
         raise DomainError(f"violated: p must not divide d(f)*t (p={p}, d*t={d * t})")
-    if any(e > 1 for e in factorint(abs(d * t)).values()):
+    if not is_squarefree(d * t):
         raise DomainError(f"violated: |d(f)*t| must be square-free (got {abs(d * t)})")
     return p * p + legendre(-d * t, p) * p
 
@@ -172,10 +179,12 @@ def cassels_count(f: TernaryForm, t: int, p: int) -> int:
 def _local_counts(f: TernaryForm, t: int, p: int, variant: str) -> tuple[int, int]:
     """(N, N0) mod p; no points at all leaves the density undefined."""
     _check_variant(variant)
-    n = count_Vt_mod_p(f, t, p)
+    _check_prime(p)
+    minors = _principal_minors(f)
+    n = _count(f, minors, t, p)
     if n == 0:
         raise DegenerateLocalError(f"no points mod {p}; density undefined")
-    return n, count_V0_mod_p(f, t, p, variant)
+    return n, _count(f, minors, t, p, _SIEVED[variant])
 
 
 def _density(p: int, n: int, n0: int, bad_set: frozenset) -> Fraction:
@@ -196,18 +205,24 @@ def omega_over_p(f: TernaryForm, t: int, p: int, variant: str,
     return _density(p, *_local_counts(f, t, p, variant), bad_set)
 
 
+def squarefree_primes(d: int, bad_set: frozenset = frozenset()) -> tuple[int, ...] | None:
+    """The primes of d >= 1 if d is square-free and coprime to bad_set, else None."""
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    factors = factorint(d)
+    if any(e > 1 for e in factors.values()) or not bad_set.isdisjoint(factors):
+        return None
+    return tuple(factors)
+
+
 def omega_d(f: TernaryForm, t: int, d: int, variant: str,
             bad_set: frozenset = BAD_SET) -> Fraction:
     """Multiplicative extension of omega(p)/p over square-free d >= 1."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if d == 1:
-        return Fraction(1)
-    factors = factorint(d)
-    if any(e > 1 for e in factors.values()):
+    primes = squarefree_primes(d)
+    if primes is None:
         raise DomainError(f"d must be square-free, got {d}")
     out = Fraction(1)
-    for p in factors:
+    for p in primes:
         out *= omega_over_p(f, t, p, variant, bad_set)
         if out == 0:
             return out
@@ -216,14 +231,7 @@ def omega_d(f: TernaryForm, t: int, d: int, variant: str,
 
 def bad_primes(f: TernaryForm, t: int, variant: str, p_max: int) -> set[int]:
     """Primes p <= p_max at which every local point has sieved product 0."""
-    _check_variant(variant)
-    if p_max < 7:
-        raise DomainError(f"p_max must be >= 7, got {p_max}")
-    out = set()
-    for p in primes_up_to(p_max):
-        if count_V0_mod_p(f, t, p, variant) == count_Vt_mod_p(f, t, p):
-            out.add(p)
-    return out
+    return build_local_table(f, t, variant, p_max).bad_primes
 
 
 def _solvable_prime_power(f: TernaryForm, t: int, p: int, k: int) -> bool:
@@ -321,11 +329,9 @@ class LocalEntry:
     p: int
     count_V: int
     count_V0: int
-    raw_ratio: Fraction
     omega_over_p: Fraction   # after the exceptional-set convention
     is_bad: bool
-    cassels: int | None      # closed-form count where its hypotheses hold
-    cassels_agree: bool | None
+    cassels_agree: bool | None  # None where Cassels' hypotheses fail
 
 
 @dataclass
@@ -347,31 +353,15 @@ class LocalDensityTable:
 
     def omega_d(self, d: int) -> Fraction:
         """Multiplicative omega(d)/d from the tabulated primes."""
-        if d < 1:
-            raise DomainError(f"d must be >= 1, got {d}")
-        if d == 1:
-            return Fraction(1)
-        factors = factorint(d)
-        if any(e > 1 for e in factors.values()):
+        primes = squarefree_primes(d)
+        if primes is None:
             raise DomainError(f"d must be square-free, got {d}")
         out = Fraction(1)
-        for p in factors:
+        for p in primes:
             if p not in self.entries:
                 raise DomainError(f"prime {p} not tabulated (p_max too small)")
             out *= self.entries[p].omega_over_p
         return out
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "count_V", "count_V0", "omega_num", "omega_den",
-                         "is_bad"])
-        for p in sorted(self.entries):
-            e = self.entries[p]
-            writer.writerow([e.p, e.count_V, e.count_V0,
-                             e.omega_over_p.numerator, e.omega_over_p.denominator,
-                             int(e.is_bad)])
-        return buf.getvalue()
 
 
 def build_local_table(f: TernaryForm, t: int, variant: str, p_max: int,
@@ -388,14 +378,13 @@ def build_local_table(f: TernaryForm, t: int, variant: str, p_max: int,
     dt = int(d) * t if d.denominator == 1 else 0  # 0: no Cassels column
     dt_squarefree = is_squarefree(dt)
 
+    minors = _principal_minors(f)
+    sieved = _SIEVED[variant]
     table = LocalDensityTable(form=f, t=t, variant=variant, bad_set=bad_set)
     for p in primes_up_to(p_max):
-        n = count_Vt_mod_p(f, t, p)
-        n0 = count_V0_mod_p(f, t, p, variant)
-        raw = Fraction(n0, n) if n > 0 else Fraction(0)
+        n = _count(f, minors, t, p)
+        n0 = _count(f, minors, t, p, sieved)
         is_bad = n0 == n
-        omega = _density(p, n, n0, bad_set)
-        cass = None
         agree = None
         if dt_squarefree and p != 2 and dt % p != 0:
             cass = p * p + legendre_raw(-dt, p) * p
@@ -403,7 +392,8 @@ def build_local_table(f: TernaryForm, t: int, variant: str, p_max: int,
             if not agree:
                 table.findings.append(
                     f"closed-form count disagrees at p={p}: {cass} vs {n}")
-        table.entries[p] = LocalEntry(p, n, n0, raw, omega, is_bad, cass, agree)
+        table.entries[p] = LocalEntry(p, n, n0, _density(p, n, n0, bad_set),
+                                      is_bad, agree)
         if is_bad and dt_squarefree and p not in bad_set:
             table.findings.append(
                 f"bad prime {p} outside the expected exceptional set {sorted(bad_set)}")

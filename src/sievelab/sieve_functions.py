@@ -39,7 +39,6 @@ windows would not change any downstream constant.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError, UnsupportedKappaError
 from .numerics import EULER_GAMMA, QuadratureSpec, integrate
@@ -49,24 +48,8 @@ TWO_E_GAMMA = 2.0 * math.exp(EULER_GAMMA)
 # Sifting limits: below beta_kappa the lower function vanishes.  beta_1 = 2
 # is exact; beta_2 is the tabulated two-dimensional value.
 BETA = {1: 2.0, 2: 4.266450}
-ALPHA = {1: 2.0}
 
 _DEFAULT_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-
-
-@dataclass(frozen=True)
-class SieveConstants:
-    """Tabulated sieve-dimension constants."""
-
-    beta: dict = field(default_factory=lambda: dict(BETA))
-    alpha: dict = field(default_factory=lambda: dict(ALPHA))
-
-    def __post_init__(self):
-        if any(b < 2 for b in self.beta.values()):
-            raise DomainError("every sifting limit beta_kappa must be >= 2")
-
-
-CONSTANTS = SieveConstants()
 
 
 def _phi(x: float, spec: QuadratureSpec) -> float:
@@ -84,7 +67,13 @@ def _F2(s: float, spec: QuadratureSpec) -> float:
     return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0, spec.tightened()))
 
 
-def _F3(s: float, spec: QuadratureSpec) -> float:
+def _W(s: float, spec: QuadratureSpec) -> float:
+    """The ring integral W(s) of F's third window, zero for s <= 5.
+
+    The outer integral runs at spec tightened once, the ring at twice.
+    """
+    if s <= 5.0:
+        return 0.0
     inner_spec = spec.tightened().tightened()
 
     def outer(t):
@@ -92,8 +81,11 @@ def _F3(s: float, spec: QuadratureSpec) -> float:
                          t + 2.0, s - 1.0, inner_spec)
         return math.log(t - 1.0) / t * ring
 
-    w = integrate(outer, 2.0, s - 3.0, spec.tightened()) if s > 5.0 else 0.0
-    return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0, spec.tightened()) + w)
+    return integrate(outer, 2.0, s - 3.0, spec.tightened())
+
+
+def _F3(s: float, spec: QuadratureSpec) -> float:
+    return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0, spec.tightened()) + _W(s, spec))
 
 
 def _f1(s: float, spec: QuadratureSpec) -> float:
@@ -156,13 +148,13 @@ def f_lin(s: float, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     return _f3(s, spec)
 
 
-def hr_upper(kappa: float, zeta: float, constants: SieveConstants = CONSTANTS) -> float:
+def hr_upper(kappa: float, zeta: float) -> float:
     """Halberstam-Richert closed upper bound for the weighted-sieve integral.
 
     Returns (kappa + zeta) log(beta_kappa / zeta) - kappa + zeta kappa / beta_kappa,
     valid for tabulated nonlinear dimensions (kappa = 2) and 0 < zeta < beta_kappa.
     """
-    beta = constants.beta.get(kappa)
+    beta = BETA.get(kappa)
     if beta is None or kappa <= 1:
         raise UnsupportedKappaError(
             f"no tabulated sifting limit for dimension kappa={kappa}")

@@ -30,7 +30,6 @@ equidistribution level they both consume:
 reports each constant next to its expected window.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,34 +37,13 @@ from numbers import Rational
 
 from .errors import DomainError
 from .numerics import MinimizeResult, QuadratureSpec, integrate, minimize_scalar
-from .sieve_functions import BETA, TWO_E_GAMMA, F_lin, _phi, f_lin, hr_upper
+from .sieve_functions import BETA, TWO_E_GAMMA, F_lin, _phi, _W, f_lin, hr_upper
 
 _DEFAULT_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
 
 # Spectral-gap exponent admissible without hypotheses, and the conjectural one.
 THETA_UNCONDITIONAL = Fraction(7, 64)
 THETA_SELBERG = Fraction(0)
-
-
-@dataclass(frozen=True)
-class SieveParams:
-    """Parameter bundle for one threshold computation."""
-
-    kappa: float
-    theta: Fraction
-    tau: Fraction
-    mu: float
-    a: float | None = None
-    b: float | None = None
-    zeta: float | None = None
-
-    def __post_init__(self):
-        if self.tau != tau_from_theta(self.theta):
-            raise DomainError("tau is not 1/4 - theta/2 for the given theta")
-        if self.a is not None and self.b is not None:
-            _validate_ab(self.a, self.b)
-        if self.zeta is not None and not 0 < self.zeta < BETA[2]:
-            raise DomainError(f"zeta must lie in (0, beta_2), got {self.zeta}")
 
 
 def tau_from_theta(theta) -> Fraction:
@@ -89,34 +67,21 @@ def threshold_components(a: float, b: float,
                          spec: QuadratureSpec = _DEFAULT_SPEC) -> tuple[float, float, float]:
     """(I1, I2, I3) of the linear threshold for the window pair (a, b).
 
-    I1 is closed-form; I2 and I3 are evaluated by nested quadrature with
-    inner tolerances tightened one level per nesting.
+    I1 is closed-form; I2 and I3 integrate the weight
+    (1/t)(1/(b-t) - 1/(b-a)) against Phi(t-1) and the ring integral W(t) of
+    `sieve_functions`, with inner tolerances tightened one level per nesting.
     """
     _validate_ab(a, b)
 
     i1 = (math.log((b - 1.0) * (b - a) / a) / b
           - math.log((b - 1.0) / a) / (b - a))
 
+    def weight(t):
+        return (1.0 / t) * (1.0 / (b - t) - 1.0 / (b - a))
+
     phi_spec = spec.tightened()
-
-    def i2_outer(t):
-        return (1.0 / t) * (1.0 / (b - t) - 1.0 / (b - a)) * _phi(t - 1.0, phi_spec)
-
-    i2 = integrate(i2_outer, 3.0, b - 1.0, spec)
-
-    mid_spec = spec.tightened()
-    inner_spec = mid_spec.tightened()
-
-    def i3_outer(t):
-        def i3_mid(u):
-            ring = integrate(lambda v: math.log((v - 1.0) / (u + 1.0)) / v,
-                             u + 2.0, t - 1.0, inner_spec)
-            return math.log(u - 1.0) / u * ring
-
-        m = integrate(i3_mid, 2.0, t - 3.0, mid_spec) if t > 5.0 else 0.0
-        return (1.0 / t) * (1.0 / (b - t) - 1.0 / (b - a)) * m
-
-    i3 = integrate(i3_outer, 5.0, b - 1.0, spec)
+    i2 = integrate(lambda t: weight(t) * _phi(t - 1.0, phi_spec), 3.0, b - 1.0, spec)
+    i3 = integrate(lambda t: weight(t) * _W(t, spec), 5.0, b - 1.0, spec)
     return i1, i2, i3
 
 
@@ -211,10 +176,6 @@ class ReportRow:
     expected: str
     passed: bool
 
-    def as_dict(self):
-        return {"name": self.name, "computed": self.computed,
-                "expected": self.expected, "pass": self.passed}
-
 
 @dataclass
 class ThresholdReport:
@@ -238,26 +199,6 @@ class ThresholdReport:
         self.rows.append(ReportRow(
             name=name, computed=str(value), expected=str(expected),
             passed=value == expected))
-
-    def to_text(self) -> str:
-        width = max(len(r.name) for r in self.rows)
-        lines = [f"mode={self.mode}  theta={self.theta}  tau={self.tau}",
-                 f"{'quantity'.ljust(width)} | {'computed'.ljust(24)} | "
-                 f"{'expected'.ljust(28)} | pass"]
-        for r in self.rows:
-            lines.append(f"{r.name.ljust(width)} | {r.computed.ljust(24)} | "
-                         f"{r.expected.ljust(28)} | {'yes' if r.passed else 'NO'}")
-        lines.append(f"overall: {'pass' if self.all_pass else 'FAIL'}")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode,
-            "theta": str(self.theta),
-            "tau": str(self.tau),
-            "rows": [r.as_dict() for r in self.rows],
-            "all_pass": self.all_pass,
-        }, indent=2, sort_keys=True)
 
 
 # Expected windows for the reproduced constants.  I-component windows allow

@@ -186,6 +186,21 @@ class TestConfigAndErrors:
         assert code == 0
         assert "11 |" in out and "13 |" not in out
 
+    def test_config_switch_takes_a_boolean(self, capsys, tmp_path):
+        # an on/off key sets or leaves its flag; it never passes its value on
+        args = ("equidist", "--form", "1,1,-3,0,0,0", "--t", "1", "--T", "50",
+                "--dmax", "12")
+        cfg = tmp_path / "run.cfg"
+        for value, shown in (("1", True), ("true", True), ("0", False), ("off", False)):
+            cfg.write_text(f"trend={value}\n")
+            code, out, _ = run(capsys, "--config", str(cfg), *args)
+            assert code == 0
+            assert ("trend:" in out) is shown, value
+        cfg.write_text("trend=maybe\n")
+        code, _, err = run(capsys, "--config", str(cfg), *args)
+        assert code == 2
+        assert "boolean" in err
+
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a pair\n")

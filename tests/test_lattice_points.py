@@ -4,12 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from sievelab import cli
 from sievelab.errors import DomainError, ResourceError, StructureError
 from sievelab.lattice_points import (AutomorphSet, build_sequence, census,
                                      enumerate_points, find_automorphs,
                                      level_statistic, omega_B_count,
-                                     orbit_partition, points_to_csv,
-                                     residual_Rd, sequence_to_csv, weight_FT)
+                                     orbit_partition, residual_Rd, weight_FT)
 from sievelab.quadforms import TernaryForm, eval_form, transform
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
@@ -309,15 +309,11 @@ class TestOrbitPartition:
 
 
 class TestCsvExports:
-    def test_points_csv(self):
-        text = points_to_csv(R3_POINTS, 100.0, 2.0)
-        lines = text.strip().splitlines()
+    def test_points_csv(self, capsys):
+        # points are rendered by the CLI's one emitter
+        assert cli.main(["enumerate", "--form", "1,1,-3,0,0,0", "--t", "1",
+                         "--R", "3", "--T", "100", "--c0", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "x1,x2,x3,weight"
         assert len(lines) == 1 + len(R3_POINTS)
         assert lines[3] == "-1,0,0,1"
-
-    def test_sequence_csv(self, seq_cache):
-        text = sequence_to_csv(seq_cache(1000))
-        lines = text.strip().splitlines()
-        assert lines[0] == "n,a_n"
-        assert lines[1].startswith("0,")

@@ -4,7 +4,7 @@ import pytest
 
 from sievelab.errors import DomainError, UnsupportedKappaError
 from sievelab.numerics import EULER_GAMMA, derivative_central
-from sievelab.sieve_functions import (BETA, TWO_E_GAMMA, F_lin, SieveConstants,
+from sievelab.sieve_functions import (BETA, TWO_E_GAMMA, F_lin,
                                       _F1, _F2, _F3, _f1, _f2, _f3, f_lin,
                                       hr_upper)
 from sievelab.numerics import QuadratureSpec
@@ -132,7 +132,3 @@ class TestConstants:
     def test_table(self):
         assert BETA[1] == 2.0
         assert BETA[2] == pytest.approx(4.266450, abs=1e-9)
-
-    def test_invariant(self):
-        with pytest.raises(DomainError):
-            SieveConstants(beta={1: 1.5})

@@ -2,13 +2,14 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sievelab.errors import DomainError
 from sievelab.numerics import QuadratureSpec, integrate
 from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
-from sievelab.thresholds import (SieveParams, admissible_r, dh_threshold_linear,
+from sievelab.thresholds import (admissible_r, dh_threshold_linear,
                                  linear_threshold, m_zeta, minimize_m,
                                  reproduce_constants, tau_from_theta,
                                  threshold_components)
@@ -185,32 +186,17 @@ class TestReproduceConstants:
         assert report.rows[0].passed
 
     def test_json_round_trip(self):
-        payload = json.loads(reproduce_constants("selberg").to_json())
-        assert payload["all_pass"] is True
-        assert payload["tau"] == "1/4"
+        # the pinned `constants --mode selberg --output json` output
+        golden = Path(__file__).resolve().parent / "golden" / "constants_selberg_json.txt"
+        payload = json.loads(golden.read_text())
+        report = reproduce_constants("selberg")
+        assert payload["all_pass"] is True is report.all_pass
+        assert payload["tau"] == "1/4" == str(report.tau)
         assert len(payload["rows"]) == 10
+        assert payload["rows"] == [
+            {"name": r.name, "computed": r.computed, "expected": r.expected,
+             "pass": r.passed} for r in report.rows]
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             reproduce_constants("hybrid")
-
-
-class TestSieveParams:
-    def test_consistent(self):
-        p = SieveParams(kappa=1.0, theta=Fraction(7, 64), tau=Fraction(25, 128),
-                        mu=1.0 / float(Fraction(25, 128)), a=1.0, b=6.6)
-        assert p.tau == Fraction(25, 128)
-
-    def test_tau_mismatch(self):
-        with pytest.raises(DomainError):
-            SieveParams(kappa=1.0, theta=Fraction(7, 64), tau=Fraction(1, 4), mu=8.0)
-
-    def test_window_validation(self):
-        with pytest.raises(DomainError):
-            SieveParams(kappa=1.0, theta=0, tau=Fraction(1, 4), mu=8.0,
-                        a=0.5, b=7.0)
-
-    def test_zeta_validation(self):
-        with pytest.raises(DomainError):
-            SieveParams(kappa=2.0, theta=0, tau=Fraction(1, 4), mu=8.0,
-                        zeta=BETA[2] + 1.0)
