@@ -330,18 +330,15 @@ _FLAGS = {
     "H": {"type": int, "default": 3, "help": "entry height bound"},
 }
 
+# Subcommand, help and flags; `cmd_<subcommand>` runs it.
 _SUBCOMMANDS = (
-    ("constants", cmd_constants, "reproduce the threshold constants", "mode output out"),
-    ("local", cmd_local, "local counts and densities mod p",
-     "form t projection output out pmax"),
-    ("equidist", cmd_equidist, "equidistribution residuals",
+    ("constants", "reproduce the threshold constants", "mode output out"),
+    ("local", "local counts and densities mod p", "form t projection output out pmax"),
+    ("equidist", "equidistribution residuals",
      "form t T c0 projection output out dmax trend"),
-    ("census", cmd_census, "almost-prime census",
-     "form t T c0 projection mode output out r"),
-    ("enumerate", cmd_enumerate, "integer points in a ball, as CSV",
-     "form t T c0 out R"),
-    ("automorphs", cmd_automorphs, "integral automorphs of a form",
-     "form output out H"),
+    ("census", "almost-prime census", "form t T c0 projection mode output out r"),
+    ("enumerate", "integer points in a ball, as CSV", "form t T c0 out R"),
+    ("automorphs", "integral automorphs of a form", "form output out H"),
 )
 
 
@@ -351,9 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weighted-sieve constants and quadric point statistics.")
     parser.add_argument("--config", help="key=value file mirroring flag names")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, run, about, flags in _SUBCOMMANDS:
+    for name, about, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=about)
-        p.set_defaults(run=run)
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
@@ -398,7 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(_apply_config_file(argv))
         cfg = RunConfig.from_args(args)
-        code, views = args.run(cfg, args)
+        # looked up by name at call time, so a wrapper rebound there sees the call
+        code, views = globals()[f"cmd_{args.command}"](cfg, args)
         _emit(cfg, views)
         return code
     except (SieveLabError, OSError) as exc:
