@@ -3,13 +3,20 @@
 Factorization is fully deterministic: trial division by a fixed wheel,
 deterministic Miller-Rabin for primality (valid far beyond any integer this
 package produces), and Brent's cycle variant of Pollard rho with a fixed
-parameter schedule for the composite residue.
+parameter schedule for the composite residue.  Square roots modulo n are
+taken from the factorization of n: Tonelli-Shanks modulo p, Newton lifting
+to p^e, and the Chinese remainder theorem across prime powers.
 """
 
 import math
 
-# Witnesses proving primality for every n < 3.317e24 (Sorenson-Webster).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses proving primality: the first k primes suffice for every n below
+# the bound paired with k (Jaeschke; Sorenson-Webster, OEIS A014233).  Past
+# the last bound all 13 are used.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+              (3825123056546413051, 9), (318665857834031151167461, 12))
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -26,7 +33,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    k = next((k for bound, k in _MR_BOUNDS if n < bound), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -138,3 +146,84 @@ def legendre_raw(n: int, p: int) -> int:
     if n == 0:
         return 0
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
+
+
+def sqrt_mod(a: int, factors: dict[int, int]) -> list[int]:
+    """All x in [0, n) with x*x = a (mod n), sorted, where n = prod p**e.
+
+    `factors` is the factorization {p: e} of n (empty for n = 1).
+    """
+    roots, n = [0], 1
+    for p, e in factors.items():
+        q = p ** e
+        local = _sqrt_mod_prime_power(a % q, p, e)
+        if not local:
+            return []
+        inv = pow(n, -1, q)
+        roots = [r + n * ((s - r) * inv % q) for r in roots for s in local]
+        n *= q
+    return sorted(roots)
+
+
+def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
+    """Roots of x^2 = a modulo p^e for 0 <= a < p^e."""
+    if a == 0:
+        return list(range(0, p ** e, p ** ((e + 1) // 2)))
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if v % 2:
+        return []
+    # x = p^(v/2) y with y^2 = a (mod p^(e-v)); y is free modulo p^(e-v/2)
+    half, step = p ** (v // 2), p ** (e - v)
+    return [half * (y + j * step) for y in _sqrt_unit(a, p, e - v)
+            for j in range(half)]
+
+
+def _sqrt_unit(u: int, p: int, m: int) -> list[int]:
+    """Roots of y^2 = u modulo p^m for u prime to p."""
+    pm = p ** m
+    if p == 2:
+        if m <= 2:
+            return [y for y in (1, 3)[: m] if (y * y - u) % pm == 0]
+        if u % 8 != 1:
+            return []
+        y = 1
+        for j in range(3, m):  # keep y^2 = u (mod 2^(j+1))
+            if (y * y - u) % (1 << (j + 1)):
+                y += 1 << (j - 1)
+        return [y, pm // 2 - y, pm // 2 + y, pm - y]
+    y = _sqrt_mod_p(u % p, p)
+    if y is None:
+        return []
+    k = 1
+    while k < m:  # Newton's step doubles the precision
+        k = min(2 * k, m)
+        pk = p ** k
+        y = (y - (y * y - u) * pow(2 * y, -1, pk)) % pk
+    return [y, pm - y]
+
+
+def _sqrt_mod_p(a: int, p: int) -> int | None:
+    """A square root of the unit a modulo the odd prime p (Tonelli-Shanks)."""
+    if legendre_raw(a, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while legendre_raw(z, p) != -1:
+        z += 1
+    c, t, y = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, y = i, b * b % p, t * b * b % p, y * b % p
+    return y

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import SieveLabError
 from .lattice_points import (PROJECTIONS, build_sequence, census,
                              enumerate_points, find_automorphs, level_statistic,
-                             residual_Rd, weight_FT)
+                             weight_FT)
 from .localdata import build_local_table, squarefree_primes
 from .quadforms import TernaryForm, det_form
 from .thresholds import reproduce_constants
@@ -195,22 +195,17 @@ def cmd_equidist(cfg: RunConfig, args) -> tuple[int, dict]:
 
     moduli = [d for d in range(1, cfg.dmax + 1)
               if squarefree_primes(d, table.bad_set) is not None]
-    rows = []
-    for d in moduli:
-        mass = seq.mass_in_progression(d)
-        expect = float(table.omega_d(d)) * seq.X
-        rd = residual_Rd(seq, table, d)
-        rows.append((d, mass, expect, rd, rd / seq.X))
+    rows = _residual_rows(seq, table, moduli)
 
     stat = level_statistic(seq, table, float(cfg.dmax))
     kappa = _KAPPA[cfg.projection]
     ref = seq.X / math.log(seq.X) ** (kappa + 1)
 
     trend = []
-    if args.trend:
+    if args.trend and cfg.output != "csv":  # the CSV view has no trend line
         seq2 = build_sequence(cfg.form, cfg.t, 2 * cfg.T, cfg.c0, cfg.projection)
-        mean1 = _mean_residual_ratio(seq, table, moduli)
-        mean2 = _mean_residual_ratio(seq2, table, moduli)
+        mean1 = _mean_ratio(rows)
+        mean2 = _mean_ratio(_residual_rows(seq2, table, moduli))
         grew = mean2 > 2.0 * mean1
         trend = [f"trend: mean |R_d|/X {_fmt(mean1)} -> {_fmt(mean2)} "
                  f"on T -> 2T: {'GREW' if grew else 'ok'}"]
@@ -243,8 +238,22 @@ def cmd_equidist(cfg: RunConfig, args) -> tuple[int, dict]:
     return 0, {"text": as_text, "json": as_json, "csv": as_csv}
 
 
-def _mean_residual_ratio(seq, table, moduli) -> float:
-    vals = [abs(residual_Rd(seq, table, d)) / seq.X for d in moduli if d > 1]
+def _residual_rows(seq, table, moduli) -> list[tuple]:
+    """(d, |A_d|, omega(d)/d * X, R_d, R_d/X) per modulus d.
+
+    R_d is mass - expect, the float expression `residual_Rd` evaluates.
+    """
+    rows = []
+    for d in moduli:
+        mass = seq.mass_in_progression(d)
+        expect = float(table.omega_d(d)) * seq.X
+        rows.append((d, mass, expect, mass - expect, (mass - expect) / seq.X))
+    return rows
+
+
+def _mean_ratio(rows) -> float:
+    """Mean of |R_d|/X over the rows with d > 1."""
+    vals = [abs(ratio) for d, *_, ratio in rows if d > 1]
     return sum(vals) / len(vals) if vals else 0.0
 
 
@@ -355,15 +364,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process and reused by every call of `main`; the probe
+# finds --config before the full parse.
+_PARSER = _build_parser()
+_CONFIG_PROBE = argparse.ArgumentParser(add_help=False)
+_CONFIG_PROBE.add_argument("--config")
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Fold key=value file entries in after the subcommand (explicit flags win).
 
     A key naming an on/off flag (--trend) takes a boolean value: 1, true,
     yes or on sets the flag; 0, false, no or off leaves it unset.
     """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+    known, _ = _CONFIG_PROBE.parse_known_args(argv)
     commands = {name for name, *_ in _SUBCOMMANDS}
     at = next((i for i, tok in enumerate(argv) if tok in commands), None)
     if not known.config or at is None:
@@ -392,7 +406,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(_apply_config_file(argv))
+        args = _PARSER.parse_args(_apply_config_file(argv))
         cfg = RunConfig.from_args(args)
         # looked up by name at call time, so a wrapper rebound there sees the call
         code, views = globals()[f"cmd_{args.command}"](cfg, args)

@@ -1,11 +1,33 @@
 """Integer points on a quadric, smooth-weighted sequences, and their statistics.
 
 For a nondegenerate ternary form f and nonzero t, the integer points of
-f(x) = t inside a Euclidean ball are enumerated exactly: for each (x1, x2)
-in the projected box the equation is a quadratic (or linear) in x3, solved
-by integer discriminant and perfect-square test.  The hot path is a
-vectorized row sweep; a pure-Python sweep covers forms without a usable
-quadratic pivot and coefficient ranges outside the int64 safety margin.
+f(x) = t inside a Euclidean ball of radius R are enumerated exactly, in
+work that grows with the slices rather than with the ~pi R^2 cells of a
+disc:
+
+* Frame.  A unimodular U is chosen so that g(y) = f(Uy) is definite on the
+  (y1, y2) plane.  The plane n.x = 0 is definite exactly when the cofactor
+  form of 2G is positive at n; the coordinate normals are tried first
+  (every form of the benchmark pool has one), then shells of growing
+  height, which end because that set is a nonempty open cone.  The binary
+  part is Gauss-reduced, so |b| <= a <= c.
+* Slices.  On y3 = k the equation becomes q(z) = n_k for z = delta (y1, y2)
+  + k H, where delta is the least denominator of the ellipse centre and
+  n_k depends on k^2 only, so each |k| is solved once; |k| <= |n| R, and a
+  slice whose ellipse stays outside the ball by a float-safe margin is
+  skipped.
+* Representations.  A slice whose ellipse spans few rows (at most
+  max(32, n_k^(1/4)), below the cost of a factorization) is scanned row by
+  row.  Otherwise its solutions come from factorint(n_k): mu^2 a q(z) =
+  X^2 + d Y^2 with mu = 1 for even b and 2 for odd b, so n_k is inflated
+  by a or 4a only; for each g^2 | mu^2 a n_k and each root r of r^2 = -d
+  (arith.sqrt_mod) one Gauss reduction of the lattice X = r Y yields the
+  solutions.
+* Every point is checked with eval_form before it is returned, sorted and
+  free of duplicates.
+
+The former O(R^2) sweep of the (x1, x2) disc is kept in the tests as the
+oracle (tests/test_lattice_points.py, `sweep_oracle`).
 
 On top of the enumeration sits the weighted sequence
 
@@ -30,11 +52,9 @@ sequences and statistics as text, JSON or CSV.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
-import numpy as np
-
-from .arith import factorint
+from .arith import factorint, sqrt_mod
 from .errors import DomainError, ResourceError, StructureError
 from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
 from .quadforms import TernaryForm, det_form, eval_form, transform
@@ -42,7 +62,6 @@ from .quadforms import TernaryForm, det_form, eval_form, transform
 PROJECTIONS = ("x1", "x1x2", "x1x2x3")
 
 _DEFAULT_CELL_BUDGET = 10 ** 9
-_INT64_SAFE = 2 ** 62
 
 
 def weight_FT(x, T: float, c0: float) -> float:
@@ -65,106 +84,142 @@ def _weight_radial(r: float, T: float, c0: float) -> float:
     return 1.0 - (6.0 * s ** 5 - 15.0 * s ** 4 + 10.0 * s ** 3)
 
 
-def _pivot_frame(f: TernaryForm):
-    """(form with a33 != 0, permutation matrix) or (None, None) if no pivot."""
-    if f.a33 != 0:
-        return f, None
-    if f.a11 != 0:
-        p = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-        return transform(f, p), p
-    if f.a22 != 0:
-        p = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
-        return transform(f, p), p
-    return None, None
+# A slice whose ellipse spans at most this many rows is scanned row by row:
+# fewer rows cost less than one factorization.
+_SCAN_ROWS = 32
 
 
-def _isqrt_array(d: np.ndarray) -> np.ndarray:
-    """Exact integer sqrt floor for a nonnegative int64 array."""
-    s = np.sqrt(d.astype(np.float64)).astype(np.int64)
-    s = np.maximum(s - 2, 0)
-    for _ in range(4):  # float sqrt is off by at most 1 ulp here
-        bump = (s + 1) * (s + 1) <= d
-        if not bump.any():
+def _slice_normal(f: TernaryForm) -> tuple[int, int, int]:
+    """A short primitive n such that f is definite on the plane n.x = 0.
+
+    f restricted to that plane has discriminant -n^T adj(2G) n, so the plane
+    is definite exactly when the cofactor form of 2G is positive at n.  That
+    set is an open cone, nonempty for every nondegenerate ternary form, so
+    the search over shells of growing height ends; the coordinate normals
+    e3, e2, e1 are tried first.
+    """
+    cof = TernaryForm(4 * f.a22 * f.a33 - f.a23 * f.a23,
+                      4 * f.a11 * f.a33 - f.a13 * f.a13,
+                      4 * f.a11 * f.a22 - f.a12 * f.a12,
+                      2 * (f.a13 * f.a23 - 2 * f.a12 * f.a33),
+                      2 * (f.a12 * f.a23 - 2 * f.a22 * f.a13),
+                      2 * (f.a12 * f.a13 - 2 * f.a11 * f.a23))
+    for h in count(1):
+        shell = [(x, y, z) for x in range(0, h + 1) for y in range(-h, h + 1)
+                 for z in (range(-h, h + 1) if h in (x, abs(y)) else (-h, h))
+                 if (x, y, z) > (0, 0, 0) and math.gcd(x, y, z) == 1]
+        shell.sort(key=lambda n: (n[0] * n[0] + n[1] * n[1] + n[2] * n[2], n))
+        for n in shell:
+            if eval_form(cof, n) > 0:
+                return n
+
+
+def _frame_from_normal(n) -> list[list[int]]:
+    """U with det U = 1, n.u1 = n.u2 = 0 and n.u3 = 1 (u_j the columns of U).
+
+    Column operations reduce the row n U to (0, 0, 1) as in Euclid's
+    algorithm, so the last row of U^-1 is n.
+    """
+    r, cols = list(n), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    while sum(1 for v in r if v) > 1:
+        i = min((j for j in range(3) if r[j]), key=lambda j: abs(r[j]))
+        for j in range(3):
+            if j != i and r[j]:
+                q = r[j] // r[i]
+                r[j] -= q * r[i]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+    i = next(j for j in range(3) if r[j])
+    cols[i], cols[2], r[i], r[2] = cols[2], cols[i], r[2], r[i]
+    if r[2] < 0:
+        cols[2] = [-a for a in cols[2]]
+    u = [[cols[j][i] for j in range(3)] for i in range(3)]
+    if _det3(*cols) < 0:
+        for row in u:
+            row[0] = -row[0]
+    return u
+
+
+def _reduce_binary(a: int, b: int, c: int) -> list[list[int]]:
+    """V with det V = 1 taking a x^2 + b x y + c y^2 (a > 0, b^2 < 4ac) to a
+    Gauss-reduced form: |b| <= a <= c."""
+    v = [[1, 0], [0, 1]]
+    while True:
+        m = (a - b) // (2 * a)  # x -> x + m y leaves -a < b <= a
+        b, c = b + 2 * a * m, a * m * m + b * m + c
+        v = [[row[0], row[0] * m + row[1]] for row in v]
+        if a <= c:
+            return v
+        a, b, c = c, -b, a  # (x, y) -> (-y, x)
+        v = [[row[1], -row[0]] for row in v]
+
+
+def _slice_frame(f: TernaryForm) -> list[list[int]]:
+    """Unimodular U: f(Uy) is definite and Gauss-reduced in (y1, y2) and the
+    last row of U^-1 is a short slice normal."""
+    u = _frame_from_normal(_slice_normal(f))
+    g = transform(f, u)
+    sign = 1 if g.a11 > 0 else -1
+    v = _reduce_binary(sign * g.a11, sign * g.a12, sign * g.a22)
+    return [[row[0] * v[0][0] + row[1] * v[1][0], row[0] * v[0][1] + row[1] * v[1][1],
+             row[2]] for row in u]
+
+
+def _representations(a: int, b: int, c: int, n: int,
+                     inflation: dict[int, int]) -> set[tuple[int, int]]:
+    """All z with a z1^2 + b z1 z2 + c z2^2 = n >= 1 (a > 0, b^2 < 4ac).
+
+    With mu = 1 for even b and 2 for odd b, mu^2 a q(z) = X^2 + d Y^2 for
+    X = mu a z1 + (mu b / 2) z2, Y = z2 and d = mu^2 (4ac - b^2) / 4;
+    `inflation` is the factorization of mu^2 a.  A solution of X^2 + d Y^2 =
+    m is g (X', Y') with g^2 | m and (X', Y') primitive; then X' = r Y' modulo
+    m' = m / g^2 for a root r of r^2 = -d, and (X', Y') is a shortest vector
+    of that lattice, found by one Gauss reduction.  Roots r and -r give
+    mirror images, so only r <= m'/2 is reduced and the signs are restored.
+    """
+    mu = 1 if b % 2 == 0 else 2
+    d = mu * mu * (4 * a * c - b * b) // 4
+    scale, shift = mu * a, mu * b // 2
+    factors = dict(inflation)
+    for p, e in factorint(n).items():
+        factors[p] = factors.get(p, 0) + e
+    m = mu * mu * a * n
+    found = set()
+    for exps in product(*(range(e // 2 + 1) for e in factors.values())):
+        g, rest = 1, {}
+        for (p, e), j in zip(factors.items(), exps):
+            g *= p ** j
+            if e > 2 * j:
+                rest[p] = e - 2 * j
+        mg = m // (g * g)
+        for r in sqrt_mod(-d, rest):
+            if 2 * r <= mg:
+                found.update((g * x, g * y) for x, y in _shortest_vectors(mg, r, d))
+    out = set()
+    for x, y in found:
+        for sx, sy in ((x, y), (x, -y), (-x, y), (-x, -y)):
+            if (sx - shift * sy) % scale == 0:
+                out.add(((sx - shift * sy) // scale, sy))
+    return out
+
+
+def _shortest_vectors(m: int, r: int, d: int) -> list[tuple[int, int]]:
+    """The vectors of norm m = X^2 + d Y^2 in the lattice X = r Y (mod m), up to sign.
+
+    Every norm there is a multiple of m and the Gram determinant is m^2 d,
+    so norm m is the minimum and, after Lagrange reduction, is reached only
+    by the reduced basis vectors (a third pair would need d = 3/4).
+    """
+    u, nu = (r, 1), r * r + d
+    v, nv = (m, 0), m * m
+    while True:
+        if nu > nv:
+            u, nu, v, nv = v, nv, u, nu
+        q = (2 * (u[0] * v[0] + d * u[1] * v[1]) + nu) // (2 * nu)
+        if q == 0:
             break
-        s = s + bump
-    return s
-
-
-def _enumerate_rows(g: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
-    """Vectorized sweep over (x1, x2) rows; g.a33 != 0; int64-safe ranges."""
-    m = math.floor(R)
-    r2 = R * R
-    a, out = g.a33, []
-    x2_full = np.arange(-m, m + 1, dtype=np.int64)
-    for x1 in range(-m, m + 1):
-        lim2 = r2 - x1 * x1
-        if lim2 < 0:
-            continue
-        half = math.floor(math.sqrt(lim2) + 1e-9)
-        x2 = x2_full[m - half: m + half + 1]
-        b = g.a13 * x1 + g.a23 * x2
-        c = g.a11 * x1 * x1 + g.a22 * x2 * x2 + g.a12 * x1 * x2 - t
-        disc = b * b - 4 * a * c
-        ok = disc >= 0
-        if not ok.any():
-            continue
-        s = np.zeros_like(disc)
-        s[ok] = _isqrt_array(disc[ok])
-        square = ok & (s * s == disc)
-        for sign in (1, -1):
-            num = -b + sign * s
-            cand = square & (num % (2 * a) == 0)
-            if sign == -1:
-                cand &= s > 0  # avoid double-reporting the double root
-            if not cand.any():
-                continue
-            x3 = num[cand] // (2 * a)
-            x2c = x2[cand]
-            keep = x1 * x1 + x2c * x2c + x3 * x3 <= r2
-            out.extend((x1, int(u), int(v))
-                       for u, v in zip(x2c[keep], x3[keep]))
-    return out
-
-
-def _enumerate_python(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
-    """Exact-integer sweep; handles zero quadratic coefficient cells."""
-    m = math.floor(R)
-    r2 = R * R
-    a = f.a33
-    out = []
-    for x1 in range(-m, m + 1):
-        lim2 = r2 - x1 * x1
-        if lim2 < 0:
-            continue
-        half = math.floor(math.sqrt(lim2) + 1e-9)
-        for x2 in range(-half, half + 1):
-            b = f.a13 * x1 + f.a23 * x2
-            c = f.a11 * x1 * x1 + f.a22 * x2 * x2 + f.a12 * x1 * x2 - t
-            lim3 = lim2 - x2 * x2
-            if a == 0:
-                if b == 0:
-                    if c == 0:
-                        top = math.floor(math.sqrt(lim3) + 1e-9)
-                        out.extend((x1, x2, x3) for x3 in range(-top, top + 1))
-                    continue
-                if c % b == 0:
-                    x3 = -c // b
-                    if x3 * x3 <= lim3:
-                        out.append((x1, x2, x3))
-                continue
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc:
-                continue
-            roots = {(-b + s), (-b - s)}
-            for num in roots:
-                if num % (2 * a) == 0:
-                    x3 = num // (2 * a)
-                    if x3 * x3 <= lim3:
-                        out.append((x1, x2, x3))
-    return out
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        nv = v[0] * v[0] + d * v[1] * v[1]
+    return [w for w, nw in ((u, nu), (v, nv)) if nw == m]
 
 
 def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
@@ -179,21 +234,88 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
     if R < 0:
         raise DomainError(f"radius must be nonnegative, got {R}")
 
-    g, perm = _pivot_frame(f)
-    if g is None:
-        points = _enumerate_python(f, t, R)
-        return sorted(set(points))
+    u = _slice_frame(f)
+    w = _mat_inverse_unimodular(u)
+    g = transform(f, u)
+    sign = 1 if g.a11 > 0 else -1
+    a, b, c = sign * g.a11, sign * g.a12, sign * g.a22
+    disc = 4 * a * c - b * b
+    # The slice y3 = k is q(y + k h) = t - g33 k^2 + k^2 q(h) with
+    # 2Q h = (g13, g23); z = delta (y + k h) = delta y + k H is integral.
+    h1 = sign * (2 * c * g.a13 - b * g.a23)
+    h2 = sign * (2 * a * g.a23 - b * g.a13)
+    common = math.gcd(disc, h1, h2)
+    delta, H1, H2 = disc // common, h1 // common, h2 // common
+    m0 = delta * delta * sign * g.a33 - (a * H1 * H1 + b * H1 * H2 + c * H2 * H2)
+    n0 = delta * delta * sign * t
+    inflation = factorint((1 if b % 2 == 0 else 4) * a)
 
-    maxc = max(abs(c) for c in (g.a11, g.a22, g.a33, g.a12, g.a13, g.a23))
-    safe = (2 * maxc * (R + 1)) ** 2 + 8 * maxc * (3 * maxc * (R + 1) ** 2 + abs(t))
-    if safe < _INT64_SAFE:
-        points = _enumerate_rows(g, t, R)
-    else:
-        points = _enumerate_python(g, t, R)
+    r2 = R * R
+    nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
+    kmax = math.isqrt(int(r2 * nn)) + 1
+    ymax = math.isqrt(int(r2 * sum(e * e for e in w[1]))) + 1
+    points = []
 
-    if perm is not None:
-        points = [(x[perm[0].index(1)], x[perm[1].index(1)], x[perm[2].index(1)])
-                  for x in points]
+    (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = u
+    # On slice k, x = k v + U12 z / delta with v = u3 - U12 h, and v.n = 1, so
+    # |x|^2 >= k^2/|n|^2 + (sqrt(mu n_k)/delta - |k| |v - n/|n|^2|)^2 whenever
+    # the bracket is positive; mu is the least eigenvalue of U12^T U12
+    # relative to Q.  A slice whose bound exceeds R^2 is skipped.
+    p11 = u11 * u11 + u21 * u21 + u31 * u31
+    p22 = u12 * u12 + u22 * u22 + u32 * u32
+    p12 = u11 * u12 + u21 * u22 + u31 * u32
+    detp, tr = p11 * p22 - p12 * p12, p11 * c + p22 * a - p12 * b
+    try:
+        mu = 2 * detp / (tr + math.sqrt(tr * tr - disc * detp))
+        v = [row[2] - (row[0] * H1 + row[1] * H2) / delta for row in u]
+        drift = math.sqrt(max(0.0, sum(e * e for e in v) - 1 / nn))
+    except OverflowError:  # coefficients beyond float range: bound by |k| only
+        mu = drift = 0.0
+    if mu < 1e-290:  # keep mu a normal float, or drop its term
+        mu = 0.0
+    limit = (1 + 1e-9) * r2 + 1e-9  # margin for float rounding
+
+    def keep(y1, y2, k):
+        x1 = u11 * y1 + u12 * y2 + u13 * k
+        x2 = u21 * y1 + u22 * y2 + u23 * k
+        x3 = u31 * y1 + u32 * y2 + u33 * k
+        if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
+            points.append((x1, x2, x3))
+
+    for kk in range(kmax + 1):
+        n = n0 - kk * kk * m0  # the slices +-kk share q(z) = n
+        if n < 0:
+            continue
+        try:
+            gap = max(0.0, math.sqrt(mu * (n / (delta * delta))) - kk * drift)
+        except OverflowError:  # n_k beyond float range: keep the slice
+            gap = 0.0
+        if kk * kk / nn + gap * gap > limit:
+            continue
+        top = math.isqrt(4 * a * n // disc)  # |z2| <= top on the ellipse
+        signs = (kk, -kk) if kk else (0,)
+        if min(2 * top // delta + 1, 2 * ymax + 1) > max(_SCAN_ROWS, math.isqrt(math.isqrt(n))):
+            reps = _representations(a, b, c, n, inflation)
+            for k in signs:
+                for z1, z2 in reps:
+                    y1, y2 = z1 - k * H1, z2 - k * H2
+                    if y1 % delta == 0 and y2 % delta == 0:
+                        keep(y1 // delta, y2 // delta, k)
+            continue
+        for k in signs:  # 4a q(z) = (2a z1 + b z2)^2 + disc z2^2
+            lo = max(-ymax, -((top + k * H2) // delta))
+            hi = min(ymax, (top - k * H2) // delta)
+            for y2 in range(lo, hi + 1):
+                z2 = delta * y2 + k * H2
+                rad = 4 * a * n - disc * z2 * z2
+                s = math.isqrt(rad)
+                if s * s != rad:
+                    continue
+                for root in {s, -s}:
+                    z1, rem = divmod(root - b * z2, 2 * a)
+                    if rem == 0 and (z1 - k * H1) % delta == 0:
+                        keep((z1 - k * H1) // delta, y2, k)
+
     points = sorted(set(points))
     for x in points:
         if eval_form(f, x) != t:

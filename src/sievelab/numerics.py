@@ -2,8 +2,9 @@
 
 Quadrature is adaptive Gauss quadrature with interval bisection: each panel
 is estimated with an embedded 7/15-point Gauss-Legendre pair, the difference
-serving as the local error estimate.  Nodes and weights are generated once at
-import from numpy's Legendre machinery, so every run evaluates the same
+serving as the local error estimate.  Nodes and weights are float literals
+of the 7- and 15-point Gauss-Legendre rules (a test checks them bit for bit
+against a reference implementation), so every run evaluates the same
 abscissae in the same order and results are bit-identical across runs.
 
 Nested integrals are evaluated by passing another `integrate` call as the
@@ -18,15 +19,26 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy.polynomial.legendre as _leg
-
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 # Euler-Mascheroni constant, full double precision.
 EULER_GAMMA = 0.5772156649015329
 
-_NODES7, _WEIGHTS7 = (a.tolist() for a in _leg.leggauss(7))
-_NODES15, _WEIGHTS15 = (a.tolist() for a in _leg.leggauss(15))
+_NODES7 = [-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+           0.4058451513773972, 0.7415311855993945, 0.9491079123427586]
+_WEIGHTS7 = [0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+             0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+             0.12948496616886973]
+_NODES15 = [-0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+            -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+            -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+            0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+            0.9372733924007058, 0.9879925180204854]
+_WEIGHTS15 = [0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+              0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+              0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+              0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+              0.10715922046717141, 0.0703660474881084, 0.030753241996117203]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sievelab.arith import (factorint, is_prime, is_squarefree, legendre_raw,
-                            nu, primes_up_to, squarefree_part)
+                            nu, primes_up_to, sqrt_mod, squarefree_part)
 
 
 def test_is_prime_small():
@@ -16,6 +16,18 @@ def test_is_prime_large():
     assert is_prime(2 ** 61 - 1)          # Mersenne prime
     assert not is_prime(2 ** 61 + 1)
     assert not is_prime(3215031751)       # strong pseudoprime to 2,3,5,7
+
+
+def test_is_prime_at_every_base_bound():
+    # each bound is the least strong pseudoprime to the bases below it
+    for bound in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  318665857834031151167461):
+        assert not is_prime(bound), bound
+    assert factorint(318665857834031151167461) == {399165290221: 1,
+                                                   798330580441: 1}
+    sieve = set(primes_up_to(10 ** 5))
+    assert all(is_prime(n) == (n in sieve) for n in range(10 ** 5))
 
 
 def test_primes_up_to():
@@ -68,3 +80,15 @@ def test_legendre_raw_euler():
         for n in range(1, p):
             assert legendre_raw(n, p) == (1 if n in squares else -1)
         assert legendre_raw(p, p) == 0
+
+
+def test_sqrt_mod_against_brute_force():
+    for n in [*range(1, 120), 2 ** 9, 3 ** 6, 8 * 5 ** 3, 4 * 17 ** 2]:
+        factors = factorint(n)
+        for a in range(n):
+            assert sqrt_mod(a, factors) == [x for x in range(n) if x * x % n == a]
+    p = 7681  # p - 1 = 2^9 * 15 takes Tonelli-Shanks through nine squarings
+    for a in range(1, 400):
+        roots = sqrt_mod(a, {p: 2})
+        assert len(roots) == (2 if legendre_raw(a, p) == 1 else 0)
+        assert all(x * x % p ** 2 == a for x in roots)

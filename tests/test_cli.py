@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sievelab import cli
+from sievelab.lattice_points import build_sequence
 
 
 def run(capsys, *args):
@@ -109,6 +110,23 @@ class TestEquidist:
                            "--t", "1", "--T", "50", "--dmax", "12", "--trend")
         assert code == 0
         assert "trend:" in out
+
+    def test_trend_builds_2T_only_for_views_that_show_it(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return build_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_sequence", counted)
+        args = ("equidist", "--form", "1,1,-3,0,0,0", "--t", "1", "--T", "50",
+                "--dmax", "12")
+        _, plain, _ = run(capsys, *args, "--output", "csv")
+        _, trend, _ = run(capsys, *args, "--output", "csv", "--trend")
+        assert trend == plain
+        assert calls == [50.0, 50.0]
+        run(capsys, *args, "--output", "json", "--trend")
+        assert calls[2:] == [50.0, 100.0]
 
 
 class TestCensus:
@@ -222,6 +240,14 @@ class TestConfigAndErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["constants", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once_and_survives_errors(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.argparse, "ArgumentParser",
+                            lambda *a, **k: pytest.fail("parser built per call"))
+        with pytest.raises(SystemExit):
+            cli.main(["local", "--pmax", "ten"])
+        code, out, _ = run(capsys, "constants", "--output", "csv")
+        assert code == 0 and out.startswith("name,computed,expected,pass")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sievelab import cli
 from sievelab.errors import DomainError, ResourceError, StructureError
@@ -10,7 +12,7 @@ from sievelab.lattice_points import (AutomorphSet, build_sequence, census,
                                      enumerate_points, find_automorphs,
                                      level_statistic, omega_B_count,
                                      orbit_partition, residual_Rd, weight_FT)
-from sievelab.quadforms import TernaryForm, eval_form, transform
+from sievelab.quadforms import TernaryForm, det_form, eval_form, transform
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
 
@@ -49,6 +51,107 @@ def enumeration_oracle(f, t, R):
         for i, j in zip(*np.nonzero(hit)):
             out.append((int(x1), int(x2[i, j]), int(x3[i, j])))
     return sorted(out)
+
+
+def sweep_oracle(f, t, R):
+    """O(R^2) exact-integer sweep of the (x1, x2) disc, solving for x3.
+
+    It shares nothing with the slicing (no frame, no factorization) and
+    handles a33 = 0 directly, so it serves as the enumerator's oracle.
+    """
+    m = math.floor(R)
+    r2 = R * R
+    a = f.a33
+    out = []
+    for x1 in range(-m, m + 1):
+        lim2 = r2 - x1 * x1
+        if lim2 < 0:
+            continue
+        half = math.floor(math.sqrt(lim2) + 1e-9)
+        for x2 in range(-half, half + 1):
+            b = f.a13 * x1 + f.a23 * x2
+            c = f.a11 * x1 * x1 + f.a22 * x2 * x2 + f.a12 * x1 * x2 - t
+            lim3 = lim2 - x2 * x2
+            if a == 0:
+                if b == 0:
+                    if c == 0:
+                        top = math.floor(math.sqrt(lim3) + 1e-9)
+                        out.extend((x1, x2, x3) for x3 in range(-top, top + 1))
+                    continue
+                if c % b == 0:
+                    x3 = -c // b
+                    if x3 * x3 <= lim3:
+                        out.append((x1, x2, x3))
+                continue
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            if s * s != disc:
+                continue
+            for num in {-b + s, -b - s}:
+                if num % (2 * a) == 0:
+                    x3 = num // (2 * a)
+                    if x3 * x3 <= lim3:
+                        out.append((x1, x2, x3))
+    return sorted(set(out))
+
+
+# The benchmark's form pool (sievebench/pool.py) and the reference form.
+POOL_FORMS = [
+    ("-2,-3,7,0,0,0", 1), ("-2,1,5,0,0,0", 3), ("-1,-2,7,0,0,0", -1),
+    ("-1,2,3,0,0,0", 1), ("-1,3,-1,0,0,0", -1), ("-1,5,7,0,0,0", -2),
+    ("1,-5,-3,0,0,0", -2), ("1,-3,-2,0,0,0", 1), ("1,-3,-2,0,0,0", 5),
+    ("1,-2,-5,0,0,0", 1), ("1,-2,-3,0,0,0", -1), ("1,-2,5,0,0,0", 3),
+    ("1,3,-2,0,0,0", 5), ("1,5,-3,0,0,0", -2), ("1,5,-2,0,0,0", 1),
+    ("2,-3,-1,0,0,0", -1), ("2,5,-3,0,0,0", -1), ("3,-5,1,0,0,0", 2),
+    ("3,-2,-7,0,0,0", 1), ("3,-1,-1,0,0,0", 1), ("-3,-1,1,2,0,2", 2),
+    ("-2,-2,3,0,0,2", 5), ("-2,-1,1,0,-2,2", 1), ("-1,1,5,1,1,1", -1),
+    ("-1,2,-7,2,0,0", 1), ("-1,2,-3,2,-2,0", 3), ("-1,2,-2,0,-2,2", -2),
+    ("-1,2,-1,0,0,2", -2), ("-1,2,1,2,-2,0", 3), ("-1,2,5,2,0,0", 2),
+    ("-1,2,5,2,0,2", 5), ("-1,5,-7,0,-2,0", -1), ("-1,5,-5,0,-2,2", -1),
+    ("1,-5,7,0,-2,0", -1), ("1,-2,-5,2,-2,2", 5), ("1,-2,-2,2,0,2", 1),
+    ("1,-2,-1,0,-2,2", -2), ("1,-1,5,-1,1,0", -1), ("1,2,-7,2,0,0", 3),
+    ("1,3,-3,0,1,1", 3), ("1,3,-2,2,-2,2", -1), ("1,3,-1,2,-2,0", 1),
+    ("2,-5,1,2,-2,0", 1), ("2,-1,-3,2,0,2", 3), ("2,1,-1,0,-2,2", 2),
+    ("2,5,-2,1,1,1", 2), ("3,1,-5,-1,1,0", 3), ("3,2,-1,2,0,0", 2),
+    ("1,1,-3,0,0,0", 1),
+]
+
+
+@st.composite
+def forms(draw, kind):
+    """A nondegenerate form of the given kind.
+
+    definite: positive or negative definite; no_plane: no coordinate plane
+    is definite (4 a_ii a_jj <= a_ij^2 for all three); cross: random with
+    nonzero cross terms; large: 10^9-scale coefficients, off by a small
+    perturbation so the form is not a multiple of a small one.
+    """
+    small = st.integers(-6, 6)
+    if kind == "definite":
+        d = [draw(st.integers(1, 6)) for _ in range(3)]
+        u = [[draw(st.integers(-2, 2)) for _ in range(3)] for _ in range(3)]
+        u = [[u[i][j] + (i == j) * 3 for j in range(3)] for i in range(3)]
+        g = transform(TernaryForm(*d), u)
+        sign = draw(st.sampled_from((1, -1)))
+        c = [sign * x for x in (g.a11, g.a22, g.a33, g.a12, g.a13, g.a23)]
+    elif kind == "no_plane":
+        d = [draw(small) for _ in range(3)]
+        c = list(d)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            need = max(0, 4 * d[i] * d[j])
+            least = math.isqrt(need) + (math.isqrt(need) ** 2 < need)
+            c.append(draw(st.sampled_from((1, -1))) * (least + draw(st.integers(0, 2))))
+    elif kind == "cross":
+        c = ([draw(small) for _ in range(3)]
+             + [draw(st.sampled_from([v for v in range(-6, 7) if v])) for _ in range(3)])
+    else:
+        scale = draw(st.integers(10 ** 9, 2 * 10 ** 9))
+        c = [scale * draw(small) + draw(small) for _ in range(6)]
+    f = TernaryForm(*c)
+    assume(det_form(f) != 0)
+    return f
 
 
 TEN_FORMS = [
@@ -103,7 +206,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("f", TEN_FORMS)
     def test_completeness_against_oracle(self, f):
         for t in (1, -2):
-            assert enumerate_points(f, t, 12) == enumeration_oracle(f, t, 12)
+            for R in (12, 30):
+                assert enumerate_points(f, t, R) == enumeration_oracle(f, t, R)
 
     def test_zero_t_rejected(self):
         with pytest.raises(DomainError):
@@ -114,11 +218,34 @@ class TestEnumeration:
             enumerate_points(TernaryForm.diagonal(1, 1, 0), 1, 5)
 
     def test_python_and_vector_paths_agree(self):
-        # giant coefficients force the exact-integer path
+        # 10^9-scale coefficients: the slice equations exceed 64-bit integers
         big = 10 ** 9
         f = TernaryForm.diagonal(big, big, -big)
         pts = enumerate_points(f, big, 4)
         assert pts == enumeration_oracle(f, big, 4)
+
+    def test_integers_beyond_float_range(self):
+        huge = 10 ** 400
+        for f, t in ((TernaryForm(huge, 3 * huge + 1, -huge, huge, 0, 5), huge),
+                     (DIAG113, huge), (DIAG113, -huge)):
+            assert enumerate_points(f, t, 6) == sweep_oracle(f, t, 6)
+
+    @pytest.mark.parametrize("form,t", POOL_FORMS)
+    def test_pool_forms_against_sweep(self, form, t):
+        f = TernaryForm.from_string(form)
+        for tt in (t, -t, 3 * t, 7 * t):
+            assert enumerate_points(f, tt, 50) == sweep_oracle(f, tt, 50)
+
+    @pytest.mark.parametrize("kind", ["definite", "no_plane", "cross", "large"])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_property_against_sweep(self, kind, data):
+        f = data.draw(forms(kind))
+        x0 = data.draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        t = eval_form(f, x0) or data.draw(st.integers(1, 40))
+        t *= data.draw(st.sampled_from((1, -1)))
+        R = data.draw(st.sampled_from((0, 1, 2.5, 4, 7.5, 12, 20, 33)))
+        assert enumerate_points(f, t, R) == sweep_oracle(f, t, R)
 
 
 class TestBuildSequence:

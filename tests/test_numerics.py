@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from sievelab import numerics
 from sievelab.errors import ConvergenceError, DomainError, EvaluationError
 from sievelab.numerics import (QuadratureSpec, derivative_central, integrate,
                                minimize_scalar)
@@ -20,6 +21,15 @@ def simpson_oracle(fn, lo, hi, panels=10 ** 6):
 # frozen from the 10^6-panel Simpson oracle (and checked to 30 digits
 # against an independent transform of the integrand)
 LOG_INTEGRAL_2_3 = 0.14722067695924124
+
+
+def test_gauss_literals_match_numpy():
+    # the inlined nodes and weights are numpy's, bit for bit
+    for n, nodes, weights in ((7, numerics._NODES7, numerics._WEIGHTS7),
+                              (15, numerics._NODES15, numerics._WEIGHTS15)):
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert [v.hex() for v in nodes] == [v.hex() for v in x.tolist()]
+        assert [v.hex() for v in weights] == [v.hex() for v in w.tolist()]
 
 
 class TestIntegrate:
