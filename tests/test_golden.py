@@ -32,7 +32,9 @@ CASES = {
     "constants_text": ["constants", "--mode", "unconditional"],
     "constants_json": ["constants", "--mode", "unconditional", "--output", "json"],
     "constants_csv": ["constants", "--mode", "unconditional", "--output", "csv"],
+    "constants_selberg_text": ["constants", "--mode", "selberg"],
     "constants_selberg_json": ["constants", "--mode", "selberg", "--output", "json"],
+    "constants_selberg_csv": ["constants", "--mode", "selberg", "--output", "csv"],
     "local_text": LOCAL,
     "local_json": [*LOCAL, "--output", "json"],
     "local_csv": [*LOCAL, "--output", "csv"],
