@@ -10,7 +10,10 @@ abscissae in the same order and results are bit-identical across runs.
 Nested integrals are evaluated by passing another `integrate` call as the
 integrand; callers tighten the inner tolerance (see
 ``QuadratureSpec.tightened``) so that error does not accumulate across
-nesting levels.
+nesting levels.  Closed forms in the dilogarithm (see `sieve_functions`)
+make Phi, Psi and W at most single quadratures, so nesting remains in f's
+third window (the E integral) and where a caller integrates W (I3 and the
+third window of F in `thresholds`).
 
 All functions here are pure and hold no mutable state.
 """
@@ -101,26 +104,29 @@ def integrate(fn: Callable[[float], float], lo: float, hi: float,
     if lo == hi:
         return 0.0
 
-    whole, _ = _panel(fn, lo, hi)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(whole))
+    est, err = _panel(fn, lo, hi)
+    tol = max(spec.abs_tol, spec.rel_tol * abs(est))
 
-    # (lo, hi, local tolerance, remaining depth) work stack; children split
-    # the parent's tolerance so the accepted panels sum within `tol`.
-    stack = [(lo, hi, tol, spec.max_depth)]
+    # The root panel is judged first; then (lo, hi, local tolerance,
+    # remaining depth) work items, whose children split the parent's
+    # tolerance so the accepted panels sum within `tol`.
+    a, b, t, depth = lo, hi, tol, spec.max_depth
+    stack = []
     total = 0.0
-    while stack:
-        a, b, t, depth = stack.pop()
-        est, err = _panel(fn, a, b)
+    while True:
         if err <= t or b - a <= abs(a) * 1e-15 + 1e-300:
             total += est
-            continue
-        if depth <= 0:
+        elif depth <= 0:
             raise ConvergenceError(
                 f"quadrature depth exhausted on [{a}, {b}]", total + est)
-        m = 0.5 * (a + b)
-        stack.append((a, m, 0.5 * t, depth - 1))
-        stack.append((m, b, 0.5 * t, depth - 1))
-    return total
+        else:
+            m = 0.5 * (a + b)
+            stack.append((a, m, 0.5 * t, depth - 1))
+            stack.append((m, b, 0.5 * t, depth - 1))
+        if not stack:
+            return total
+        a, b, t, depth = stack.pop()
+        est, err = _panel(fn, a, b)
 
 
 def minimize_scalar(fn: Callable[[float], float], lo: float, hi: float,

@@ -10,7 +10,7 @@ differential-difference system
 
 with F decreasing to 1 and f increasing to 1.  Integrating the system piece
 by piece gives closed expressions on consecutive unit-two windows; this
-module evaluates them by direct quadrature:
+module evaluates them by closed forms and quadrature:
 
     F(s) = (2 e^g / s)                                          on (0, 3]
     F(s) = (2 e^g / s) * (1 + Phi(s-1))                         on [3, 5]
@@ -27,6 +27,23 @@ where
     Psi(s) = int_3^{s-1} (1/t) Phi(t-1) dt
     E(s)   = int_2^{s-4} (log(t-1)/t)
                  int_{t+2}^{s-2} (1/u) log((u-1)/(t+1)) log((s-1)/(u+1)) du dt.
+
+Two of these integrals have closed forms in the dilogarithm Li2 (L. Lewin,
+Polylogarithms and Associated Functions, 1981, ch. 1).  With
+
+    G(x) = (1/2) log^2 x + Li2(1/x),     G'(x) = log(x-1)/x   for x >= 2,
+
+and G(2) = pi^2/12, they are
+
+    Phi(x) = G(x) - pi^2/12,
+    int_{t+2}^{s-1} (1/u) log((u-1)/(t+1)) du
+           = G(s-1) - G(t+2) - log(t+1) log((s-1)/(t+2))      (the W ring).
+
+`_li2` evaluates Li2 on [0, 1/2], where every argument 1/x lies, by the
+Bernoulli series Li2(z) = w - w^2/4 + sum_{k>=1} B_2k w^(2k+1)/(2k+1)! in
+w = -log(1-z) <= log 2, summed to k = 8 (the terms left out add up to under
+5e-19).  W and Psi are then single quadratures; E's inner integral would
+need Li3, so E stays a double one.
 
 The E kernel log((s-1)/(u+1)) is the one forced by (s f(s))' = F(s-1); a
 variant with log(s/(u+2)) appears in some tabulations and is a strict
@@ -52,11 +69,36 @@ BETA = {1: 2.0, 2: 4.266450}
 _DEFAULT_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
 
 
-def _phi(x: float, spec: QuadratureSpec) -> float:
+# B_2k / (2k+1)! for k = 1..8, the coefficients of Li2's series in w.
+_LI2_SERIES = (0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+               -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+               8.921691020456452e-13, -1.9939295860721074e-14)
+_PI2_12 = math.pi ** 2 / 12.0
+
+
+def _li2(z: float) -> float:
+    """Dilogarithm Li2(z) for 0 <= z <= 1/2."""
+    if not 0.0 <= z <= 0.5:
+        raise DomainError(f"_li2 domain is 0 <= z <= 1/2, got {z}")
+    w = -math.log1p(-z)
+    v = w * w
+    acc = 0.0
+    for c in reversed(_LI2_SERIES):
+        acc = acc * v + c
+    return w - 0.25 * v + w * v * acc
+
+
+def _G(x: float) -> float:
+    """(1/2) log^2 x + Li2(1/x), an antiderivative of log(x-1)/x on x >= 2."""
+    lx = math.log(x)
+    return 0.5 * lx * lx + _li2(1.0 / x)
+
+
+def _phi(x: float) -> float:
     """int_2^x log(t-1)/t dt, zero for x <= 2."""
     if x <= 2.0:
         return 0.0
-    return integrate(lambda t: math.log(t - 1.0) / t, 2.0, x, spec)
+    return _G(x) - _PI2_12
 
 
 def _F1(s: float, spec: QuadratureSpec) -> float:
@@ -64,28 +106,27 @@ def _F1(s: float, spec: QuadratureSpec) -> float:
 
 
 def _F2(s: float, spec: QuadratureSpec) -> float:
-    return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0, spec.tightened()))
+    return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0))
 
 
 def _W(s: float, spec: QuadratureSpec) -> float:
     """The ring integral W(s) of F's third window, zero for s <= 5.
 
-    The outer integral runs at spec tightened once, the ring at twice.
+    The ring is closed-form; the outer integral runs at spec tightened once.
     """
     if s <= 5.0:
         return 0.0
-    inner_spec = spec.tightened().tightened()
+    g_top = _G(s - 1.0)
 
     def outer(t):
-        ring = integrate(lambda u: math.log((u - 1.0) / (t + 1.0)) / u,
-                         t + 2.0, s - 1.0, inner_spec)
+        ring = g_top - _G(t + 2.0) - math.log(t + 1.0) * math.log((s - 1.0) / (t + 2.0))
         return math.log(t - 1.0) / t * ring
 
     return integrate(outer, 2.0, s - 3.0, spec.tightened())
 
 
 def _F3(s: float, spec: QuadratureSpec) -> float:
-    return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0, spec.tightened()) + _W(s, spec))
+    return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0) + _W(s, spec))
 
 
 def _f1(s: float, spec: QuadratureSpec) -> float:
@@ -96,9 +137,7 @@ def _psi(s: float, spec: QuadratureSpec) -> float:
     """int_3^{s-1} Phi(t-1)/t dt, zero for s <= 4."""
     if s <= 4.0:
         return 0.0
-    inner_spec = spec.tightened().tightened()
-    return integrate(lambda t: _phi(t - 1.0, inner_spec) / t, 3.0, s - 1.0,
-                     spec.tightened())
+    return integrate(lambda t: _phi(t - 1.0) / t, 3.0, s - 1.0, spec.tightened())
 
 
 def _f2(s: float, spec: QuadratureSpec) -> float:

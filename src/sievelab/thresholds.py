@@ -68,8 +68,8 @@ def threshold_components(a: float, b: float,
     """(I1, I2, I3) of the linear threshold for the window pair (a, b).
 
     I1 is closed-form; I2 and I3 integrate the weight
-    (1/t)(1/(b-t) - 1/(b-a)) against Phi(t-1) and the ring integral W(t) of
-    `sieve_functions`, with inner tolerances tightened one level per nesting.
+    (1/t)(1/(b-t) - 1/(b-a)) against Phi(t-1) and W(t) of `sieve_functions`.
+    Phi is closed-form and W a single quadrature at a tightened tolerance.
     """
     _validate_ab(a, b)
 
@@ -79,8 +79,7 @@ def threshold_components(a: float, b: float,
     def weight(t):
         return (1.0 / t) * (1.0 / (b - t) - 1.0 / (b - a))
 
-    phi_spec = spec.tightened()
-    i2 = integrate(lambda t: weight(t) * _phi(t - 1.0, phi_spec), 3.0, b - 1.0, spec)
+    i2 = integrate(lambda t: weight(t) * _phi(t - 1.0), 3.0, b - 1.0, spec)
     i3 = integrate(lambda t: weight(t) * _W(t, spec), 5.0, b - 1.0, spec)
     return i1, i2, i3
 
@@ -125,9 +124,10 @@ def dh_threshold_linear(tau, u: float, v: float,
         return u - 1.0
 
     cuts = sorted({1.0, hi} | {tv - brk for brk in (3.0, 5.0) if 1.0 < tv - brk < hi})
+    inner_spec = spec.tightened()
 
     def integrand(s):
-        return F_lin(tv - s, spec.tightened()) * (1.0 - (u / v) * s) / s
+        return F_lin(tv - s, inner_spec) * (1.0 - (u / v) * s) / s
 
     total = sum(integrate(integrand, lo, hi_, spec)
                 for lo, hi_ in zip(cuts, cuts[1:]))

@@ -42,6 +42,25 @@ class TestIntegrate:
         value = integrate(lambda t: math.log(t - 1.0) / t, 2.0, 3.0)
         assert value == pytest.approx(oracle, abs=1e-6)
 
+    def test_single_panel_evaluates_once(self):
+        # one 15-point and one 7-point rule on the root panel, nothing more
+        calls = []
+        integrate(lambda x: calls.append(x) or x, 0.0, 1.0)
+        assert len(calls) == 22
+
+    def test_each_panel_evaluated_once(self, monkeypatch):
+        panels = []
+        panel = numerics._panel
+
+        def recorded(fn, a, b):
+            panels.append((a, b))
+            return panel(fn, a, b)
+
+        monkeypatch.setattr(numerics, "_panel", recorded)
+        integrate(math.sqrt, 0.0, 1.0)
+        assert len(panels) > 1  # the endpoint singularity forces bisection
+        assert len(set(panels)) == len(panels)
+
     def test_empty_interval_exact_zero(self):
         assert integrate(lambda x: 1e9 * x * x, 1.0, 1.0) == 0.0
 

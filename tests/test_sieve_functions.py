@@ -1,17 +1,115 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sievelab import sieve_functions, thresholds
 from sievelab.errors import DomainError, UnsupportedKappaError
-from sievelab.numerics import EULER_GAMMA, derivative_central
+from sievelab.numerics import EULER_GAMMA, derivative_central, integrate
 from sievelab.sieve_functions import (BETA, TWO_E_GAMMA, F_lin,
-                                      _F1, _F2, _F3, _f1, _f2, _f3, f_lin,
-                                      hr_upper)
+                                      _F1, _F2, _F3, _f1, _f2, _f3, _G, _li2,
+                                      _phi, _W, f_lin, hr_upper)
 from sievelab.numerics import QuadratureSpec
 
 from test_numerics import LOG_INTEGRAL_2_3
 
 SPEC = QuadratureSpec(1e-11, 1e-11)
+
+# Oracle for the dilogarithm closed forms: Phi and the W ring by direct
+# quadrature, W by quadrature nested in quadrature.
+ORACLE_SPEC = QuadratureSpec(1e-14, 1e-14)
+
+
+def phi_oracle(x):
+    if x <= 2.0:
+        return 0.0
+    return integrate(lambda t: math.log(t - 1.0) / t, 2.0, x, ORACLE_SPEC)
+
+
+def ring_oracle(t, s):
+    return integrate(lambda u: math.log((u - 1.0) / (t + 1.0)) / u,
+                     t + 2.0, s - 1.0, ORACLE_SPEC)
+
+
+def W_oracle(s, spec):
+    if s <= 5.0:
+        return 0.0
+    return integrate(lambda t: math.log(t - 1.0) / t * ring_oracle(t, s),
+                     2.0, s - 3.0, spec.tightened())
+
+
+def ring_closed(t, s):
+    return (_G(s - 1.0) - _G(t + 2.0)
+            - math.log(t + 1.0) * math.log((s - 1.0) / (t + 2.0)))
+
+
+def use_oracle(monkeypatch):
+    """Route F, f and the thresholds through the nested-quadrature oracle."""
+    for module in (sieve_functions, thresholds):
+        monkeypatch.setattr(module, "_phi", phi_oracle)
+        monkeypatch.setattr(module, "_W", W_oracle)
+
+
+CLOSED_FORM_TOL = 1e-13
+
+
+class TestDilogarithm:
+    def test_known_values(self):
+        assert _li2(0.0) == 0.0
+        expected = math.pi ** 2 / 12.0 - 0.5 * math.log(2.0) ** 2
+        assert _li2(0.5) == pytest.approx(expected, abs=2e-16)
+
+    def test_against_power_series(self):
+        for z in (1e-9, 0.01, 0.1, 0.25, 1.0 / 3.0, 0.4, 0.49):
+            series = math.fsum(z ** k / (k * k) for k in range(1, 90))
+            assert _li2(z) == pytest.approx(series, rel=4e-16, abs=0.0)
+
+    def test_domain(self):
+        for z in (-1e-300, -0.1, 0.5000001, 1.0, float("nan")):
+            with pytest.raises(DomainError):
+                _li2(z)
+
+
+class TestClosedForms:
+    def test_phi_at_two_vanishes(self):
+        assert _phi(2.0) == 0.0
+        assert abs(_G(2.0) - math.pi ** 2 / 12.0) <= 2e-16
+
+    def test_phi_on_grid(self):
+        for k in range(51):
+            x = 2.0 + 0.1 * k
+            assert abs(_phi(x) - phi_oracle(x)) <= CLOSED_FORM_TOL
+
+    def test_ring_on_grid(self):
+        for s in (5.25, 6.0, 6.5, 7.0):
+            for j in range(9):
+                t = 2.0 + (s - 5.0) * j / 8.0
+                assert abs(ring_closed(t, s) - ring_oracle(t, s)) <= CLOSED_FORM_TOL
+
+    def test_W_against_nested_quadrature(self):
+        for s in (5.0, 5.3, 6.0, 6.6, 7.0):
+            assert abs(_W(s, SPEC) - W_oracle(s, SPEC)) <= CLOSED_FORM_TOL
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=2.0, max_value=7.0))
+    def test_property_phi(self, x):
+        assert abs(_phi(x) - phi_oracle(x)) <= CLOSED_FORM_TOL
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=5.0, max_value=7.0, exclude_min=True),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_property_ring(self, s, frac):
+        t = 2.0 + (s - 5.0) * frac  # 2 <= t <= s - 3
+        assert abs(ring_closed(t, s) - ring_oracle(t, s)) <= CLOSED_FORM_TOL
+
+    def test_F_and_f_against_nested_quadrature(self, monkeypatch):
+        grid_F = [3.0 + 0.4 * k for k in range(1, 11)]
+        grid_f = [2.0 + 0.6 * k for k in range(1, 11)]
+        closed = [F_lin(s) for s in grid_F] + [f_lin(s) for s in grid_f]
+        use_oracle(monkeypatch)
+        nested = [F_lin(s) for s in grid_F] + [f_lin(s) for s in grid_f]
+        assert max(abs(a - b) for a, b in zip(closed, nested)) <= CLOSED_FORM_TOL
 
 
 class TestUpperFunction:
@@ -102,6 +200,30 @@ class TestRecursionResiduals:
     def test_cross_module_derivative_example(self):
         lhs = derivative_central(lambda s: s * F_lin(s), 4.0, 1e-4)
         assert lhs == pytest.approx(f_lin(3.0), abs=1e-6)
+
+    # The central difference with step H is exact to ~1e-9 where s F(s) and
+    # s f(s) are smooth; within 2H of a joint where (s F)' has a kink (s = 3)
+    # it errs by up to H e^gamma / 4.  (s f)' jumps at s = 2, where the
+    # relation starts, so f is probed from s = 2 + H on.
+    H = 1e-4
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=3.0, max_value=7.0 - H, exclude_min=True))
+    def test_property_upper_relation(self, u):
+        residual = abs(derivative_central(lambda s: s * F_lin(s), u, self.H)
+                       - f_lin(u - 1.0))
+        assert residual <= 1e-3
+        if abs(u - 3.0) >= 2 * self.H:
+            assert residual <= 1e-6
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=2.0 + H, max_value=8.0 - H))
+    def test_property_lower_relation(self, u):
+        residual = abs(derivative_central(lambda s: s * f_lin(s), u, self.H)
+                       - F_lin(u - 1.0))
+        assert residual <= 1e-3
+        if u - 2.0 >= 2 * self.H:
+            assert residual <= 1e-6
 
 
 class TestHalberstamRichertBound:

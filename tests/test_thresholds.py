@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sievelab import numerics
 from sievelab.errors import DomainError
 from sievelab.numerics import QuadratureSpec, integrate
 from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
@@ -13,6 +14,8 @@ from sievelab.thresholds import (admissible_r, dh_threshold_linear,
                                  linear_threshold, m_zeta, minimize_m,
                                  reproduce_constants, tau_from_theta,
                                  threshold_components)
+
+from test_sieve_functions import CLOSED_FORM_TOL, use_oracle
 
 
 class TestTau:
@@ -84,6 +87,21 @@ class TestGeneralLinearRoute:
         v = b / float(tau)
         assert dh_threshold_linear(tau, u, v) == pytest.approx(
             linear_threshold(a, b, tau), abs=1e-6)
+
+    def test_closed_forms_against_nested_quadrature(self, monkeypatch):
+        def run():
+            out = []
+            for a, b in ((1.0, 6.6), (1.0, 7.0), (1.5, 7.2), (2.5, 8.0)):
+                out.extend(threshold_components(a, b))
+                for tau in (Fraction(25, 128), Fraction(1, 4)):
+                    out.append(dh_threshold_linear(tau, b / ((b - a) * float(tau)),
+                                                   b / float(tau)))
+            return out
+
+        closed = run()
+        use_oracle(monkeypatch)
+        nested = run()
+        assert max(abs(x - y) for x, y in zip(closed, nested)) <= CLOSED_FORM_TOL
 
     def test_empty_integral(self):
         # u = v makes v/u = 1: the integral vanishes and the bound is u - 1
@@ -196,6 +214,19 @@ class TestReproduceConstants:
         assert payload["rows"] == [
             {"name": r.name, "computed": r.computed, "expected": r.expected,
              "pass": r.passed} for r in report.rows]
+
+    @pytest.mark.parametrize("mode", ["unconditional", "selberg"])
+    def test_quadrature_work(self, mode, monkeypatch):
+        panels = []
+        panel = numerics._panel
+
+        def counted(*args):
+            panels.append(args[1:])
+            return panel(*args)
+
+        monkeypatch.setattr(numerics, "_panel", counted)
+        reproduce_constants(mode)
+        assert 0 < len(panels) <= 100
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
