@@ -133,13 +133,6 @@ def squarefree_part(n: int) -> int:
     return out
 
 
-def nu(n: int) -> int:
-    """Number of distinct prime factors of n >= 1."""
-    if n < 1:
-        raise ValueError("nu requires n >= 1")
-    return len(factorint(n))
-
-
 def legendre_raw(n: int, p: int) -> int:
     """Legendre symbol (n|p) by Euler's criterion; assumes p an odd prime."""
     n %= p

@@ -24,13 +24,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import SieveLabError
 from .lattice_points import (PROJECTIONS, build_sequence, census,
                              enumerate_points, find_automorphs, level_statistic,
                              weight_FT)
-from .localdata import build_local_table, squarefree_primes
+from .localdata import BAD_SET, build_local_table, squarefree_primes
 from .quadforms import TernaryForm, det_form
 from .thresholds import reproduce_constants
 
@@ -47,55 +46,35 @@ _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
                   "0": False, "false": False, "no": False, "off": False}
 
 
-@dataclass
-class RunConfig:
-    """Validated bundle of the common subcommand inputs.
+def _parse_inputs(args) -> None:
+    """Parse --form in place and check the inputs the subcommands share.
 
-    argparse `choices` already restrict projection, mode and output.
+    argparse `choices` already restrict projection, mode and output.  The
+    finiteness check runs last, so every input an earlier check rejects
+    keeps its message; NaN gets past the comparisons before it.
     """
-
-    form: TernaryForm | None = None
-    t: int | None = None
-    T: float | None = None
-    c0: float = 2.0
-    projection: str = "x1"
-    mode: str = "unconditional"
-    dmax: int = 30
-    r: int = 6
-    pmax: int = 100
-    output: str | None = None  # None: the subcommand's first view
-    out: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls()
-        if getattr(args, "form", None):
-            cfg.form = TernaryForm.from_string(args.form)
-        for name in ("t", "T", "c0", "projection", "mode", "dmax", "r",
-                     "pmax", "output", "out"):
-            if getattr(args, name, None) is not None:
-                setattr(cfg, name, getattr(args, name))
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.t is not None and self.t == 0:
-            raise SieveLabError("t must be a nonzero integer")
-        if self.T is not None and self.T < 10:
-            raise SieveLabError("T must be >= 10")
-        if self.c0 <= 1:
-            raise SieveLabError("c0 must exceed 1")
-        if self.form is not None and det_form(self.form) == 0:
-            raise SieveLabError("form is degenerate (zero determinant)")
+    args.form = TernaryForm.from_string(args.form) if getattr(args, "form", None) else None
+    if getattr(args, "t", None) == 0:
+        raise SieveLabError("t must be a nonzero integer")
+    if getattr(args, "T", None) is not None and args.T < 10:
+        raise SieveLabError("T must be >= 10")
+    if getattr(args, "c0", 2.0) <= 1:
+        raise SieveLabError("c0 must exceed 1")
+    if args.form is not None and det_form(args.form) == 0:
+        raise SieveLabError("form is degenerate (zero determinant)")
+    for name in ("T", "c0", "R"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise SieveLabError(f"{name} must be finite, got {value}")
 
 
-def _emit(cfg: RunConfig, views: dict) -> None:
+def _emit(args, views: dict) -> None:
     """Build the requested view and write it to --out or stdout.
 
     A view is a zero-argument function returning text lines ("text"), a
     JSON-ready payload ("json") or a CSV header line and rows ("csv").
     """
-    kind = cfg.output or next(iter(views))
+    kind = getattr(args, "output", None) or next(iter(views))
     data = views[kind]()
     if kind == "json":
         text = json.dumps(data, indent=2, sort_keys=True)
@@ -104,11 +83,11 @@ def _emit(cfg: RunConfig, views: dict) -> None:
         text = "\n".join([header, *(",".join(map(str, row)) for row in rows)])
     else:
         text = "\n".join(data)
-    fh = open(cfg.out, "w") if cfg.out else sys.stdout
+    fh = open(args.out, "w") if args.out else sys.stdout
     try:
         fh.write(text + "\n")
     finally:
-        if cfg.out:
+        if args.out:
             fh.close()
 
 
@@ -116,8 +95,8 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def cmd_constants(cfg: RunConfig, args) -> tuple[int, dict]:
-    report = reproduce_constants(cfg.mode)
+def cmd_constants(args) -> tuple[int, dict]:
+    report = reproduce_constants(args.mode)
     rows = report.rows
 
     def as_text():
@@ -144,29 +123,29 @@ def cmd_constants(cfg: RunConfig, args) -> tuple[int, dict]:
     return (0 if report.all_pass else 1), {"text": as_text, "json": as_json, "csv": as_csv}
 
 
-def cmd_local(cfg: RunConfig, args) -> tuple[int, dict]:
-    if cfg.form is None or cfg.t is None:
+def cmd_local(args) -> tuple[int, dict]:
+    if args.form is None or args.t is None:
         raise SieveLabError("local requires --form and --t")
-    table = build_local_table(cfg.form, cfg.t, cfg.projection, cfg.pmax)
+    table = build_local_table(args.form, args.t, args.projection, args.pmax)
     entries = [table.entries[p] for p in sorted(table.entries)]
     bad = sorted(table.bad_primes)
 
     def as_text():
-        lines = [f"form {cfg.form.to_string()}  t={cfg.t}  variant={cfg.projection}",
+        lines = [f"form {args.form.to_string()}  t={args.t}  variant={args.projection}",
                  "p | count_V | count_V0 | omega(p)/p | bad | cassels_agree"]
         for e in entries:
             agree = "-" if e.cassels_agree is None else ("yes" if e.cassels_agree else "NO")
             lines.append(f"{e.p} | {e.count_V} | {e.count_V0} | "
                          f"{e.omega_over_p.numerator}/{e.omega_over_p.denominator} | "
                          f"{'yes' if e.is_bad else 'no'} | {agree}")
-        lines.append(f"bad primes <= {cfg.pmax}: {bad if bad else 'none'}")
+        lines.append(f"bad primes <= {args.pmax}: {bad if bad else 'none'}")
         lines.extend(f"finding: {s}" for s in table.findings)
         lines.append(f"note: {table.caveat}")
         return lines
 
     def as_json():
         return {
-            "form": cfg.form.to_string(), "t": cfg.t, "variant": cfg.projection,
+            "form": args.form.to_string(), "t": args.t, "variant": args.projection,
             "bad_primes": bad, "findings": table.findings,
             "caveat": table.caveat,
             "entries": [{
@@ -186,24 +165,27 @@ def cmd_local(cfg: RunConfig, args) -> tuple[int, dict]:
     return (1 if table.findings else 0), {"text": as_text, "json": as_json, "csv": as_csv}
 
 
-def cmd_equidist(cfg: RunConfig, args) -> tuple[int, dict]:
-    if cfg.form is None or cfg.t is None or cfg.T is None:
+def cmd_equidist(args) -> tuple[int, dict]:
+    if args.form is None or args.t is None or args.T is None:
         raise SieveLabError("equidist requires --form, --t and --T")
-    table = build_local_table(cfg.form, cfg.t, cfg.projection,
-                              max(7, cfg.dmax))
-    seq = build_sequence(cfg.form, cfg.t, cfg.T, cfg.c0, cfg.projection)
+    table = build_local_table(args.form, args.t, args.projection,
+                              max(7, args.dmax))
+    seq = build_sequence(args.form, args.t, args.T, args.c0, args.projection)
+    if not seq.X:
+        raise SieveLabError("no point with a nonzero projection lies within "
+                            f"c0*T = {_fmt(args.c0 * args.T)}, so X = 0")
 
-    moduli = [d for d in range(1, cfg.dmax + 1)
-              if squarefree_primes(d, table.bad_set) is not None]
+    moduli = [d for d in range(1, args.dmax + 1)
+              if squarefree_primes(d, BAD_SET) is not None]
     rows = _residual_rows(seq, table, moduli)
 
-    stat = level_statistic(seq, table, float(cfg.dmax))
-    kappa = _KAPPA[cfg.projection]
+    stat = level_statistic(seq, table, float(args.dmax))
+    kappa = _KAPPA[args.projection]
     ref = seq.X / math.log(seq.X) ** (kappa + 1)
 
     trend = []
-    if args.trend and cfg.output != "csv":  # the CSV view has no trend line
-        seq2 = build_sequence(cfg.form, cfg.t, 2 * cfg.T, cfg.c0, cfg.projection)
+    if args.trend and args.output != "csv":  # the CSV view has no trend line
+        seq2 = build_sequence(args.form, args.t, 2 * args.T, args.c0, args.projection)
         mean1 = _mean_ratio(rows)
         mean2 = _mean_ratio(_residual_rows(seq2, table, moduli))
         grew = mean2 > 2.0 * mean1
@@ -214,18 +196,18 @@ def cmd_equidist(cfg: RunConfig, args) -> tuple[int, dict]:
         return [(str(d), _fmt(m), _fmt(e), _fmt(r), _fmt(q)) for d, m, e, r, q in rows]
 
     def as_text():
-        return [f"form {cfg.form.to_string()}  t={cfg.t}  T={_fmt(cfg.T)}  "
-                f"projection={cfg.projection}  X={_fmt(seq.X)}",
+        return [f"form {args.form.to_string()}  t={args.t}  T={_fmt(args.T)}  "
+                f"projection={args.projection}  X={_fmt(seq.X)}",
                 "d | |A_d| | omega(d)/d * X | R_d | R_d/X",
                 *(" | ".join(row) for row in cells()),
-                f"level statistic (d < {cfg.dmax}): {_fmt(stat)}",
+                f"level statistic (d < {args.dmax}): {_fmt(stat)}",
                 f"X / log^{kappa + 1} X: {_fmt(ref)}",
                 *trend]
 
     def as_json():
         return {
-            "form": cfg.form.to_string(), "t": cfg.t, "T": cfg.T,
-            "projection": cfg.projection, "X": seq.X,
+            "form": args.form.to_string(), "t": args.t, "T": args.T,
+            "projection": args.projection, "X": seq.X,
             "rows": [{"d": d, "mass": m, "expected": e, "R_d": r, "R_d_over_X": q}
                      for d, m, e, r, q in rows],
             "level_statistic": stat, "reference_X_log": ref,
@@ -257,64 +239,64 @@ def _mean_ratio(rows) -> float:
     return sum(vals) / len(vals) if vals else 0.0
 
 
-def cmd_census(cfg: RunConfig, args) -> tuple[int, dict]:
-    if cfg.form is None or cfg.t is None or cfg.T is None:
+def cmd_census(args) -> tuple[int, dict]:
+    if args.form is None or args.t is None or args.T is None:
         raise SieveLabError("census requires --form, --t and --T")
-    seq = build_sequence(cfg.form, cfg.t, cfg.T, cfg.c0, cfg.projection)
-    weighted, raw = census(seq, cfg.r)
+    seq = build_sequence(args.form, args.t, args.T, args.c0, args.projection)
+    weighted, raw = census(seq, args.r)
     ratio = weighted / seq.X if seq.X else 0.0
-    published = _PUBLISHED_R[cfg.projection][cfg.mode]
+    published = _PUBLISHED_R[args.projection][args.mode]
 
     def as_text():
-        return [f"form {cfg.form.to_string()}  t={cfg.t}  T={_fmt(cfg.T)}  "
-                f"projection={cfg.projection}",
-                f"census(r={cfg.r}): weighted {_fmt(weighted)}  raw {raw}",
+        return [f"form {args.form.to_string()}  t={args.t}  T={_fmt(args.T)}  "
+                f"projection={args.projection}",
+                f"census(r={args.r}): weighted {_fmt(weighted)}  raw {raw}",
                 f"X = {_fmt(seq.X)}  census/X = {_fmt(ratio)}",
-                f"published r for {cfg.projection} ({cfg.mode} mode): {published}"]
+                f"published r for {args.projection} ({args.mode} mode): {published}"]
 
     def as_json():
-        return {"form": cfg.form.to_string(), "t": cfg.t, "T": cfg.T,
-                "projection": cfg.projection, "r": cfg.r, "X": seq.X,
+        return {"form": args.form.to_string(), "t": args.t, "T": args.T,
+                "projection": args.projection, "r": args.r, "X": seq.X,
                 "weighted": weighted, "raw_count": raw, "ratio": ratio,
-                "published_r": published, "mode": cfg.mode}
+                "published_r": published, "mode": args.mode}
 
     def as_csv():
         return "r,weighted,raw_count,X,ratio", [
-            (cfg.r, _fmt(weighted), raw, _fmt(seq.X), _fmt(ratio))]
+            (args.r, _fmt(weighted), raw, _fmt(seq.X), _fmt(ratio))]
 
     return 0, {"text": as_text, "json": as_json, "csv": as_csv}
 
 
-def cmd_enumerate(cfg: RunConfig, args) -> tuple[int, dict]:
-    if cfg.form is None or cfg.t is None:
+def cmd_enumerate(args) -> tuple[int, dict]:
+    if args.form is None or args.t is None:
         raise SieveLabError("enumerate requires --form and --t")
     radius = args.R
     if radius is None:
-        if cfg.T is None:
+        if args.T is None:
             raise SieveLabError("enumerate requires --R (or --T with --c0)")
-        radius = cfg.c0 * cfg.T
-    points = enumerate_points(cfg.form, cfg.t, radius)
+        radius = args.c0 * args.T
+    points = enumerate_points(args.form, args.t, radius)
 
     def as_csv():
         return "x1,x2,x3,weight", [
-            (*x, "" if cfg.T is None else _fmt(weight_FT(x, cfg.T, cfg.c0)))
+            (*x, "" if args.T is None else _fmt(weight_FT(x, args.T, args.c0)))
             for x in points]
 
     return 0, {"csv": as_csv}
 
 
-def cmd_automorphs(cfg: RunConfig, args) -> tuple[int, dict]:
-    if cfg.form is None:
+def cmd_automorphs(args) -> tuple[int, dict]:
+    if args.form is None:
         raise SieveLabError("automorphs requires --form")
-    gens = find_automorphs(cfg.form, args.H).generators
+    gens = find_automorphs(args.form, args.H).generators
 
     def as_text():
-        return [f"form {cfg.form.to_string()}  height={args.H}  count={len(gens)}",
+        return [f"form {args.form.to_string()}  height={args.H}  count={len(gens)}",
                 *("  " + "; ".join(" ".join(f"{e:3d}" for e in row) for row in m)
                   for m in gens)]
 
     def as_json():
-        return {"form": cfg.form.to_string(), "search_height": args.H,
+        return {"form": args.form.to_string(), "search_height": args.H,
                 "count": len(gens), "generators": [[list(row) for row in m] for m in gens]}
 
     def as_csv():
@@ -327,12 +309,13 @@ def cmd_automorphs(cfg: RunConfig, args) -> tuple[int, dict]:
 # Flags by name; each subcommand takes the ones listed for it below.
 _FLAGS = {
     "form": {"help": "a11,a22,a33,a12,a13,a23"},
-    "t": {"type": int}, "T": {"type": float}, "c0": {"type": float},
-    "projection": {"choices": PROJECTIONS},
-    "mode": {"choices": ("unconditional", "selberg")},
+    "t": {"type": int}, "T": {"type": float}, "c0": {"type": float, "default": 2.0},
+    "projection": {"choices": PROJECTIONS, "default": "x1"},
+    "mode": {"choices": ("unconditional", "selberg"), "default": "unconditional"},
     "output": {"choices": ("text", "json", "csv")},
     "out": {"help": "write output to FILE instead of stdout"},
-    "pmax": {"type": int}, "dmax": {"type": int}, "r": {"type": int},
+    "pmax": {"type": int, "default": 100}, "dmax": {"type": int, "default": 30},
+    "r": {"type": int, "default": 6},
     "trend": {"action": "store_true",
               "help": "also run at 2T and flag residual-ratio growth"},
     "R": {"type": float, "help": "enumeration radius (default c0*T)"},
@@ -407,10 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _PARSER.parse_args(_apply_config_file(argv))
-        cfg = RunConfig.from_args(args)
+        _parse_inputs(args)
         # looked up by name at call time, so a wrapper rebound there sees the call
-        code, views = globals()[f"cmd_{args.command}"](cfg, args)
-        _emit(cfg, views)
+        code, views = globals()[f"cmd_{args.command}"](args)
+        _emit(args, views)
         return code
     except (SieveLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

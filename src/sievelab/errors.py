@@ -39,9 +39,5 @@ class StructureError(SieveLabError):
     """An input object lacks the structure an algorithm requires."""
 
 
-class DegenerateLocalError(DomainError):
-    """A local count is degenerate (e.g. no points mod p to form a ratio)."""
-
-
 class UnsupportedKappaError(DomainError):
     """No tabulated sifting-limit constant exists for the requested dimension."""

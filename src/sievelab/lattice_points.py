@@ -45,8 +45,7 @@ Sieve-facing statistics:
 
 where d runs over the square-free moduli prime to B, the set that
 `localdata.squarefree_primes` tests, plus a search for integral automorphs
-(M^T G M = G, det M = 1) with a union-find partition of point sets under
-their action.  This module only computes; `sievelab.cli` renders points,
+(M^T G M = G, det M = 1).  This module only computes; `sievelab.cli` renders points,
 sequences and statistics as text, JSON or CSV.
 """
 
@@ -66,12 +65,19 @@ _DEFAULT_CELL_BUDGET = 10 ** 9
 
 def weight_FT(x, T: float, c0: float) -> float:
     """Radial C^2 bump: 1 for |x| <= T/c0, 0 for |x| >= c0*T, smooth between."""
-    if T < 10:
-        raise DomainError(f"T must be >= 10, got {T}")
-    if c0 <= 1:
-        raise DomainError(f"c0 must exceed 1, got {c0}")
+    _check_weight(T, c0)
     r = math.sqrt(float(x[0]) ** 2 + float(x[1]) ** 2 + float(x[2]) ** 2)
     return _weight_radial(r, T, c0)
+
+
+def _check_weight(T: float, c0: float) -> None:
+    """Reject T < 10, c0 <= 1 and non-finite values (NaN fails every comparison)."""
+    if not 10 <= T < math.inf:
+        raise DomainError(f"T must be finite and >= 10, got {T}")
+    if not 1 < c0 < math.inf:
+        raise DomainError(f"c0 must be finite and exceed 1, got {c0}")
+    if c0 * T == math.inf:
+        raise DomainError(f"c0*T overflows (c0={c0}, T={T})")
 
 
 def _weight_radial(r: float, T: float, c0: float) -> float:
@@ -231,6 +237,8 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
         raise DomainError("t must be a nonzero integer")
     if det_form(f) == 0:
         raise StructureError("form is degenerate; the solution set is not a quadric")
+    if not math.isfinite(R):
+        raise DomainError(f"radius must be finite, got {R}")
     if R < 0:
         raise DomainError(f"radius must be nonnegative, got {R}")
 
@@ -346,9 +354,6 @@ class WeightedSequence:
     a0: float
     point_total: int
 
-    def a(self, n: int) -> float:
-        return self.values.get(n, 0.0)
-
     def mass_in_progression(self, d: int) -> float:
         """sum of a_n over n >= 1 with d | n."""
         return math.fsum(self.values[n] for n in sorted(self.values)
@@ -361,10 +366,7 @@ def build_sequence(f: TernaryForm, t: int, T: float, c0: float = 2.0,
     """Enumerate the ball |x| <= c0*T and assemble the weighted sequence."""
     if projection not in PROJECTIONS:
         raise DomainError(f"projection must be one of {PROJECTIONS}, got {projection!r}")
-    if T < 10:
-        raise DomainError(f"T must be >= 10, got {T}")
-    if c0 <= 1:
-        raise DomainError(f"c0 must exceed 1, got {c0}")
+    _check_weight(T, c0)
     radius = c0 * T
     cells = (2 * math.floor(radius) + 1) ** 2
     if cells > cell_budget:
@@ -400,9 +402,9 @@ def build_sequence(f: TernaryForm, t: int, T: float, c0: float = 2.0,
 
 def residual_Rd(seq: WeightedSequence, omega: LocalDensityTable, d: int) -> float:
     """Equidistribution residual R_d = |A_d| - (omega(d)/d) X."""
-    if squarefree_primes(d, omega.bad_set) is None:
+    if squarefree_primes(d, BAD_SET) is None:
         raise DomainError(f"d={d} must be square-free and prime to the "
-                          f"exceptional set {sorted(omega.bad_set)}")
+                          f"exceptional set {sorted(BAD_SET)}")
     _check_table_match(seq, omega)
     return seq.mass_in_progression(d) - float(omega.omega_d(d)) * seq.X
 
@@ -426,29 +428,21 @@ def level_statistic(seq: WeightedSequence, omega: LocalDensityTable,
         raise DomainError(f"D must exceed 1, got {D}")
     total = []
     for d in range(2, math.ceil(D)):
-        primes = squarefree_primes(d, omega.bad_set)
+        primes = squarefree_primes(d, BAD_SET)
         if primes is not None:
             total.append(4 ** len(primes) * abs(residual_Rd(seq, omega, d)))
     return math.fsum(total)
 
 
-def omega_B_count(n: int, bad_set: frozenset = BAD_SET,
-                  with_multiplicity: bool = True) -> int:
-    """Number of prime factors of n outside the exceptional set.
-
-    Counted with multiplicity by default (the weighted-sieve convention);
-    set with_multiplicity=False to count distinct primes instead.
-    """
+def omega_B_count(n: int) -> int:
+    """Number of prime factors of n outside the exceptional set, counted
+    with multiplicity (the weighted-sieve convention)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    factors = factorint(n)
-    if with_multiplicity:
-        return sum(e for p, e in factors.items() if p not in bad_set)
-    return sum(1 for p in factors if p not in bad_set)
+    return sum(e for p, e in factorint(n).items() if p not in BAD_SET)
 
 
-def census(seq: WeightedSequence, r: int, bad_set: frozenset = BAD_SET,
-           with_multiplicity: bool = True) -> tuple[float, int]:
+def census(seq: WeightedSequence, r: int) -> tuple[float, int]:
     """(weighted mass, point count) of sequence entries that are almost prime.
 
     An index n qualifies when it has at most r prime factors outside the
@@ -457,7 +451,7 @@ def census(seq: WeightedSequence, r: int, bad_set: frozenset = BAD_SET,
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
     qualifying = [n for n in sorted(seq.values)
-                  if n >= 1 and omega_B_count(n, bad_set, with_multiplicity) <= r]
+                  if n >= 1 and omega_B_count(n) <= r]
     weighted = math.fsum(seq.values[n] for n in qualifying)
     raw = sum(seq.counts.get(n, 0) for n in qualifying)
     return weighted, raw
@@ -517,10 +511,6 @@ def find_automorphs(f: TernaryForm, H: int) -> AutomorphSet:
     return AutomorphSet(generators=tuple(sorted(found)), search_height=H)
 
 
-def _mat_apply(m, x):
-    return tuple(m[i][0] * x[0] + m[i][1] * x[1] + m[i][2] * x[2] for i in range(3))
-
-
 def _mat_inverse_unimodular(m):
     """Inverse of an integer matrix with det +1 (the adjugate)."""
     a, b, c = m[0]
@@ -529,41 +519,3 @@ def _mat_inverse_unimodular(m):
     return ((e * j - g * i, c * i - b * j, b * g - c * e),
             (g * h - d * j, a * j - c * h, c * d - a * g),
             (d * i - e * h, b * h - a * i, a * e - b * d))
-
-
-def orbit_partition(points, autos: AutomorphSet) -> list[list[tuple[int, int, int]]]:
-    """Partition of `points` under the generator action, restricted to the set.
-
-    Union-find closure under each generator and its inverse; class count is
-    an upper bound for the number of full orbits meeting the point set.
-    Output is deterministic: classes sorted by least element.
-    """
-    pts = sorted(set(tuple(p) for p in points))
-    index = {p: i for i, p in enumerate(pts)}
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    mats = []
-    for m in autos.generators:
-        mats.append(m)
-        mats.append(_mat_inverse_unimodular(m))
-    for p in pts:
-        for m in mats:
-            q = _mat_apply(m, p)
-            if q in index:
-                union(index[p], index[q])
-
-    classes: dict[int, list] = {}
-    for p, i in index.items():
-        classes.setdefault(find(i), []).append(p)
-    return sorted((sorted(cls) for cls in classes.values()), key=lambda c: c[0])

@@ -58,9 +58,9 @@ class QuadratureSpec:
         if self.max_depth < 1:
             raise DomainError("max_depth must be >= 1")
 
-    def tightened(self, factor: float = 10.0) -> "QuadratureSpec":
-        """Spec with tolerances divided by `factor`, for nested integrands."""
-        return QuadratureSpec(self.abs_tol / factor, self.rel_tol / factor, self.max_depth)
+    def tightened(self) -> "QuadratureSpec":
+        """Spec with tolerances divided by 10, for nested integrands."""
+        return QuadratureSpec(self.abs_tol / 10, self.rel_tol / 10, self.max_depth)
 
 
 @dataclass(frozen=True)

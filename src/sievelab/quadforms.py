@@ -84,10 +84,6 @@ def det_form(f: TernaryForm) -> Fraction:
             + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
 
 
-def det_is_integral(f: TernaryForm) -> bool:
-    return det_form(f).denominator == 1
-
-
 def diagonalize(f: TernaryForm) -> tuple[tuple[Fraction, Fraction, Fraction],
                                          list[list[Fraction]]]:
     """Rational congruence diagonalization: basis^T G basis = diag(d1,d2,d3).

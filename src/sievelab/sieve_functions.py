@@ -101,11 +101,11 @@ def _phi(x: float) -> float:
     return _G(x) - _PI2_12
 
 
-def _F1(s: float, spec: QuadratureSpec) -> float:
+def _F1(s: float) -> float:
     return TWO_E_GAMMA / s
 
 
-def _F2(s: float, spec: QuadratureSpec) -> float:
+def _F2(s: float) -> float:
     return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0))
 
 
@@ -129,7 +129,7 @@ def _F3(s: float, spec: QuadratureSpec) -> float:
     return TWO_E_GAMMA / s * (1.0 + _phi(s - 1.0) + _W(s, spec))
 
 
-def _f1(s: float, spec: QuadratureSpec) -> float:
+def _f1(s: float) -> float:
     return TWO_E_GAMMA / s * math.log(s - 1.0)
 
 
@@ -168,9 +168,9 @@ def F_lin(s: float, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     if not 0.0 < s <= 7.0:
         raise DomainError(f"F_lin domain is 0 < s <= 7, got {s}")
     if s < 3.0:
-        return _F1(s, spec)
+        return _F1(s)
     if s < 5.0:
-        return _F2(s, spec)
+        return _F2(s)
     return _F3(s, spec)
 
 
@@ -181,7 +181,7 @@ def f_lin(s: float, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     if s <= 2.0:
         return 0.0
     if s < 4.0:
-        return _f1(s, spec)
+        return _f1(s)
     if s < 6.0:
         return _f2(s, spec)
     return _f3(s, spec)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sievelab.arith import (factorint, is_prime, is_squarefree, legendre_raw,
-                            nu, primes_up_to, sqrt_mod, squarefree_part)
+                            primes_up_to, sqrt_mod, squarefree_part)
 
 
 def test_is_prime_small():
@@ -66,12 +66,6 @@ def test_squarefree_tools():
     assert squarefree_part(7) == 7
     with pytest.raises(ValueError):
         squarefree_part(0)
-
-
-def test_nu():
-    assert nu(1) == 0
-    assert nu(12) == 2
-    assert nu(30030) == 6
 
 
 def test_legendre_raw_euler():

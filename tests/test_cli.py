@@ -236,6 +236,30 @@ class TestConfigAndErrors:
         assert code == 2
         assert "degenerate" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--R", "inf"], ["enumerate", "--R", "nan"],
+        ["enumerate", "--T", "nan"], ["census", "--T", "nan"],
+        ["census", "--T", "inf"], ["census", "--T", "100", "--c0", "nan"],
+        ["equidist", "--T", "100", "--c0", "inf"],
+        ["census", "--T", "1e308"],  # finite, but c0*T overflows
+    ])
+    def test_non_finite_input_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--form", "1,1,-3,0,0,0", "--t", "1",
+                             *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("output", ["text", "csv"])
+    def test_equidist_without_points_is_config_error(self, capsys, output):
+        # x^2 + y^2 - 3z^2 = 3 has no integer point, so X = 0
+        code, out, err = run(capsys, "equidist", "--form", "1,1,-3,0,0,0", "--t", "3",
+                             "--T", "50", "--dmax", "10", "--output", output)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: no point with a nonzero projection lies within "
+                       "c0*T = 100, so X = 0\n")
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["constants", "--frobnicate"])

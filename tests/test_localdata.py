@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import primes_up_to
-from sievelab.errors import DegenerateLocalError, DomainError, ResourceError
+from sievelab.errors import DomainError, ResourceError
 from sievelab.localdata import (BAD_SET, VARIANTS, bad_primes,
-                                build_local_table, cassels_count,
-                                count_V0_mod_p, count_Vt_mod_p, legendre,
-                                omega_d, omega_over_p, raw_omega_over_p,
-                                solvable_mod)
+                                build_local_table, count_V0_mod_p,
+                                count_Vt_mod_p, legendre)
 from sievelab.quadforms import TernaryForm, eval_form
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
@@ -156,59 +154,69 @@ class TestClosedFormAgainstSweep:
 
 
 class TestCasselsCount:
-    def test_matches_enumeration(self):
+    """The table's inline Cassels count p^2 + (-d(f)t | p) p at good primes."""
+
+    def test_matches_enumeration(self, ref_table):
         for p in [q for q in primes_up_to(97) if q not in (2, 3)]:
-            assert cassels_count(DIAG113, 1, p) == _count_sweep(DIAG113, 1, p)
+            e = ref_table.entries[p]
+            assert e.count_V == _count_sweep(DIAG113, 1, p) == p * p + legendre(3, p) * p
+            assert e.cassels_agree is True, p
 
-    def test_closed_form_values(self):
-        assert cassels_count(DIAG113, 1, 7) == 42
-        assert cassels_count(DIAG113, 1, 11) == 132
+    def test_closed_form_values(self, ref_table):
+        assert ref_table.entries[7].count_V == 42
+        assert ref_table.entries[11].count_V == 132
 
-    def test_preconditions_named(self):
-        with pytest.raises(DomainError, match="odd prime"):
-            cassels_count(DIAG113, 1, 2)
-        with pytest.raises(DomainError, match="divide"):
-            cassels_count(DIAG113, 1, 3)
-        with pytest.raises(DomainError, match="square-free"):
-            cassels_count(DIAG113, 3, 5)  # d*t = -9
-        with pytest.raises(DomainError, match="integer"):
-            cassels_count(TernaryForm(0, 0, 1, 1, 0, 0), 1, 5)
+    def test_preconditions_named(self, ref_table):
+        # no Cassels column at p = 2, at p | d(f) t, for d(f) t = -9 (not
+        # square-free) and for d(f) = -1/4 (not an integer)
+        assert ref_table.entries[2].cassels_agree is None
+        assert ref_table.entries[3].cassels_agree is None
+        for f, t in ((DIAG113, 3), (TernaryForm(0, 0, 1, 1, 0, 0), 1)):
+            table = build_local_table(f, t, "x1", 13)
+            assert all(e.cassels_agree is None for e in table.entries.values())
+            assert table.findings == []
 
 
 class TestDensities:
-    def test_exceptional_convention(self):
-        assert omega_over_p(DIAG113, 1, 7, "x1") == 0
-        assert raw_omega_over_p(DIAG113, 1, 7, "x1") == Fraction(8, 42)
+    def test_exceptional_convention(self, ref_table):
+        e = ref_table.entries[7]
+        assert e.omega_over_p == 0
+        assert (e.count_V0, e.count_V) == (8, 42)
 
-    def test_envelope(self):
+    def test_envelope(self, ref_table):
         # |N0/N - 1/p| <= 3/p^2 at good primes
         for p in (11, 13, 17, 19, 23, 29, 31, 37, 41):
-            raw = raw_omega_over_p(DIAG113, 1, p, "x1")
+            raw = ref_table.entries[p].omega_over_p
             assert abs(raw - Fraction(1, p)) <= Fraction(3, p * p), p
+            assert raw == Fraction(_count_sweep(DIAG113, 1, p, "x1"),
+                                   _count_sweep(DIAG113, 1, p))
 
-    def test_density_below_one_at_good_primes(self):
+    def test_density_below_one_at_good_primes(self, ref_table):
         for p in (11, 13, 17, 19, 23):
-            assert raw_omega_over_p(DIAG113, 1, p, "x1") < 1
+            assert ref_table.entries[p].omega_over_p < 1
 
     def test_bad_prime_outside_exceptional_set_gets_zero(self):
         # 13 x1^2 + 11 x2^2 - 3 x3^2 = 11 mod 11 forces x1 = x3 = 0, so N0 = N
         f = TernaryForm(13, 11, -3)
-        assert raw_omega_over_p(f, 11, 11, "x1") == 1
-        assert omega_over_p(f, 11, 11, "x1") == 0
-        assert omega_d(f, 11, 11 * 13, "x1") == 0
         table = build_local_table(f, 11, "x1", 13)
-        assert table.entries[11].omega_over_p == omega_over_p(f, 11, 11, "x1")
-        assert table.omega_d(11 * 13) == omega_d(f, 11, 11 * 13, "x1")
+        e = table.entries[11]
+        assert e.count_V0 == e.count_V == _count_sweep(f, 11, 11) > 0
+        assert e.is_bad and e.omega_over_p == 0
+        assert table.omega_d(11 * 13) == 0
 
     def test_degenerate_local_data(self):
-        # 2x^2 + 2y^2 + 2z^2 = 1 has no points mod 2
-        with pytest.raises(DegenerateLocalError):
-            raw_omega_over_p(TernaryForm.diagonal(2, 2, 2), 1, 2, "x1")
+        # 2x^2 + 2y^2 + 2z^2 = 1 has no points mod 2, 11(x^2 + y^2 + z^2) = 1
+        # none mod 11: N0 = N = 0 makes a bad entry of density 0
+        for f, p in ((TernaryForm.diagonal(2, 2, 2), 2),
+                     (TernaryForm.diagonal(11, 11, 11), 11)):
+            e = build_local_table(f, 1, "x1", 13).entries[p]
+            assert e.count_V == e.count_V0 == _count_bruteforce(f, 1, p) == 0
+            assert e.is_bad and e.omega_over_p == 0
 
 
 class TestOmegaD:
-    def test_unit(self):
-        assert omega_d(DIAG113, 1, 1, "x1") == 1
+    def test_unit(self, ref_table):
+        assert ref_table.omega_d(1) == 1
 
     def test_multiplicative_against_crt_oracle(self):
         # direct count mod 143 = 11 * 13, vectorized
@@ -224,24 +232,26 @@ class TestOmegaD:
             total0 += int((on & ((x1 * x2) % q == 0)).sum())
         # oracle uses variant x1x2 to exercise a composite product condition
         direct = Fraction(total0, total)
-        assert omega_d(DIAG113, 1, 143, "x1x2") == direct
-        assert direct == (raw_omega_over_p(DIAG113, 1, 11, "x1x2")
-                          * raw_omega_over_p(DIAG113, 1, 13, "x1x2"))
+        table = build_local_table(DIAG113, 1, "x1x2", 13)
+        assert table.omega_d(143) == direct
+        assert direct == (Fraction(_count_sweep(DIAG113, 1, 11, "x1x2"),
+                                   _count_sweep(DIAG113, 1, 11))
+                          * Fraction(_count_sweep(DIAG113, 1, 13, "x1x2"),
+                                     _count_sweep(DIAG113, 1, 13)))
 
-    def test_multiplicativity_coprime_pairs(self):
+    def test_multiplicativity_coprime_pairs(self, ref_table):
         pairs = [(11, 13), (11, 17), (13, 17), (11, 19), (13, 19),
                  (17, 19), (11, 23), (13, 23), (17, 23), (19, 23)]
         for p, q in pairs:
-            assert omega_d(DIAG113, 1, p * q, "x1") == (
-                omega_over_p(DIAG113, 1, p, "x1")
-                * omega_over_p(DIAG113, 1, q, "x1"))
+            assert ref_table.omega_d(p * q) == (
+                ref_table.entries[p].omega_over_p * ref_table.entries[q].omega_over_p)
 
-    def test_exceptional_factor_kills_product(self):
-        assert omega_d(DIAG113, 1, 7 * 11, "x1") == 0
+    def test_exceptional_factor_kills_product(self, ref_table):
+        assert ref_table.omega_d(7 * 11) == 0
 
-    def test_square_factor_rejected(self):
+    def test_square_factor_rejected(self, ref_table):
         with pytest.raises(DomainError):
-            omega_d(DIAG113, 1, 44, "x1")
+            ref_table.omega_d(44)
 
 
 class TestBadPrimes:
@@ -254,38 +264,6 @@ class TestBadPrimes:
     def test_pmax_guard(self):
         with pytest.raises(DomainError):
             bad_primes(DIAG113, 1, "x1", 5)
-
-
-class TestSolvableMod:
-    def test_trivial_modulus(self):
-        assert solvable_mod(DIAG113, 1, 1)
-
-    def test_witness_cases(self):
-        assert solvable_mod(DIAG113, 1, 9)
-        assert solvable_mod(DIAG113, 1, 121)
-        assert solvable_mod(DIAG113, 1, 81)
-        assert solvable_mod(TernaryForm.diagonal(1, 1, 1), 3, 512)
-
-    def test_large_prime_modulus_without_points(self):
-        # every value is 0 mod 3001; the prime modulus needs no exhaustive count
-        assert not solvable_mod(TernaryForm.diagonal(3001, 3001, 3001), 1, 3001)
-
-    def test_three_squares_obstruction_mod_8(self):
-        # x^2 + y^2 + z^2 = 7 is impossible mod 8
-        assert not solvable_mod(TernaryForm.diagonal(1, 1, 1), 7, 8)
-
-    def test_prime_power_guard(self):
-        with pytest.raises(ResourceError):
-            solvable_mod(DIAG113, 1, 2 ** 21)
-
-    def test_full_scan_guard(self):
-        # no witness and 2^10 is beyond the exhaustive-scan budget
-        with pytest.raises(ResourceError):
-            solvable_mod(TernaryForm.diagonal(1, 1, 1), 7, 1024)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            solvable_mod(DIAG113, 1, 0)
 
 
 class TestLocalDensityTable:
@@ -303,7 +281,8 @@ class TestLocalDensityTable:
 
     def test_omega_d_requires_tabulated_primes(self, ref_table):
         assert ref_table.omega_d(1) == 1
-        assert ref_table.omega_d(143) == omega_d(DIAG113, 1, 143, "x1")
+        assert ref_table.omega_d(143) == (ref_table.entries[11].omega_over_p
+                                          * ref_table.entries[13].omega_over_p)
         with pytest.raises(DomainError):
             ref_table.omega_d(211 * 13)
 

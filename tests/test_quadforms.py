@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sievelab.errors import DomainError
-from sievelab.quadforms import (INF, TernaryForm, det_form, det_is_integral,
-                                diagonalize, eval_form, hilbert_symbol,
-                                is_isotropic_Q, signature, transform)
+from sievelab.quadforms import (INF, TernaryForm, det_form, diagonalize,
+                                eval_form, hilbert_symbol, is_isotropic_Q,
+                                signature, transform)
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
 
@@ -68,8 +68,8 @@ class TestDeterminant:
         assert det_form(TernaryForm.diagonal(1, 1, -1)) == -1
         cross = TernaryForm(0, 0, 1, 1, 0, 0)  # x1 x2 + x3^2
         assert det_form(cross) == Fraction(-1, 4)
-        assert det_is_integral(DIAG113)
-        assert not det_is_integral(cross)
+        assert det_form(DIAG113).denominator == 1
+        assert det_form(cross).denominator != 1
 
     def test_invariance_under_unimodular_change(self):
         rng = random.Random(123)

@@ -164,13 +164,13 @@ class TestLowerFunction:
 
 class TestContinuity:
     def test_upper_breakpoints(self):
-        assert abs(_F1(3.0, SPEC) - _F2(3.0, SPEC)) <= 1e-8
-        assert abs(_F2(5.0, SPEC) - _F3(5.0, SPEC)) <= 1e-8
+        assert abs(_F1(3.0) - _F2(3.0)) <= 1e-8
+        assert abs(_F2(5.0) - _F3(5.0, SPEC)) <= 1e-8
 
     def test_lower_breakpoints(self):
-        assert abs(_f1(4.0, SPEC) - _f2(4.0, SPEC)) <= 1e-8
+        assert abs(_f1(4.0) - _f2(4.0, SPEC)) <= 1e-8
         assert abs(_f2(6.0, SPEC) - _f3(6.0, SPEC)) <= 1e-8
-        assert abs(_f1(2.0, SPEC) - 0.0) <= 1e-12
+        assert abs(_f1(2.0) - 0.0) <= 1e-12
 
 
 class TestMonotonicity:
