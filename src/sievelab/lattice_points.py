@@ -45,8 +45,8 @@ Sieve-facing statistics:
 
 where d runs over the square-free moduli prime to B, the set that
 `localdata.squarefree_primes` tests, plus a search for integral automorphs
-(M^T G M = G, det M = 1).  This module only computes; `sievelab.cli` renders points,
-sequences and statistics as text, JSON or CSV.
+(M^T G M = G, det M = 1).  This module only computes; `sievelab.cli`
+renders points, sequences and statistics as text, JSON or CSV.
 """
 
 import math
@@ -71,13 +71,14 @@ def weight_FT(x, T: float, c0: float) -> float:
 
 
 def _check_weight(T: float, c0: float) -> None:
-    """Reject T < 10, c0 <= 1 and non-finite values (NaN fails every comparison)."""
-    if not 10 <= T < math.inf:
-        raise DomainError(f"T must be finite and >= 10, got {T}")
-    if not 1 < c0 < math.inf:
-        raise DomainError(f"c0 must be finite and exceed 1, got {c0}")
+    """Reject T < 10, c0 <= 1, NaN (it fails both comparisons) and an
+    infinite c0*T, the radius of the weight's support."""
+    if not T >= 10:
+        raise DomainError(f"T must be >= 10, got {T}")
+    if not c0 > 1:
+        raise DomainError(f"c0 must exceed 1, got {c0}")
     if c0 * T == math.inf:
-        raise DomainError(f"c0*T overflows (c0={c0}, T={T})")
+        raise DomainError(f"c0*T must be finite, got c0={c0}, T={T}")
 
 
 def _weight_radial(r: float, T: float, c0: float) -> float:
