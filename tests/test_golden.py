@@ -3,7 +3,11 @@
 Each case runs `cli.main` on the reference quadric x1^2 + x2^2 - 3 x3^2 = 1
 and compares its stdout with `tests/golden/<case>.txt`.  Sizes follow the
 README where they are cheap (constants, local --pmax 97, enumerate --R 3,
-automorphs --H 3) and are smaller for equidist and census.
+automorphs --H 3) and are smaller for equidist and census.  Three more
+cases run non-diagonal forms at sizes where most slices are solved by
+factorization: 1,-2,-1,0,-2,2 at t = -2, whose ellipse centre drifts with
+the slice (n_k = 2 + 3 k^2), and -1,2,5,2,0,2 at t = 5, whose slice
+lattice has denominator delta = 9.
 
 The files are rewritten from the current code by
 
@@ -27,6 +31,8 @@ LOCAL = ["local", *FORM, "--pmax", "97"]
 EQUIDIST = ["equidist", *FORM, "--T", "200", "--dmax", "30"]
 CENSUS = ["census", *FORM, "--T", "300", "--r", "6"]
 AUTOMORPHS = ["automorphs", "--form", "1,1,-3,0,0,0", "--H", "3"]
+DRIFT = ["--form", "1,-2,-1,0,-2,2", "--t", "-2"]
+DELTA9 = ["--form=-1,2,5,2,0,2", "--t", "5"]
 
 CASES = {
     "constants_text": ["constants", "--mode", "unconditional"],
@@ -49,6 +55,12 @@ CASES = {
     "census_csv": [*CENSUS, "--output", "csv"],
     "census_x1x2x3_selberg_text": ["census", *FORM, "--T", "300", "--r", "3",
                                    "--projection", "x1x2x3", "--mode", "selberg"],
+    "census_drift_x1x2_text": ["census", *DRIFT, "--T", "300", "--r", "2",
+                               "--projection", "x1x2"],
+    "equidist_drift_x1x2x3_json": ["equidist", *DRIFT, "--T", "200", "--dmax", "30",
+                                   "--projection", "x1x2x3", "--output", "json"],
+    "census_delta9_x1x2x3_json": ["census", *DELTA9, "--T", "300", "--r", "3",
+                                  "--projection", "x1x2x3", "--output", "json"],
     "enumerate_R3": ["enumerate", *FORM, "--R", "3"],
     "enumerate_T20": ["enumerate", *FORM, "--T", "20"],
     "automorphs_text": AUTOMORPHS,
