@@ -3,9 +3,15 @@
 Factorization is fully deterministic: trial division by a fixed wheel,
 deterministic Miller-Rabin for primality (valid far beyond any integer this
 package produces), and Brent's cycle variant of Pollard rho with a fixed
-parameter schedule for the composite residue.  Square roots modulo n are
+parameter schedule for the composite residue.  It serves single integers of
+any size (moduli, discriminants); numbers that come in bulk are factored by
+sieves instead: `primes_up_to` feeds the slice sieve of
+`lattice_points.enumerate_points`, and `smallest_prime_factors` tabulates
+every integer up to a bound for the census.  Square roots modulo n are
 taken from the factorization of n: Tonelli-Shanks modulo p, Newton lifting
-to p^e, and the Chinese remainder theorem across prime powers.
+to p^e, and the Chinese remainder theorem across prime powers; a caller
+that takes roots of one a modulo many n passes a memo of the prime-power
+roots.
 """
 
 import math
@@ -57,6 +63,18 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """spf[m] = the least prime factor of m for 2 <= m <= n (spf[0], spf[1] = 0, 1).
+
+    Each prime p <= sqrt(n) marks its multiples from p^2 on, largest p first,
+    so the smallest prime factor of every composite is written last.
+    """
+    spf = list(range(n + 1))
+    for p in reversed(primes_up_to(math.isqrt(n))):
+        spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return spf
 
 
 def _pollard_brent(n: int) -> int:
@@ -141,15 +159,19 @@ def legendre_raw(n: int, p: int) -> int:
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
 
-def sqrt_mod(a: int, factors: dict[int, int]) -> list[int]:
+def sqrt_mod(a: int, factors: dict[int, int],
+             memo: dict | None = None) -> list[int]:
     """All x in [0, n) with x*x = a (mod n), sorted, where n = prod p**e.
 
-    `factors` is the factorization {p: e} of n (empty for n = 1).
+    `factors` is the factorization {p: e} of n (empty for n = 1).  `memo`,
+    if given, keeps the roots modulo each p**e for this a across calls.
     """
-    roots, n = [0], 1
+    roots, n, memo = [0], 1, {} if memo is None else memo
     for p, e in factors.items():
         q = p ** e
-        local = _sqrt_mod_prime_power(a % q, p, e)
+        local = memo.get((p, e))
+        if local is None:
+            local = memo[p, e] = _sqrt_mod_prime_power(a % q, p, e)
         if not local:
             return []
         inv = pow(n, -1, q)

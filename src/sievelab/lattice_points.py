@@ -18,11 +18,13 @@ disc:
   skipped.
 * Representations.  A slice whose ellipse spans few rows (at most
   max(32, n_k^(1/4)), below the cost of a factorization) is scanned row by
-  row.  Otherwise its solutions come from factorint(n_k): mu^2 a q(z) =
-  X^2 + d Y^2 with mu = 1 for even b and 2 for odd b, so n_k is inflated
-  by a or 4a only; for each g^2 | mu^2 a n_k and each root r of r^2 = -d
-  (arith.sqrt_mod) one Gauss reduction of the lattice X = r Y yields the
-  solutions.
+  row.  The others are factored together by one sieve over k, since n_k
+  is quadratic in k (only a cofactor above B^2 goes to arith.factorint).
+  Then mu^2 a q(z) = X^2 + d Y^2 with mu = 1 for even b and 2 for odd b,
+  so n_k is inflated by a or 4a only; for each g^2 | mu^2 a n_k and each
+  root r of r^2 = -d (arith.sqrt_mod, its roots modulo prime powers kept
+  for the whole enumeration) one Gauss reduction of the lattice X = r Y
+  yields the solutions.
 * Every point is checked with eval_form before it is returned, sorted and
   free of duplicates.
 
@@ -43,17 +45,20 @@ Sieve-facing statistics:
     level = sum_{d < D, squarefree, (d,B)=1} 4^{nu(d)} |R_d|
     census(r) = sum of a_n over n with at most r prime factors outside B
 
-where d runs over the square-free moduli prime to B, the set that
-`localdata.squarefree_primes` tests, plus a search for integral automorphs
-(M^T G M = G, det M = 1).  This module only computes; `sievelab.cli`
-renders points, sequences and statistics as text, JSON or CSV.
+The census adds up the prime factors of the coordinates of one point per
+n, read from one smallest-prime-factor table up to max |x_i| <= R, so it
+factors no value on its own.  In R_d and the level, d runs over the
+square-free moduli prime to B, the set that `localdata.squarefree_primes`
+tests.  The module also searches for integral automorphs (M^T G M = G,
+det M = 1).  It only computes; `sievelab.cli` renders points, sequences
+and statistics as text, JSON or CSV.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import count, product
 
-from .arith import factorint, sqrt_mod
+from .arith import factorint, primes_up_to, smallest_prime_factors, sqrt_mod
 from .errors import DomainError, ResourceError, StructureError
 from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
 from .quadforms import TernaryForm, det_form, eval_form, transform
@@ -62,12 +67,16 @@ PROJECTIONS = ("x1", "x1x2", "x1x2x3")
 
 _DEFAULT_CELL_BUDGET = 10 ** 9
 
+# The most slices one enumeration may solve or scan.  The default cell
+# budget admits radii up to 15,811, so this admits each of them for every
+# slice normal of length up to 63 (coordinate normals have length 1).
+_MAX_SLICES = 10 ** 6
+
 
 def weight_FT(x, T: float, c0: float) -> float:
     """Radial C^2 bump: 1 for |x| <= T/c0, 0 for |x| >= c0*T, smooth between."""
     _check_weight(T, c0)
-    r = math.sqrt(float(x[0]) ** 2 + float(x[1]) ** 2 + float(x[2]) ** 2)
-    return _weight_radial(r, T, c0)
+    return _weight_radial(x, T, c0)
 
 
 def _check_weight(T: float, c0: float) -> None:
@@ -81,7 +90,9 @@ def _check_weight(T: float, c0: float) -> None:
         raise DomainError(f"c0*T must be finite, got c0={c0}, T={T}")
 
 
-def _weight_radial(r: float, T: float, c0: float) -> float:
+def _weight_radial(x, T: float, c0: float) -> float:
+    """weight_FT without the checks of T and c0."""
+    r = math.sqrt(float(x[0]) ** 2 + float(x[1]) ** 2 + float(x[2]) ** 2)
     lo, hi = T / c0, c0 * T
     if r <= lo:
         return 1.0
@@ -171,13 +182,58 @@ def _slice_frame(f: TernaryForm) -> list[list[int]]:
              row[2]] for row in u]
 
 
-def _representations(a: int, b: int, c: int, n: int,
-                     inflation: dict[int, int]) -> set[tuple[int, int]]:
+# The slice sieve's primes stop at this many times its slice count: more
+# primes than slices would cost more than the factorizations they save.
+_SIEVE_PER_SLICE = 8
+
+
+def _factor_slices(n0: int, m0: int, ks: list[int]) -> dict[int, dict[int, int]]:
+    """The factorization of each n_k = n0 - k^2 m0 >= 1, k in ks (all >= 0).
+
+    One sieve over k: p | n_k exactly when k^2 m0 = n0 (mod p), which for
+    odd p prime to m0 is the two classes k = +-r of the roots of r^2 =
+    n0/m0 and for p | m0 is every k or none; p = 2 is tried on k = 0, 1.
+    Each prime up to B = min(sqrt(max n_k), _SIEVE_PER_SLICE |ks|) is
+    divided out in full wherever it hits.  A cofactor left <= B^2 is 1 or a
+    prime; a larger one goes to factorint, so n_k of any size is factored.
+    """
+    rest = {k: n0 - k * k * m0 for k in ks}
+    factors = {k: {} for k in ks}
+    top = max(ks, default=0)
+    bound = min(math.isqrt(max(rest.values(), default=0)), _SIEVE_PER_SLICE * len(ks))
+    for p in primes_up_to(bound):
+        if m0 % p == 0:
+            classes, step = [0] if n0 % p == 0 else [], 1
+        elif p == 2:
+            classes, step = [r for r in (0, 1) if (n0 - r * r * m0) % 2 == 0], 2
+        else:
+            classes, step = sqrt_mod(n0 * pow(m0, -1, p), {p: 1}), p
+        for r in classes:
+            for k in range(r, top + 1, step):
+                v = rest.get(k)
+                if v is None:
+                    continue
+                e = 0
+                while v % p == 0:
+                    v, e = v // p, e + 1
+                rest[k], factors[k][p] = v, e
+    for k, v in rest.items():
+        if v > bound * bound:
+            factors[k].update(factorint(v))
+        elif v > 1:
+            factors[k][v] = 1
+    return factors
+
+
+def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
+                     inflation: dict[int, int], roots: dict) -> set[tuple[int, int]]:
     """All z with a z1^2 + b z1 z2 + c z2^2 = n >= 1 (a > 0, b^2 < 4ac).
 
     With mu = 1 for even b and 2 for odd b, mu^2 a q(z) = X^2 + d Y^2 for
     X = mu a z1 + (mu b / 2) z2, Y = z2 and d = mu^2 (4ac - b^2) / 4;
-    `inflation` is the factorization of mu^2 a.  A solution of X^2 + d Y^2 =
+    `n_factors` and `inflation` are the factorizations of n and of mu^2 a,
+    and `roots` is the memo of the roots of -d modulo prime powers that
+    `sqrt_mod` fills, shared by every slice.  A solution of X^2 + d Y^2 =
     m is g (X', Y') with g^2 | m and (X', Y') primitive; then X' = r Y' modulo
     m' = m / g^2 for a root r of r^2 = -d, and (X', Y') is a shortest vector
     of that lattice, found by one Gauss reduction.  Roots r and -r give
@@ -187,7 +243,7 @@ def _representations(a: int, b: int, c: int, n: int,
     d = mu * mu * (4 * a * c - b * b) // 4
     scale, shift = mu * a, mu * b // 2
     factors = dict(inflation)
-    for p, e in factorint(n).items():
+    for p, e in n_factors.items():
         factors[p] = factors.get(p, 0) + e
     m = mu * mu * a * n
     found = set()
@@ -198,7 +254,7 @@ def _representations(a: int, b: int, c: int, n: int,
             if e > 2 * j:
                 rest[p] = e - 2 * j
         mg = m // (g * g)
-        for r in sqrt_mod(-d, rest):
+        for r in sqrt_mod(-d, rest, roots):
             if 2 * r <= mg:
                 found.update((g * x, g * y) for x, y in _shortest_vectors(mg, r, d))
     out = set()
@@ -259,8 +315,12 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
     n0 = delta * delta * sign * t
     inflation = factorint((1 if b % 2 == 0 else 4) * a)
 
-    r2 = R * R
     nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
+    slices = R * math.sqrt(nn) + 2  # kmax + 1 below, in floats
+    if slices > _MAX_SLICES:
+        raise ResourceError(f"radius {R:g} needs about {slices:.3g} slices, "
+                            f"more than the limit of {_MAX_SLICES}")
+    r2 = R * R
     kmax = math.isqrt(int(r2 * nn)) + 1
     ymax = math.isqrt(int(r2 * sum(e * e for e in w[1]))) + 1
     points = []
@@ -291,6 +351,7 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
         if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
             points.append((x1, x2, x3))
 
+    solved = []
     for kk in range(kmax + 1):
         n = n0 - kk * kk * m0  # the slices +-kk share q(z) = n
         if n < 0:
@@ -302,16 +363,10 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
         if kk * kk / nn + gap * gap > limit:
             continue
         top = math.isqrt(4 * a * n // disc)  # |z2| <= top on the ellipse
-        signs = (kk, -kk) if kk else (0,)
         if min(2 * top // delta + 1, 2 * ymax + 1) > max(_SCAN_ROWS, math.isqrt(math.isqrt(n))):
-            reps = _representations(a, b, c, n, inflation)
-            for k in signs:
-                for z1, z2 in reps:
-                    y1, y2 = z1 - k * H1, z2 - k * H2
-                    if y1 % delta == 0 and y2 % delta == 0:
-                        keep(y1 // delta, y2 // delta, k)
+            solved.append(kk)
             continue
-        for k in signs:  # 4a q(z) = (2a z1 + b z2)^2 + disc z2^2
+        for k in (kk, -kk) if kk else (0,):  # 4a q(z) = (2a z1 + b z2)^2 + disc z2^2
             lo = max(-ymax, -((top + k * H2) // delta))
             hi = min(ymax, (top - k * H2) // delta)
             for y2 in range(lo, hi + 1):
@@ -324,6 +379,15 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
                     z1, rem = divmod(root - b * z2, 2 * a)
                     if rem == 0 and (z1 - k * H1) % delta == 0:
                         keep((z1 - k * H1) // delta, y2, k)
+
+    roots: dict = {}
+    for kk, n_factors in _factor_slices(n0, m0, solved).items():
+        reps = _representations(a, b, c, n0 - kk * kk * m0, n_factors, inflation, roots)
+        for k in (kk, -kk) if kk else (0,):
+            for z1, z2 in reps:
+                y1, y2 = z1 - k * H1, z2 - k * H2
+                if y1 % delta == 0 and y2 % delta == 0:
+                    keep(y1 // delta, y2 // delta, k)
 
     points = sorted(set(points))
     for x in points:
@@ -351,6 +415,7 @@ class WeightedSequence:
     projection: str
     values: dict[int, float]          # n >= 0 -> a_n (sparse; missing = 0)
     counts: dict[int, int]            # n >= 1 -> number of weight>0 points
+    witnesses: dict[int, tuple]       # n >= 1 -> one of those points
     X: float                          # sum_{n>=1} a_n
     a0: float
     point_total: int
@@ -378,26 +443,30 @@ def build_sequence(f: TernaryForm, t: int, T: float, c0: float = 2.0,
     points = enumerate_points(f, t, radius)
     weights: dict[int, list[float]] = {}
     counts: dict[int, int] = {}
+    witnesses: dict[int, tuple] = {}
     a0_parts: list[float] = []
     total = 0
     for x in points:
-        w = weight_FT(x, T, c0)
+        w = _weight_radial(x, T, c0)  # T and c0 were checked above
         if w <= 0.0:
             continue
         total += 1
         n = _projection_value(x, projection)
         if n == 0:
             a0_parts.append(w)
+        elif n in weights:
+            weights[n].append(w)
+            counts[n] += 1
         else:
-            weights.setdefault(n, []).append(w)
-            counts[n] = counts.get(n, 0) + 1
+            weights[n], counts[n], witnesses[n] = [w], 1, x
 
     values = {n: math.fsum(ws) for n, ws in sorted(weights.items())}
     a0 = math.fsum(a0_parts)
     x_mass = math.fsum(values[n] for n in sorted(values))
     values[0] = a0
     return WeightedSequence(form=f, t=t, T=T, c0=c0, projection=projection,
-                            values=values, counts=counts, X=x_mass, a0=a0,
+                            values=values, counts=counts, witnesses=witnesses,
+                            X=x_mass, a0=a0,
                             point_total=total)
 
 
@@ -435,24 +504,25 @@ def level_statistic(seq: WeightedSequence, omega: LocalDensityTable,
     return math.fsum(total)
 
 
-def omega_B_count(n: int) -> int:
-    """Number of prime factors of n outside the exceptional set, counted
-    with multiplicity (the weighted-sieve convention)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return sum(e for p, e in factorint(n).items() if p not in BAD_SET)
-
-
 def census(seq: WeightedSequence, r: int) -> tuple[float, int]:
     """(weighted mass, point count) of sequence entries that are almost prime.
 
     An index n qualifies when it has at most r prime factors outside the
-    exceptional set.
+    exceptional set, counted with multiplicity (the weighted-sieve
+    convention).  n is the product of |x_i| over the projection's
+    coordinates of its witness point, so that count is the sum of theirs,
+    read from one smallest-prime-factor table up to the largest |x_i|.
     """
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    qualifying = [n for n in sorted(seq.values)
-                  if n >= 1 and omega_B_count(n) <= r]
+    width = PROJECTIONS.index(seq.projection) + 1  # coordinates multiplied
+    top = max((abs(v) for x in seq.witnesses.values() for v in x[:width]), default=1)
+    spf = smallest_prime_factors(top)
+    omega = [0] * (top + 1)  # omega[m]: prime factors of m outside B
+    for m in range(2, top + 1):
+        omega[m] = omega[m // spf[m]] + (spf[m] not in BAD_SET)
+    qualifying = [n for n in sorted(seq.values) if n >= 1
+                  and sum(omega[abs(v)] for v in seq.witnesses[n][:width]) <= r]
     weighted = math.fsum(seq.values[n] for n in qualifying)
     raw = sum(seq.counts.get(n, 0) for n in qualifying)
     return weighted, raw

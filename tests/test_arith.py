@@ -3,7 +3,8 @@ import random
 import pytest
 
 from sievelab.arith import (factorint, is_prime, is_squarefree, legendre_raw,
-                            primes_up_to, sqrt_mod, squarefree_part)
+                            primes_up_to, smallest_prime_factors, sqrt_mod,
+                            squarefree_part)
 
 
 def test_is_prime_small():
@@ -34,6 +35,13 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10 ** 4)) == 1229
+
+
+def test_smallest_prime_factors():
+    assert smallest_prime_factors(0) == [0]
+    assert smallest_prime_factors(1) == [0, 1]
+    spf = smallest_prime_factors(5000)
+    assert all(spf[m] == min(factorint(m)) for m in range(2, 5001))
 
 
 def test_factorint_round_trip():
@@ -81,6 +89,12 @@ def test_sqrt_mod_against_brute_force():
         factors = factorint(n)
         for a in range(n):
             assert sqrt_mod(a, factors) == [x for x in range(n) if x * x % n == a]
+    for a in (-3, -20, 0, 7):  # one memo per a, shared by every modulus
+        memo = {}
+        for n in [*range(1, 120), 2 ** 9, 8 * 5 ** 3, 4 * 17 ** 2]:
+            factors = factorint(n)
+            assert sqrt_mod(a, factors, memo) == sqrt_mod(a, factors)
+        assert memo
     p = 7681  # p - 1 = 2^9 * 15 takes Tonelli-Shanks through nine squarings
     for a in range(1, 400):
         roots = sqrt_mod(a, {p: 2})

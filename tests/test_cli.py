@@ -159,6 +159,15 @@ class TestEnumerate:
         assert len(lines) == 13
         assert lines[1].startswith("-2,0,-1")
 
+    @pytest.mark.parametrize("radius,count", [("1e9", "1e+09"), ("1e200", "1e+200")])
+    def test_radius_beyond_the_slice_limit_is_refused(self, capsys, radius, count):
+        code, out, err = run(capsys, "enumerate", "--form", "1,1,-3,0,0,0",
+                             "--t", "1", "--R", radius)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: radius {count} needs about {count} slices, "
+                       "more than the limit of 1000000\n")
+
     def test_radius_from_T(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--form", "1,1,-3,0,0,0",
                            "--t", "1", "--T", "10", "--c0", "2.0")

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sievelab import cli
+from sievelab import arith, cli, lattice_points
+from sievelab.arith import factorint
 from sievelab.errors import DomainError, ResourceError, StructureError
-from sievelab.lattice_points import (build_sequence, census, enumerate_points,
-                                     find_automorphs, level_statistic,
-                                     omega_B_count, residual_Rd, weight_FT)
+from sievelab.lattice_points import (PROJECTIONS, _DEFAULT_CELL_BUDGET, _MAX_SLICES,
+                                     _factor_slices, _projection_value, _slice_normal,
+                                     build_sequence, census, enumerate_points,
+                                     find_automorphs, level_statistic, residual_Rd,
+                                     weight_FT)
+from sievelab.localdata import BAD_SET
 from sievelab.quadforms import TernaryForm, det_form, eval_form, transform
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
@@ -48,6 +52,21 @@ def enumeration_oracle(f, t, R):
         for i, j in zip(*np.nonzero(hit)):
             out.append((int(x1), int(x2[i, j]), int(x3[i, j])))
     return sorted(out)
+
+
+def omega_B_count(n):
+    """Prime factors of n outside the exceptional set, with multiplicity,
+    from one factorint call: the oracle of the census's coordinate table."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    return sum(e for p, e in factorint(n).items() if p not in BAD_SET)
+
+
+def census_oracle(seq, r):
+    """census(seq, r) with each value n factored on its own."""
+    qualifying = [n for n in sorted(seq.values) if n >= 1 and omega_B_count(n) <= r]
+    return (math.fsum(seq.values[n] for n in qualifying),
+            sum(seq.counts[n] for n in qualifying))
 
 
 def sweep_oracle(f, t, R):
@@ -260,6 +279,57 @@ class TestEnumeration:
         assert enumerate_points(f, t, R) == sweep_oracle(f, t, R)
 
 
+class TestSliceSieve:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(common=st.sampled_from((1, 2, 3, 4, 12, 49)), m0=st.integers(-40, 40),
+           n0=st.one_of(st.integers(-10 ** 4, 10 ** 4), st.integers(10 ** 9, 10 ** 15)),
+           ks=st.lists(st.integers(0, 300), max_size=40, unique=True))
+    def test_against_factorint(self, common, m0, n0, ks):
+        # common > 1 makes every prime of it divide m0 and n0 alike
+        n0, m0 = common * n0, common * m0
+        ks = [k for k in ks if n0 - k * k * m0 >= 1]
+        assert _factor_slices(n0, m0, ks) == {k: factorint(n0 - k * k * m0) for k in ks}
+
+    @pytest.mark.parametrize("n0,m0", [
+        (1, -3),      # the reference frame: n_k = 1 + 3 k^2, p = 2 hits odd k
+        (30, -42),    # 2, 3 divide m0 and n0: every slice; 7 | m0 only: none
+        (5, -20),     # 5 | gcd(n0, m0) and 2 | m0 alone
+        (-2, -6),     # n0 < 0: the slices start at k = 1
+        (7, 0),       # m0 = 0: every slice is n0
+    ])
+    def test_full_range(self, n0, m0):
+        ks = [k for k in range(400) if n0 - k * k * m0 >= 1]
+        assert _factor_slices(n0, m0, ks) == {k: factorint(n0 - k * k * m0) for k in ks}
+
+    def test_capped_bound_hands_cofactors_to_factorint(self, monkeypatch):
+        # two slices cap B at 16, far below sqrt(n_k), so factorint splits
+        # what the sieve leaves above 16^2
+        calls = []
+        monkeypatch.setattr(lattice_points, "factorint",
+                            lambda n: calls.append(n) or factorint(n))
+        n0, m0 = 1000003 * 1000033 * 6, -6
+        assert _factor_slices(n0, m0, [0, 1]) == {0: factorint(n0), 1: factorint(n0 + 6)}
+        assert calls and all(n > 16 ** 2 for n in calls)
+
+    def test_empty(self):
+        assert _factor_slices(1, -3, []) == {}
+
+
+class TestWorkGuard:
+    def test_refuses_too_many_slices(self):
+        with pytest.raises(ResourceError, match="slices"):
+            enumerate_points(DIAG113, 1, 1e9)
+        with pytest.raises(ResourceError, match="slices"):
+            enumerate_points(DIAG113, 1, 1e200)  # R^2 overflows a float
+
+    @pytest.mark.parametrize("form,t", POOL_FORMS)
+    def test_admits_the_default_cell_budget(self, form, t):
+        # the largest radius build_sequence admits by default
+        radius = (math.isqrt(_DEFAULT_CELL_BUDGET) - 1) // 2 + 0.999
+        normal = _slice_normal(TernaryForm.from_string(form))
+        assert radius * math.sqrt(sum(e * e for e in normal)) + 2 <= _MAX_SLICES
+
+
 class TestBuildSequence:
     def test_small_scale_values(self):
         seq = build_sequence(DIAG113, 1, 10.0, 2.0, "x1")
@@ -363,6 +433,26 @@ class TestAlmostPrimeCounting:
     def test_domain(self):
         with pytest.raises(DomainError):
             omega_B_count(0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(PROJECTIONS),
+           r=st.integers(0, 8))
+    def test_census_against_per_value_oracle(self, form, projection, r):
+        seq = build_sequence(TernaryForm.from_string(form[0]), form[1], 40.0, 2.0,
+                             projection)
+        assert seq.witnesses.keys() == seq.counts.keys()
+        assert all(_projection_value(x, projection) == n
+                   for n, x in seq.witnesses.items())
+        assert census(seq, r) == census_oracle(seq, r)
+
+    def test_census_factors_no_value(self, monkeypatch):
+        calls = []
+        for module in (arith, lattice_points):
+            monkeypatch.setattr(module, "factorint",
+                                lambda n, f=arith.factorint: calls.append(n) or f(n))
+        assert cli.main(["census", "--form", "1,1,-3,0,0,0", "--t", "1", "--T", "300",
+                         "--projection", "x1x2x3"]) == 0
+        assert len(calls) <= 3  # the frame's inflation and any huge cofactor
 
     def test_census_monotone_and_exhaustive(self, seq_cache):
         seq = seq_cache(2000)
