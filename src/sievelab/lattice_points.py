@@ -182,8 +182,8 @@ def _slice_frame(f: TernaryForm) -> list[list[int]]:
              row[2]] for row in u]
 
 
-# The slice sieve's primes stop at this many times its slice count: more
-# primes than slices would cost more than the factorizations they save.
+# The slice sieve's primes stop at this many times its slice count, about as
+# many primes as slices; more would cost more than the factorizations saved.
 _SIEVE_PER_SLICE = 8
 
 
@@ -466,8 +466,7 @@ def build_sequence(f: TernaryForm, t: int, T: float, c0: float = 2.0,
     values[0] = a0
     return WeightedSequence(form=f, t=t, T=T, c0=c0, projection=projection,
                             values=values, counts=counts, witnesses=witnesses,
-                            X=x_mass, a0=a0,
-                            point_total=total)
+                            X=x_mass, a0=a0, point_total=total)
 
 
 def residual_Rd(seq: WeightedSequence, omega: LocalDensityTable, d: int) -> float:

@@ -322,12 +322,12 @@ class TestWorkGuard:
         with pytest.raises(ResourceError, match="slices"):
             enumerate_points(DIAG113, 1, 1e200)  # R^2 overflows a float
 
-    @pytest.mark.parametrize("form,t", POOL_FORMS)
-    def test_admits_the_default_cell_budget(self, form, t):
-        # the largest radius build_sequence admits by default
+    def test_admits_the_default_cell_budget(self):
+        # the largest radius build_sequence admits by default, on every pool form
         radius = (math.isqrt(_DEFAULT_CELL_BUDGET) - 1) // 2 + 0.999
-        normal = _slice_normal(TernaryForm.from_string(form))
-        assert radius * math.sqrt(sum(e * e for e in normal)) + 2 <= _MAX_SLICES
+        for form, _ in POOL_FORMS:
+            normal = _slice_normal(TernaryForm.from_string(form))
+            assert radius * math.sqrt(sum(e * e for e in normal)) + 2 <= _MAX_SLICES
 
 
 class TestBuildSequence:
@@ -449,7 +449,7 @@ class TestAlmostPrimeCounting:
         calls = []
         for module in (arith, lattice_points):
             monkeypatch.setattr(module, "factorint",
-                                lambda n, f=arith.factorint: calls.append(n) or f(n))
+                                lambda n: calls.append(n) or factorint(n))
         assert cli.main(["census", "--form", "1,1,-3,0,0,0", "--t", "1", "--T", "300",
                          "--projection", "x1x2x3"]) == 0
         assert len(calls) <= 3  # the frame's inflation and any huge cofactor
