@@ -7,7 +7,10 @@ automorphs --H 3) and are smaller for equidist and census.  Three more
 cases run non-diagonal forms at sizes where most slices are solved by
 factorization: 1,-2,-1,0,-2,2 at t = -2, whose ellipse centre drifts with
 the slice (n_k = 2 + 3 k^2), and -1,2,5,2,0,2 at t = 5, whose slice
-lattice has denominator delta = 9.
+lattice has denominator delta = 9.  Two more have an odd middle
+coefficient b in the slice frame: 1,-1,5,-1,1,0 at t = -1, whose binary
+part is x^2 + xy + 5y^2, and 2,5,-2,1,1,1 at t = 2, with a > 1, delta = 13
+and a trend line.
 
 The files are rewritten from the current code by
 
@@ -33,6 +36,8 @@ CENSUS = ["census", *FORM, "--T", "300", "--r", "6"]
 AUTOMORPHS = ["automorphs", "--form", "1,1,-3,0,0,0", "--H", "3"]
 DRIFT = ["--form", "1,-2,-1,0,-2,2", "--t", "-2"]
 DELTA9 = ["--form=-1,2,5,2,0,2", "--t", "5"]
+ODD_B = ["--form", "1,-1,5,-1,1,0", "--t", "-1"]
+ODD_B_A2 = ["--form", "2,5,-2,1,1,1", "--t", "2"]
 
 CASES = {
     "constants_text": ["constants", "--mode", "unconditional"],
@@ -61,6 +66,10 @@ CASES = {
                                    "--projection", "x1x2x3", "--output", "json"],
     "census_delta9_x1x2x3_json": ["census", *DELTA9, "--T", "300", "--r", "3",
                                   "--projection", "x1x2x3", "--output", "json"],
+    "census_oddb_x1x2x3_json": ["census", *ODD_B, "--T", "300",
+                                "--projection", "x1x2x3", "--output", "json"],
+    "equidist_oddb_trend_text": ["equidist", *ODD_B_A2, "--T", "200", "--dmax", "30",
+                                 "--trend"],
     "enumerate_R3": ["enumerate", *FORM, "--R", "3"],
     "enumerate_T20": ["enumerate", *FORM, "--T", "20"],
     "automorphs_text": AUTOMORPHS,
