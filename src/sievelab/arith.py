@@ -9,9 +9,9 @@ sieves instead: `primes_up_to` feeds the slice sieve of
 `lattice_points.enumerate_points`, and `smallest_prime_factors` tabulates
 every integer up to a bound for the census.  Square roots modulo n are
 taken from the factorization of n: Tonelli-Shanks modulo p, Newton lifting
-to p^e, and the Chinese remainder theorem across prime powers; a caller
-that takes roots of one a modulo many n passes a memo of the prime-power
-roots.
+to p^e, and the Chinese remainder theorem across prime powers
+(`crt_roots`, which also combines the prime-power roots of the quadratic
+norm forms that `lattice_points` memoizes per enumeration).
 """
 
 import math
@@ -159,25 +159,26 @@ def legendre_raw(n: int, p: int) -> int:
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
 
-def sqrt_mod(a: int, factors: dict[int, int],
-             memo: dict | None = None) -> list[int]:
+def sqrt_mod(a: int, factors: dict[int, int]) -> list[int]:
     """All x in [0, n) with x*x = a (mod n), sorted, where n = prod p**e.
 
-    `factors` is the factorization {p: e} of n (empty for n = 1).  `memo`,
-    if given, keeps the roots modulo each p**e for this a across calls.
+    `factors` is the factorization {p: e} of n (empty for n = 1).
     """
-    roots, n, memo = [0], 1, {} if memo is None else memo
-    for p, e in factors.items():
-        q = p ** e
-        local = memo.get((p, e))
-        if local is None:
-            local = memo[p, e] = _sqrt_mod_prime_power(a % q, p, e)
-        if not local:
+    return sorted(crt_roots([(p ** e, _sqrt_mod_prime_power(a % p ** e, p, e))
+                             for p, e in factors.items()]))
+
+
+def crt_roots(local: list[tuple[int, list[int]]]) -> list[int]:
+    """Every x in [0, prod q) with x mod q in `residues` for each (q, residues)
+    of `local`, whose moduli q are pairwise coprime (none at all gives [0])."""
+    roots, n = [0], 1
+    for q, residues in local:
+        if not residues:
             return []
         inv = pow(n, -1, q)
-        roots = [r + n * ((s - r) * inv % q) for r in roots for s in local]
+        roots = [r + n * ((s - r) * inv % q) for r in roots for s in residues]
         n *= q
-    return sorted(roots)
+    return roots
 
 
 def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:

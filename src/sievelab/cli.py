@@ -26,7 +26,7 @@ import math
 import sys
 
 from .errors import SieveLabError
-from .lattice_points import (PROJECTIONS, build_sequence, census,
+from .lattice_points import (PROJECTIONS, build_sequence, build_sequences, census,
                              enumerate_points, find_automorphs, level_statistic,
                              weight_FT)
 from .localdata import BAD_SET, build_local_table, squarefree_primes
@@ -170,10 +170,10 @@ def cmd_equidist(args) -> tuple[int, dict]:
         raise SieveLabError("equidist requires --form, --t and --T")
     table = build_local_table(args.form, args.t, args.projection,
                               max(7, args.dmax))
-    seq = build_sequence(args.form, args.t, args.T, args.c0, args.projection)
-    if not seq.X:
-        raise SieveLabError("no point with a nonzero projection lies within "
-                            f"c0*T = {_fmt(args.c0 * args.T)}, so X = 0")
+    # the CSV view has no trend line, so it needs no 2T sequence
+    Ts = [args.T, 2 * args.T] if args.trend and args.output != "csv" else [args.T]
+    seq, *doubled = build_sequences(args.form, args.t, Ts, args.c0, args.projection)
+    _require_mass(seq, args)
 
     moduli = [d for d in range(1, args.dmax + 1)
               if squarefree_primes(d, BAD_SET) is not None]
@@ -184,10 +184,9 @@ def cmd_equidist(args) -> tuple[int, dict]:
     ref = seq.X / math.log(seq.X) ** (kappa + 1)
 
     trend = []
-    if args.trend and args.output != "csv":  # the CSV view has no trend line
-        seq2 = build_sequence(args.form, args.t, 2 * args.T, args.c0, args.projection)
+    if doubled:
         mean1 = _mean_ratio(rows)
-        mean2 = _mean_ratio(_residual_rows(seq2, table, moduli))
+        mean2 = _mean_ratio(_residual_rows(doubled[0], table, moduli))
         grew = mean2 > 2.0 * mean1
         trend = [f"trend: mean |R_d|/X {_fmt(mean1)} -> {_fmt(mean2)} "
                  f"on T -> 2T: {'GREW' if grew else 'ok'}"]
@@ -220,6 +219,13 @@ def cmd_equidist(args) -> tuple[int, dict]:
     return 0, {"text": as_text, "json": as_json, "csv": as_csv}
 
 
+def _require_mass(seq, args) -> None:
+    """Refuse a sequence with X = 0: no ratio to X means anything."""
+    if not seq.X:
+        raise SieveLabError("no point with a nonzero projection lies within "
+                            f"c0*T = {_fmt(args.c0 * args.T)}, so X = 0")
+
+
 def _residual_rows(seq, table, moduli) -> list[tuple]:
     """(d, |A_d|, omega(d)/d * X, R_d, R_d/X) per modulus d.
 
@@ -243,8 +249,9 @@ def cmd_census(args) -> tuple[int, dict]:
     if args.form is None or args.t is None or args.T is None:
         raise SieveLabError("census requires --form, --t and --T")
     seq = build_sequence(args.form, args.t, args.T, args.c0, args.projection)
+    _require_mass(seq, args)
     weighted, raw = census(seq, args.r)
-    ratio = weighted / seq.X if seq.X else 0.0
+    ratio = weighted / seq.X
     published = _PUBLISHED_R[args.projection][args.mode]
 
     def as_text():

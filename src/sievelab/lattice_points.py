@@ -12,21 +12,22 @@ disc:
   height, which end because that set is a nonempty open cone.  The binary
   part is Gauss-reduced, so |b| <= a <= c.
 * Slices.  On y3 = k the equation becomes q(z) = n_k for z = delta (y1, y2)
-  + k H, where delta is the least denominator of the ellipse centre and
-  n_k depends on k^2 only, so each |k| is solved once; |k| <= |n| R, and a
-  slice whose ellipse stays outside the ball by a float-safe margin is
-  skipped.
+  + k H, where delta is the least denominator of the ellipse centre;
+  |k| <= |n| R, and a slice whose ellipse stays outside the ball by a
+  float-safe margin is skipped.  x -> -x takes slice k to slice -k, so only
+  k >= 0 is solved, each point kept with its lexicographically positive
+  sign; the mirrors -x complete the sorted list.
 * Representations.  A slice whose ellipse spans few rows (at most
   max(32, n_k^(1/4)), below the cost of a factorization) is scanned row by
   row.  The others are factored together by one sieve over k, since n_k
   is quadratic in k (only a cofactor above B^2 goes to arith.factorint).
-  Then mu^2 a q(z) = X^2 + d Y^2 with mu = 1 for even b and 2 for odd b,
-  so n_k is inflated by a or 4a only; for each g^2 | mu^2 a n_k and each
-  root r of r^2 = -d (arith.sqrt_mod, its roots modulo prime powers kept
-  for the whole enumeration) one Gauss reduction of the lattice X = r Y
-  yields the solutions.
-* Every point is checked with eval_form before it is returned, sorted and
-  free of duplicates.
+  Then a q(z) = X^2 + beta X Y + gamma Y^2, the norm form of the maximal
+  order of discriminant b^2 - 4ac (beta = b mod 2; Cohen, A Course in
+  Computational Algebraic Number Theory, 5.2).  A prime inert there ends
+  a slice it divides to an odd power; otherwise, for each g^2 | a n_k and
+  each root r of the norm form modulo a n_k / g^2 (kept per prime power
+  for the whole enumeration), one Gauss reduction of the lattice X = r Y
+  yields the solutions.  Each point is checked with eval_form.
 
 The former O(R^2) sweep of the (x1, x2) disc is kept in the tests as the
 oracle (tests/test_lattice_points.py, `sweep_oracle`).
@@ -37,7 +38,9 @@ On top of the enumeration sits the weighted sequence
 
 where proj is x1, x1*x2 or x1*x2*x3 and F_T is a radial C^2 cutoff: 1 inside
 radius T/c0, 0 outside c0*T, quintic smoothstep in between.  X = sum_{n>=1} a_n
-is the sequence mass; a_0 collects the points with vanishing projection.
+is the sequence mass; a_0 collects the points with vanishing projection.  The
+upper half of the points is weighed, each point counting for -x too, and
+sequences at several T (equidist's T and 2T) share one enumeration.
 
 Sieve-facing statistics:
 
@@ -58,7 +61,8 @@ import math
 from dataclasses import dataclass
 from itertools import count, product
 
-from .arith import factorint, primes_up_to, smallest_prime_factors, sqrt_mod
+from .arith import (crt_roots, factorint, primes_up_to, smallest_prime_factors,
+                    sqrt_mod)
 from .errors import DomainError, ResourceError, StructureError
 from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
 from .quadforms import TernaryForm, det_form, eval_form, transform
@@ -227,62 +231,84 @@ def _factor_slices(n0: int, m0: int, ks: list[int]) -> dict[int, dict[int, int]]
 
 def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
                      inflation: dict[int, int], roots: dict) -> set[tuple[int, int]]:
-    """All z with a z1^2 + b z1 z2 + c z2^2 = n >= 1 (a > 0, b^2 < 4ac).
+    """All z with a z1^2 + b z1 z2 + c z2^2 = n >= 1 (a > 0, D = b^2 - 4ac < 0).
 
-    With mu = 1 for even b and 2 for odd b, mu^2 a q(z) = X^2 + d Y^2 for
-    X = mu a z1 + (mu b / 2) z2, Y = z2 and d = mu^2 (4ac - b^2) / 4;
-    `n_factors` and `inflation` are the factorizations of n and of mu^2 a,
-    and `roots` is the memo of the roots of -d modulo prime powers that
-    `sqrt_mod` fills, shared by every slice.  A solution of X^2 + d Y^2 =
-    m is g (X', Y') with g^2 | m and (X', Y') primitive; then X' = r Y' modulo
-    m' = m / g^2 for a root r of r^2 = -d, and (X', Y') is a shortest vector
-    of that lattice, found by one Gauss reduction.  Roots r and -r give
-    mirror images, so only r <= m'/2 is reduced and the signs are restored.
+    a q(z) = N(X, Y) = X^2 + beta X Y + gamma Y^2 for X = a z1 + ((b -
+    beta)/2) z2, Y = z2; `n_factors` and `inflation` factor n and a, and
+    `roots` is the enumeration's memo of `_local_roots`.  A prime with no
+    root of N(r, 1) modulo p divides N only through p | X, Y.  Each solution
+    is g (X', Y') with g^2 | m = a n and X' = r Y' modulo m / g^2 for a root
+    r; root -beta - r gives the mirror (X + beta Y, -Y), so only 2r + beta
+    <= m / g^2 is reduced, and mirrors and signs are restored.
     """
-    mu = 1 if b % 2 == 0 else 2
-    d = mu * mu * (4 * a * c - b * b) // 4
-    scale, shift = mu * a, mu * b // 2
+    beta = b % 2
+    disc = b * b - 4 * a * c
+    gamma, shift = (beta - disc) // 4, (b - beta) // 2
     factors = dict(inflation)
     for p, e in n_factors.items():
         factors[p] = factors.get(p, 0) + e
-    m = mu * mu * a * n
+    spans = []
+    for p, e in factors.items():
+        inert = not _local_roots(p, 1, beta, disc, roots)
+        if inert and e % 2:
+            return set()
+        spans.append((e // 2,) if inert else range(e // 2 + 1))
+    m = a * n
     found = set()
-    for exps in product(*(range(e // 2 + 1) for e in factors.values())):
-        g, rest = 1, {}
+    for exps in product(*spans):
+        g, local = 1, []
         for (p, e), j in zip(factors.items(), exps):
             g *= p ** j
             if e > 2 * j:
-                rest[p] = e - 2 * j
+                local.append((p ** (e - 2 * j), _local_roots(p, e - 2 * j, beta, disc, roots)))
         mg = m // (g * g)
-        for r in sqrt_mod(-d, rest, roots):
-            if 2 * r <= mg:
-                found.update((g * x, g * y) for x, y in _shortest_vectors(mg, r, d))
+        for r in crt_roots(local):
+            if 2 * r + beta <= mg:
+                found.update((g * x, g * y) for x, y in _shortest_vectors(mg, r, beta, gamma))
     out = set()
     for x, y in found:
-        for sx, sy in ((x, y), (x, -y), (-x, y), (-x, -y)):
-            if (sx - shift * sy) % scale == 0:
-                out.add(((sx - shift * sy) // scale, sy))
+        for sx, sy in ((x, y), (-x, -y), (x + beta * y, -y), (-x - beta * y, y)):
+            if (sx - shift * sy) % a == 0:
+                out.add(((sx - shift * sy) // a, sy))
     return out
 
 
-def _shortest_vectors(m: int, r: int, d: int) -> list[tuple[int, int]]:
-    """The vectors of norm m = X^2 + d Y^2 in the lattice X = r Y (mod m), up to sign.
+def _local_roots(p: int, e: int, beta: int, disc: int, memo: dict) -> list[int]:
+    """The roots of r^2 + beta r + gamma modulo p^e (4 gamma = beta - disc),
+    memoized per (p, e): r = (s - beta)/2 for s^2 = disc modulo p^e, or for
+    p = 2 modulo 2^(e+2) with s < 2^(e+1)."""
+    local = memo.get((p, e))
+    if local is None:
+        q = p ** e
+        if p == 2:
+            local = [(s - beta) // 2 for s in sqrt_mod(disc, {2: e + 2}) if s < 2 * q]
+        else:
+            local = [(s - beta) * (q + 1) // 2 % q for s in sqrt_mod(disc, {p: e})]
+        memo[p, e] = local
+    return local
 
-    Every norm there is a multiple of m and the Gram determinant is m^2 d,
-    so norm m is the minimum and, after Lagrange reduction, is reached only
-    by the reduced basis vectors (a third pair would need d = 3/4).
-    """
-    u, nu = (r, 1), r * r + d
+
+def _shortest_vectors(m: int, r: int, beta: int, gamma: int) -> list[tuple[int, int]]:
+    """The vectors of norm m = X^2 + beta X Y + gamma Y^2 in the lattice X = r Y
+    (mod m), up to sign.  Every norm there is a multiple of m and the Gram
+    determinant is m^2 |D|/4, so after Lagrange reduction norm m is reached by
+    the reduced basis u, v and, for D = -3 only, by u - v or u + v as well."""
+    u, nu = (r, 1), r * r + beta * r + gamma
     v, nv = (m, 0), m * m
     while True:
         if nu > nv:
             u, nu, v, nv = v, nv, u, nu
-        q = (2 * (u[0] * v[0] + d * u[1] * v[1]) + nu) // (2 * nu)
+        polar = 2 * u[0] * v[0] + beta * (u[0] * v[1] + u[1] * v[0]) + 2 * gamma * u[1] * v[1]
+        q = (polar + nu) // (2 * nu)
         if q == 0:
             break
         v = (v[0] - q * u[0], v[1] - q * u[1])
-        nv = v[0] * v[0] + d * v[1] * v[1]
-    return [w for w, nw in ((u, nu), (v, nv)) if nw == m]
+        nv = v[0] * v[0] + beta * v[0] * v[1] + gamma * v[1] * v[1]
+    out = [w for w, nw in ((u, nu), (v, nv)) if nw == m]
+    if len(out) == 2 and abs(polar) == m:
+        sign = 1 if polar > 0 else -1
+        out.append((u[0] - sign * v[0], u[1] - sign * v[1]))
+    return out
 
 
 def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
@@ -313,7 +339,7 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
     delta, H1, H2 = disc // common, h1 // common, h2 // common
     m0 = delta * delta * sign * g.a33 - (a * H1 * H1 + b * H1 * H2 + c * H2 * H2)
     n0 = delta * delta * sign * t
-    inflation = factorint((1 if b % 2 == 0 else 4) * a)
+    inflation = factorint(a)
 
     nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
     slices = R * math.sqrt(nn) + 2  # kmax + 1 below, in floats
@@ -344,56 +370,54 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
         mu = 0.0
     limit = (1 + 1e-9) * r2 + 1e-9  # margin for float rounding
 
-    def keep(y1, y2, k):
+    def keep(y1, y2, k):  # the lexicographically positive sign of +-x
         x1 = u11 * y1 + u12 * y2 + u13 * k
         x2 = u21 * y1 + u22 * y2 + u23 * k
         x3 = u31 * y1 + u32 * y2 + u33 * k
         if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
-            points.append((x1, x2, x3))
+            points.append((x1, x2, x3) if (x1, x2, x3) > (0, 0, 0) else (-x1, -x2, -x3))
 
     solved = []
-    for kk in range(kmax + 1):
-        n = n0 - kk * kk * m0  # the slices +-kk share q(z) = n
+    for k in range(kmax + 1):
+        n = n0 - k * k * m0
         if n < 0:
             continue
         try:
-            gap = max(0.0, math.sqrt(mu * (n / (delta * delta))) - kk * drift)
+            gap = max(0.0, math.sqrt(mu * (n / (delta * delta))) - k * drift)
         except OverflowError:  # n_k beyond float range: keep the slice
             gap = 0.0
-        if kk * kk / nn + gap * gap > limit:
+        if k * k / nn + gap * gap > limit:
             continue
         top = math.isqrt(4 * a * n // disc)  # |z2| <= top on the ellipse
         if min(2 * top // delta + 1, 2 * ymax + 1) > max(_SCAN_ROWS, math.isqrt(math.isqrt(n))):
-            solved.append(kk)
+            solved.append(k)
             continue
-        for k in (kk, -kk) if kk else (0,):  # 4a q(z) = (2a z1 + b z2)^2 + disc z2^2
-            lo = max(-ymax, -((top + k * H2) // delta))
-            hi = min(ymax, (top - k * H2) // delta)
-            for y2 in range(lo, hi + 1):
-                z2 = delta * y2 + k * H2
-                rad = 4 * a * n - disc * z2 * z2
-                s = math.isqrt(rad)
-                if s * s != rad:
-                    continue
-                for root in {s, -s}:
-                    z1, rem = divmod(root - b * z2, 2 * a)
-                    if rem == 0 and (z1 - k * H1) % delta == 0:
-                        keep((z1 - k * H1) // delta, y2, k)
+        # 4a q(z) = (2a z1 + b z2)^2 + disc z2^2
+        lo = max(-ymax, -((top + k * H2) // delta))
+        hi = min(ymax, (top - k * H2) // delta)
+        for y2 in range(lo, hi + 1):
+            z2 = delta * y2 + k * H2
+            rad = 4 * a * n - disc * z2 * z2
+            s = math.isqrt(rad)
+            if s * s != rad:
+                continue
+            for root in {s, -s}:
+                z1, rem = divmod(root - b * z2, 2 * a)
+                if rem == 0 and (z1 - k * H1) % delta == 0:
+                    keep((z1 - k * H1) // delta, y2, k)
 
     roots: dict = {}
-    for kk, n_factors in _factor_slices(n0, m0, solved).items():
-        reps = _representations(a, b, c, n0 - kk * kk * m0, n_factors, inflation, roots)
-        for k in (kk, -kk) if kk else (0,):
-            for z1, z2 in reps:
-                y1, y2 = z1 - k * H1, z2 - k * H2
-                if y1 % delta == 0 and y2 % delta == 0:
-                    keep(y1 // delta, y2 // delta, k)
+    for k, n_factors in _factor_slices(n0, m0, solved).items():
+        for z1, z2 in _representations(a, b, c, n0 - k * k * m0, n_factors, inflation, roots):
+            y1, y2 = z1 - k * H1, z2 - k * H2
+            if y1 % delta == 0 and y2 % delta == 0:
+                keep(y1 // delta, y2 // delta, k)
 
-    points = sorted(set(points))
-    for x in points:
+    half = sorted(set(points))
+    for x in half:  # f(-x) = f(x), so each mirror is checked through its twin
         if eval_form(f, x) != t:
             raise ArithmeticError(f"enumeration produced a non-solution {x}")
-    return points
+    return [(-x1, -x2, -x3) for x1, x2, x3 in reversed(half)] + half
 
 
 def _projection_value(x, projection: str) -> int:
@@ -430,43 +454,59 @@ def build_sequence(f: TernaryForm, t: int, T: float, c0: float = 2.0,
                    projection: str = "x1",
                    cell_budget: int = _DEFAULT_CELL_BUDGET) -> WeightedSequence:
     """Enumerate the ball |x| <= c0*T and assemble the weighted sequence."""
+    return build_sequences(f, t, [T], c0, projection, cell_budget)[0]
+
+
+def build_sequences(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
+                    projection: str = "x1",
+                    cell_budget: int = _DEFAULT_CELL_BUDGET) -> list[WeightedSequence]:
+    """The weighted sequence at each T of Ts from one enumeration of |x| <=
+    c0 max(Ts), cut by the enumerator's own test |x|^2 <= (c0 T)^2.
+
+    A point of the upper half stands for itself and -x, of equal weight and
+    projection: it counts 2 and each fsum of weights is doubled, exactly.
+    """
     if projection not in PROJECTIONS:
         raise DomainError(f"projection must be one of {PROJECTIONS}, got {projection!r}")
-    _check_weight(T, c0)
-    radius = c0 * T
-    cells = (2 * math.floor(radius) + 1) ** 2
-    if cells > cell_budget:
-        raise ResourceError(
-            f"enumeration needs {cells} cells, budget is {cell_budget}; "
-            f"raise cell_budget to at least {cells}")
+    for T in Ts:
+        _check_weight(T, c0)
+        cells = (2 * math.floor(c0 * T) + 1) ** 2
+        if cells > cell_budget:
+            raise ResourceError(
+                f"enumeration needs {cells} cells, budget is {cell_budget}; "
+                f"raise cell_budget to at least {cells}")
 
+    radius = max(c0 * T for T in Ts)
     points = enumerate_points(f, t, radius)
-    weights: dict[int, list[float]] = {}
-    counts: dict[int, int] = {}
-    witnesses: dict[int, tuple] = {}
-    a0_parts: list[float] = []
-    total = 0
-    for x in points:
-        w = _weight_radial(x, T, c0)  # T and c0 were checked above
-        if w <= 0.0:
-            continue
-        total += 1
-        n = _projection_value(x, projection)
-        if n == 0:
-            a0_parts.append(w)
-        elif n in weights:
-            weights[n].append(w)
-            counts[n] += 1
-        else:
-            weights[n], counts[n], witnesses[n] = [w], 1, x
+    half = points[len(points) // 2:]  # the lexicographically positive sign of each pair
+    seqs = []
+    for T in Ts:
+        r2, cut = (c0 * T) * (c0 * T), c0 * T < radius
+        weights, counts, witnesses, a0_parts, total = {}, {}, {}, [], 0
+        for x in half:
+            if cut and x[0] * x[0] + x[1] * x[1] + x[2] * x[2] > r2:
+                continue
+            w = _weight_radial(x, T, c0)  # T and c0 were checked above
+            if w <= 0.0:
+                continue
+            total += 2
+            n = _projection_value(x, projection)
+            if n == 0:
+                a0_parts.append(w)
+            elif n in weights:
+                weights[n].append(w)
+                counts[n] += 2
+            else:
+                weights[n], counts[n], witnesses[n] = [w], 2, x
 
-    values = {n: math.fsum(ws) for n, ws in sorted(weights.items())}
-    a0 = math.fsum(a0_parts)
-    x_mass = math.fsum(values[n] for n in sorted(values))
-    values[0] = a0
-    return WeightedSequence(form=f, t=t, T=T, c0=c0, projection=projection,
-                            values=values, counts=counts, witnesses=witnesses,
-                            X=x_mass, a0=a0, point_total=total)
+        values = {n: 2.0 * math.fsum(ws) for n, ws in sorted(weights.items())}
+        a0 = 2.0 * math.fsum(a0_parts)
+        x_mass = math.fsum(values[n] for n in sorted(values))
+        values[0] = a0
+        seqs.append(WeightedSequence(form=f, t=t, T=T, c0=c0, projection=projection,
+                                     values=values, counts=counts, witnesses=witnesses,
+                                     X=x_mass, a0=a0, point_total=total))
+    return seqs
 
 
 def residual_Rd(seq: WeightedSequence, omega: LocalDensityTable, d: int) -> float:

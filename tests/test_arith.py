@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from sievelab.arith import (factorint, is_prime, is_squarefree, legendre_raw,
-                            primes_up_to, smallest_prime_factors, sqrt_mod,
-                            squarefree_part)
+from sievelab.arith import (crt_roots, factorint, is_prime, is_squarefree,
+                            legendre_raw, primes_up_to, smallest_prime_factors,
+                            sqrt_mod, squarefree_part)
 
 
 def test_is_prime_small():
@@ -84,17 +84,19 @@ def test_legendre_raw_euler():
         assert legendre_raw(p, p) == 0
 
 
+def test_crt_roots():
+    local = [(8, [1, 3]), (9, [2]), (5, [0, 4])]
+    assert sorted(crt_roots(local)) == [x for x in range(360) if x % 8 in (1, 3)
+                                        and x % 9 == 2 and x % 5 in (0, 4)]
+    assert crt_roots([]) == [0]
+    assert crt_roots([(9, [2]), (7, [])]) == []
+
+
 def test_sqrt_mod_against_brute_force():
     for n in [*range(1, 120), 2 ** 9, 3 ** 6, 8 * 5 ** 3, 4 * 17 ** 2]:
         factors = factorint(n)
         for a in range(n):
             assert sqrt_mod(a, factors) == [x for x in range(n) if x * x % n == a]
-    for a in (-3, -20, 0, 7):  # one memo per a, shared by every modulus
-        memo = {}
-        for n in [*range(1, 120), 2 ** 9, 8 * 5 ** 3, 4 * 17 ** 2]:
-            factors = factorint(n)
-            assert sqrt_mod(a, factors, memo) == sqrt_mod(a, factors)
-        assert memo
     p = 7681  # p - 1 = 2^9 * 15 takes Tonelli-Shanks through nine squarings
     for a in range(1, 400):
         roots = sqrt_mod(a, {p: 2})

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from sievelab import cli
-from sievelab.lattice_points import build_sequence
+from sievelab import cli, lattice_points
+from sievelab.lattice_points import enumerate_points
 
 
 def run(capsys, *args):
@@ -112,21 +112,23 @@ class TestEquidist:
         assert "trend:" in out
 
     def test_trend_builds_2T_only_for_views_that_show_it(self, capsys, monkeypatch):
-        calls = []
+        # enumeration radii: c0*T for CSV; the 2T ball once, and nothing
+        # else, when the view shows the trend
+        radii = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return build_sequence(*args, **kwargs)
+        def counted(f, t, R):
+            radii.append(R)
+            return enumerate_points(f, t, R)
 
-        monkeypatch.setattr(cli, "build_sequence", counted)
+        monkeypatch.setattr(lattice_points, "enumerate_points", counted)
         args = ("equidist", "--form", "1,1,-3,0,0,0", "--t", "1", "--T", "50",
                 "--dmax", "12")
         _, plain, _ = run(capsys, *args, "--output", "csv")
         _, trend, _ = run(capsys, *args, "--output", "csv", "--trend")
         assert trend == plain
-        assert calls == [50.0, 50.0]
+        assert radii == [100.0, 100.0]
         run(capsys, *args, "--output", "json", "--trend")
-        assert calls[2:] == [50.0, 100.0]
+        assert radii[2:] == [200.0]
 
 
 class TestCensus:
@@ -264,6 +266,15 @@ class TestConfigAndErrors:
         # x^2 + y^2 - 3z^2 = 3 has no integer point, so X = 0
         code, out, err = run(capsys, "equidist", "--form", "1,1,-3,0,0,0", "--t", "3",
                              "--T", "50", "--dmax", "10", "--output", output)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: no point with a nonzero projection lies within "
+                       "c0*T = 100, so X = 0\n")
+
+    def test_census_without_points_is_config_error(self, capsys):
+        # the same input as above: census refuses it as equidist does
+        code, out, err = run(capsys, "census", "--form", "1,1,-3,0,0,0", "--t", "3",
+                             "--T", "50")
         assert code == 2
         assert out == ""
         assert err == ("error: no point with a nonzero projection lies within "

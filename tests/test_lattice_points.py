@@ -9,8 +9,9 @@ from sievelab import arith, cli, lattice_points
 from sievelab.arith import factorint
 from sievelab.errors import DomainError, ResourceError, StructureError
 from sievelab.lattice_points import (PROJECTIONS, _DEFAULT_CELL_BUDGET, _MAX_SLICES,
-                                     _factor_slices, _projection_value, _slice_normal,
-                                     build_sequence, census, enumerate_points,
+                                     _factor_slices, _projection_value,
+                                     _representations, _slice_normal, build_sequence,
+                                     build_sequences, census, enumerate_points,
                                      find_automorphs, level_statistic, residual_Rd,
                                      weight_FT)
 from sievelab.localdata import BAD_SET
@@ -60,6 +61,38 @@ def omega_B_count(n):
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return sum(e for p, e in factorint(n).items() if p not in BAD_SET)
+
+
+def representations_oracle(a, b, c, n):
+    """Every z with a z1^2 + b z1 z2 + c z2^2 = n, row by row over the
+    ellipse: 4a q(z) = (2a z1 + b z2)^2 + |D| z2^2, so each z2 leaves one
+    square root to test."""
+    disc = 4 * a * c - b * b
+    top = math.isqrt(4 * a * n // disc)
+    out = set()
+    for z2 in range(-top, top + 1):
+        rad = 4 * a * n - disc * z2 * z2
+        s = math.isqrt(rad)
+        for root in {s, -s} if s * s == rad else ():
+            if (root - b * z2) % (2 * a) == 0:
+                out.add(((root - b * z2) // (2 * a), z2))
+    return out
+
+
+def sequence_oracle(f, t, T, c0, projection):
+    """(values, counts, X, a0, point_total) of build_sequence, weighing every
+    point of enumerate_points one by one."""
+    weights, a0 = {}, []
+    for x in enumerate_points(f, t, c0 * T):
+        w = weight_FT(x, T, c0)
+        if w > 0.0:
+            n = _projection_value(x, projection)
+            (weights.setdefault(n, []) if n else a0).append(w)
+    values = {n: math.fsum(ws) for n, ws in sorted(weights.items())}
+    x_mass = math.fsum(values[n] for n in sorted(values))
+    values[0] = math.fsum(a0)
+    counts = {n: len(ws) for n, ws in weights.items()}
+    return values, counts, x_mass, values[0], len(a0) + sum(counts.values())
 
 
 def census_oracle(seq, r):
@@ -279,6 +312,61 @@ class TestEnumeration:
         assert enumerate_points(f, t, R) == sweep_oracle(f, t, R)
 
 
+class TestRepresentations:
+    """`_representations` against a row-by-row search of the ellipse."""
+
+    @staticmethod
+    def solve(a, b, c, n, roots=None):
+        return _representations(a, b, c, n, factorint(n), factorint(a),
+                                {} if roots is None else roots)
+
+    @pytest.mark.parametrize("a,b,c,ns", [
+        (1, 1, 1, [1, 3, 7, 12, 49, 91, 2 * 7, 4 * 7, 9 * 13]),  # D = -3, a third pair
+        (1, 0, 1, [1, 2, 25, 45, 15, 65, 4 * 3 * 3]),  # D = -4; 3 inert: 45 yes, 15 no
+        (1, 1, 5, [5, 7, 2 * 7, 4 * 7, 8 * 5, 16 * 5, 11 * 17]),  # D = -19: 2 inert
+        (1, 1, 2, [2, 4, 8, 22, 2 * 11 * 23, 7 * 7]),  # D = -7: 2 split
+        (2, 1, 3, [2, 3, 6, 13, 27, 5 * 5 * 2, 2 * 29]),  # a = 2, D = -23, h = 3
+        (3, 2, 5, [3, 5, 10, 14, 7 * 3, 9 * 5, 15]),  # a = 3, even b, D = -56
+        (2, -2, 3, [2, 3, 5, 10, 5 * 5 * 3]),  # even b, a = 2, D = -20
+        (4, 3, 7, [4, 7, 8, 14, 23 * 4]),  # odd b, a = 4, D = -103
+    ])
+    def test_cases(self, a, b, c, ns):
+        roots = {}  # one memo per form, shared by its slices as in an enumeration
+        for n in ns:
+            assert self.solve(a, b, c, n, roots) == representations_oracle(a, b, c, n), n
+
+    def test_inert_prime_at_odd_exponent_needs_no_reduction(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lattice_points, "_shortest_vectors",
+                            lambda *args: calls.append(args) or [])
+        assert self.solve(1, 0, 1, 3 * 5) == set()   # 3 inert for D = -4
+        assert self.solve(1, 1, 5, 2 * 7) == set()   # 2 inert for D = -19
+        assert self.solve(1, 1, 5, 3 ** 3) == set()  # 3 inert for D = -19
+        assert calls == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(a=st.integers(1, 7), b=st.integers(-9, 9), c=st.integers(1, 15),
+           ns=st.lists(st.integers(1, 3000), min_size=1, max_size=6),
+           square=st.sampled_from((1, 4, 9, 25, 49)))
+    def test_against_row_search(self, a, b, c, ns, square):
+        assume(b * b < 4 * a * c)
+        roots = {}
+        for n in ns:
+            for m in (n, square * n):
+                assert self.solve(a, b, c, m, roots) == representations_oracle(a, b, c, m)
+
+    def test_every_reduction_hits_on_a_class_number_one_frame(self, monkeypatch):
+        # 1,-1,5,-1,1,0 has the frame x^2 + xy + 5y^2, D = -19, h(-19) = 1:
+        # in the maximal order every Gauss reduction finds a vector (the
+        # order of discriminant -76, h = 3, found one in three)
+        calls = []
+        reduce = lattice_points._shortest_vectors
+        monkeypatch.setattr(lattice_points, "_shortest_vectors",
+                            lambda *args: calls.append(reduce(*args)) or calls[-1])
+        enumerate_points(TernaryForm.from_string("1,-1,5,-1,1,0"), -1, 600)
+        assert len(calls) == 971 and all(calls)
+
+
 class TestSliceSieve:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(common=st.sampled_from((1, 2, 3, 4, 12, 49)), m0=st.integers(-40, 40),
@@ -373,6 +461,34 @@ class TestBuildSequence:
         a = build_sequence(DIAG113, 1, 80.0, 2.0, "x1")
         b = build_sequence(DIAG113, 1, 80.0, 2.0, "x1")
         assert a.values == b.values and a.X == b.X
+
+
+class TestSequenceOracles:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(PROJECTIONS),
+           T=st.sampled_from((10.0, 23.5, 40.0, 61.0)))
+    def test_build_sequence_against_point_by_point(self, form, projection, T):
+        f = TernaryForm.from_string(form[0])
+        seq = build_sequence(f, form[1], T, 2.0, projection)
+        values, counts, x_mass, a0, total = sequence_oracle(f, form[1], T, 2.0, projection)
+        assert seq.values == values and seq.counts == counts
+        assert seq.X == x_mass and seq.a0 == a0 and seq.point_total == total
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(PROJECTIONS),
+           T=st.sampled_from((10.0, 17.3, 30.0, 45.5)), c0=st.sampled_from((1.5, 2.0, 3.0)))
+    def test_T_cut_from_the_2T_enumeration(self, form, projection, T, c0):
+        f = TernaryForm.from_string(form[0])
+        at_T, at_2T = build_sequences(f, form[1], [T, 2 * T], c0, projection)
+        assert at_T == build_sequence(f, form[1], T, c0, projection)
+        assert at_2T == build_sequence(f, form[1], 2 * T, c0, projection)
+
+    def test_one_enumeration_for_both(self, monkeypatch):
+        radii = []
+        monkeypatch.setattr(lattice_points, "enumerate_points",
+                            lambda f, t, R: radii.append(R) or enumerate_points(f, t, R))
+        build_sequences(DIAG113, 1, [50.0, 100.0], 2.0, "x1")
+        assert radii == [200.0]
 
 
 class TestResiduals:
