@@ -21,11 +21,11 @@ disc:
   max(32, n_k^(1/4)), below the cost of a factorization) is scanned row by
   row.  The others are factored together by one sieve over k, since n_k
   is quadratic in k (only a cofactor above B^2 goes to arith.factorint).
-  Then a q(z) = X^2 + beta X Y + gamma Y^2, the norm form of the maximal
-  order of discriminant b^2 - 4ac (beta = b mod 2; Cohen, A Course in
-  Computational Algebraic Number Theory, 5.2).  A prime inert there ends
-  a slice it divides to an odd power; otherwise, for each g^2 | a n_k and
-  each root r of the norm form modulo a n_k / g^2 (kept per prime power
+  Then a q(z) = X^2 + beta X Y + gamma Y^2, the norm form of the order of
+  discriminant b^2 - 4ac (beta = b mod 2; Cohen, A Course in Computational
+  Algebraic Number Theory, 5.2), so n_k is inflated by a alone.  A prime
+  inert there ends a slice it divides to an odd power; for each g^2 | a n_k
+  and each root r of the norm form modulo a n_k / g^2 (kept per prime power
   for the whole enumeration), one Gauss reduction of the lattice X = r Y
   yields the solutions.  Each point is checked with eval_form.
 

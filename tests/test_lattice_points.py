@@ -335,14 +335,18 @@ class TestRepresentations:
         for n in ns:
             assert self.solve(a, b, c, n, roots) == representations_oracle(a, b, c, n), n
 
-    def test_inert_prime_at_odd_exponent_needs_no_reduction(self, monkeypatch):
+    def test_inert_primes_cut_the_work(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(lattice_points, "_shortest_vectors",
-                            lambda *args: calls.append(args) or [])
+        monkeypatch.setattr(lattice_points, "crt_roots",
+                            lambda local: calls.append(local) or arith.crt_roots(local))
+        # an odd power of an inert prime ends the slice before any root is sought
         assert self.solve(1, 0, 1, 3 * 5) == set()   # 3 inert for D = -4
         assert self.solve(1, 1, 5, 2 * 7) == set()   # 2 inert for D = -19
         assert self.solve(1, 1, 5, 3 ** 3) == set()  # 3 inert for D = -19
         assert calls == []
+        # an even power goes to g whole: one choice of g, not two
+        assert self.solve(1, 0, 1, 9 * 5) == representations_oracle(1, 0, 1, 9 * 5)
+        assert len(calls) == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(a=st.integers(1, 7), b=st.integers(-9, 9), c=st.integers(1, 15),
