@@ -10,7 +10,9 @@ the slice (n_k = 2 + 3 k^2), and -1,2,5,2,0,2 at t = 5, whose slice
 lattice has denominator delta = 9.  Two more have an odd middle
 coefficient b in the slice frame: 1,-1,5,-1,1,0 at t = -1, whose binary
 part is x^2 + xy + 5y^2, and 2,5,-2,1,1,1 at t = 2, with a > 1, delta = 13
-and a trend line.
+and a trend line.  Two equidist cases pin many moduli rather than the 7
+of dmax 30: the reference form at dmax 200 (x1x2x3) and the drift form at
+dmax 150 with a trend line.
 
 The files are rewritten from the current code by
 
@@ -70,6 +72,11 @@ CASES = {
                                 "--projection", "x1x2x3", "--output", "json"],
     "equidist_oddb_trend_text": ["equidist", *ODD_B_A2, "--T", "200", "--dmax", "30",
                                  "--trend"],
+    "equidist_dmax200_x1x2x3_text": ["equidist", *FORM, "--T", "400", "--dmax", "200",
+                                     "--projection", "x1x2x3"],
+    "equidist_drift_dmax150_trend_json": ["equidist", *DRIFT, "--T", "300",
+                                          "--dmax", "150", "--projection", "x1x2",
+                                          "--trend", "--output", "json"],
     "enumerate_R3": ["enumerate", *FORM, "--R", "3"],
     "enumerate_T20": ["enumerate", *FORM, "--T", "20"],
     "automorphs_text": AUTOMORPHS,
