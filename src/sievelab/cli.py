@@ -12,6 +12,8 @@ Subcommands:
 Each subcommand computes its data once and returns its exit code with one
 view per output format it supports: text lines, a JSON payload, or a CSV
 header and rows.  `_emit` builds only the requested view and writes it.
+equidist's rows, level statistic and trend come from one `residual_Rd`
+call per sequence.
 
 Flags mirror an optional key=value config file (--config); explicit flags
 win.  All floating point output uses 10 significant digits and runs are
@@ -26,10 +28,9 @@ import math
 import sys
 
 from .errors import SieveLabError
-from .lattice_points import (PROJECTIONS, build_sequence, build_sequences, census,
-                             enumerate_points, find_automorphs, level_statistic,
-                             weight_FT)
-from .localdata import BAD_SET, build_local_table, squarefree_primes
+from .lattice_points import (PROJECTIONS, build_sequence, census, enumerate_points,
+                             find_automorphs, level_statistic, residual_Rd, weight_FT)
+from .localdata import build_local_table
 from .quadforms import TernaryForm, det_form
 from .thresholds import reproduce_constants
 
@@ -172,27 +173,24 @@ def cmd_equidist(args) -> tuple[int, dict]:
                               max(7, args.dmax))
     # the CSV view has no trend line, so it needs no 2T sequence
     Ts = [args.T, 2 * args.T] if args.trend and args.output != "csv" else [args.T]
-    seq, *doubled = build_sequences(args.form, args.t, Ts, args.c0, args.projection)
+    seq, *doubled = build_sequence(args.form, args.t, Ts, args.c0, args.projection)
     _require_mass(seq, args)
 
-    moduli = [d for d in range(1, args.dmax + 1)
-              if squarefree_primes(d, BAD_SET) is not None]
-    rows = _residual_rows(seq, table, moduli)
-
-    stat = level_statistic(seq, table, float(args.dmax))
+    rows = residual_Rd(seq, table, args.dmax)
+    stat = level_statistic(rows, float(args.dmax))
     kappa = _KAPPA[args.projection]
     ref = seq.X / math.log(seq.X) ** (kappa + 1)
 
     trend = []
     if doubled:
-        mean1 = _mean_ratio(rows)
-        mean2 = _mean_ratio(_residual_rows(doubled[0], table, moduli))
+        mean1 = _mean_ratio(rows, seq.X)
+        mean2 = _mean_ratio(residual_Rd(doubled[0], table, args.dmax), doubled[0].X)
         grew = mean2 > 2.0 * mean1
         trend = [f"trend: mean |R_d|/X {_fmt(mean1)} -> {_fmt(mean2)} "
                  f"on T -> 2T: {'GREW' if grew else 'ok'}"]
 
     def cells():
-        return [(str(d), _fmt(m), _fmt(e), _fmt(r), _fmt(q)) for d, m, e, r, q in rows]
+        return [(str(d), *map(_fmt, (m, e, r, r / seq.X))) for d, _, m, e, r in rows]
 
     def as_text():
         return [f"form {args.form.to_string()}  t={args.t}  T={_fmt(args.T)}  "
@@ -207,8 +205,8 @@ def cmd_equidist(args) -> tuple[int, dict]:
         return {
             "form": args.form.to_string(), "t": args.t, "T": args.T,
             "projection": args.projection, "X": seq.X,
-            "rows": [{"d": d, "mass": m, "expected": e, "R_d": r, "R_d_over_X": q}
-                     for d, m, e, r, q in rows],
+            "rows": [{"d": d, "mass": m, "expected": e, "R_d": r, "R_d_over_X": r / seq.X}
+                     for d, _, m, e, r in rows],
             "level_statistic": stat, "reference_X_log": ref,
             **({"trend": trend[0]} if trend else {}),
         }
@@ -226,29 +224,16 @@ def _require_mass(seq, args) -> None:
                             f"c0*T = {_fmt(args.c0 * args.T)}, so X = 0")
 
 
-def _residual_rows(seq, table, moduli) -> list[tuple]:
-    """(d, |A_d|, omega(d)/d * X, R_d, R_d/X) per modulus d.
-
-    R_d is mass - expect, the float expression `residual_Rd` evaluates.
-    """
-    rows = []
-    for d in moduli:
-        mass = seq.mass_in_progression(d)
-        expect = float(table.omega_d(d)) * seq.X
-        rows.append((d, mass, expect, mass - expect, (mass - expect) / seq.X))
-    return rows
-
-
-def _mean_ratio(rows) -> float:
-    """Mean of |R_d|/X over the rows with d > 1."""
-    vals = [abs(ratio) for d, *_, ratio in rows if d > 1]
+def _mean_ratio(rows, X: float) -> float:
+    """Mean of |R_d|/X over the `residual_Rd` rows with d > 1."""
+    vals = [abs(r / X) for d, *_, r in rows if d > 1]
     return sum(vals) / len(vals) if vals else 0.0
 
 
 def cmd_census(args) -> tuple[int, dict]:
     if args.form is None or args.t is None or args.T is None:
         raise SieveLabError("census requires --form, --t and --T")
-    seq = build_sequence(args.form, args.t, args.T, args.c0, args.projection)
+    [seq] = build_sequence(args.form, args.t, [args.T], args.c0, args.projection)
     _require_mass(seq, args)
     weighted, raw = census(seq, args.r)
     ratio = weighted / seq.X

@@ -50,11 +50,12 @@ Sieve-facing statistics:
 
 The census adds up the prime factors of the coordinates of one point per
 n, read from one smallest-prime-factor table up to max |x_i| <= R, so it
-factors no value on its own.  In R_d and the level, d runs over the
-square-free moduli prime to B, the set that `localdata.squarefree_primes`
-tests.  The module also searches for integral automorphs (M^T G M = G,
-det M = 1).  It only computes; `sievelab.cli` renders points, sequences
-and statistics as text, JSON or CSV.
+factors no value on its own.  `residual_Rd` computes each |A_d| once, one
+row per square-free d prime to B (the set `localdata.squarefree_primes`
+tests), and `level_statistic` only reduces those rows.  The module also
+searches for integral automorphs (M^T G M = G, det M = 1).  It only
+computes; `sievelab.cli` renders points, sequences and statistics as
+text, JSON or CSV.
 """
 
 import math
@@ -69,11 +70,13 @@ from .quadforms import TernaryForm, det_form, eval_form, transform
 
 PROJECTIONS = ("x1", "x1x2", "x1x2x3")
 
-_DEFAULT_CELL_BUDGET = 10 ** 9
-
-# The most slices one enumeration may solve or scan.  The default cell
-# budget admits radii up to 15,811, so this admits each of them for every
-# slice normal of length up to 63 (coordinate normals have length 1).
+# build_sequence refuses a ball whose (x1, x2) disc spans more than
+# _MAX_CELLS cells, that is c0*T >= _MAX_RADIUS = 15,811.  _MAX_SLICES, the
+# most slices one enumeration may solve or scan, admits every radius below
+# that for every slice normal of length up to 63 (coordinate normals have
+# length 1).
+_MAX_CELLS = 10 ** 9
+_MAX_RADIUS = (math.isqrt(_MAX_CELLS) - 1) // 2 + 1
 _MAX_SLICES = 10 ** 6
 
 
@@ -437,29 +440,16 @@ class WeightedSequence:
     T: float
     c0: float
     projection: str
-    values: dict[int, float]          # n >= 0 -> a_n (sparse; missing = 0)
+    values: dict[int, float]          # n >= 1 -> a_n (sparse; missing = 0)
     counts: dict[int, int]            # n >= 1 -> number of weight>0 points
     witnesses: dict[int, tuple]       # n >= 1 -> one of those points
     X: float                          # sum_{n>=1} a_n
     a0: float
     point_total: int
 
-    def mass_in_progression(self, d: int) -> float:
-        """sum of a_n over n >= 1 with d | n."""
-        return math.fsum(self.values[n] for n in sorted(self.values)
-                         if n >= 1 and n % d == 0)
 
-
-def build_sequence(f: TernaryForm, t: int, T: float, c0: float = 2.0,
-                   projection: str = "x1",
-                   cell_budget: int = _DEFAULT_CELL_BUDGET) -> WeightedSequence:
-    """Enumerate the ball |x| <= c0*T and assemble the weighted sequence."""
-    return build_sequences(f, t, [T], c0, projection, cell_budget)[0]
-
-
-def build_sequences(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
-                    projection: str = "x1",
-                    cell_budget: int = _DEFAULT_CELL_BUDGET) -> list[WeightedSequence]:
+def build_sequence(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
+                   projection: str = "x1") -> list[WeightedSequence]:
     """The weighted sequence at each T of Ts from one enumeration of |x| <=
     c0 max(Ts), cut by the enumerator's own test |x|^2 <= (c0 T)^2.
 
@@ -470,11 +460,9 @@ def build_sequences(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
         raise DomainError(f"projection must be one of {PROJECTIONS}, got {projection!r}")
     for T in Ts:
         _check_weight(T, c0)
-        cells = (2 * math.floor(c0 * T) + 1) ** 2
-        if cells > cell_budget:
-            raise ResourceError(
-                f"enumeration needs {cells} cells, budget is {cell_budget}; "
-                f"raise cell_budget to at least {cells}")
+        if (2 * math.floor(c0 * T) + 1) ** 2 > _MAX_CELLS:
+            raise ResourceError(f"c0*T = {c0 * T:g} is too large: the enumeration "
+                                f"needs c0*T below {_MAX_RADIUS}")
 
     radius = max(c0 * T for T in Ts)
     points = enumerate_points(f, t, radius)
@@ -500,47 +488,44 @@ def build_sequences(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
                 weights[n], counts[n], witnesses[n] = [w], 2, x
 
         values = {n: 2.0 * math.fsum(ws) for n, ws in sorted(weights.items())}
-        a0 = 2.0 * math.fsum(a0_parts)
-        x_mass = math.fsum(values[n] for n in sorted(values))
-        values[0] = a0
         seqs.append(WeightedSequence(form=f, t=t, T=T, c0=c0, projection=projection,
                                      values=values, counts=counts, witnesses=witnesses,
-                                     X=x_mass, a0=a0, point_total=total))
+                                     X=math.fsum(values.values()),
+                                     a0=2.0 * math.fsum(a0_parts), point_total=total))
     return seqs
 
 
-def residual_Rd(seq: WeightedSequence, omega: LocalDensityTable, d: int) -> float:
-    """Equidistribution residual R_d = |A_d| - (omega(d)/d) X."""
-    if squarefree_primes(d, BAD_SET) is None:
-        raise DomainError(f"d={d} must be square-free and prime to the "
-                          f"exceptional set {sorted(BAD_SET)}")
-    _check_table_match(seq, omega)
-    return seq.mass_in_progression(d) - float(omega.omega_d(d)) * seq.X
+def residual_Rd(seq: WeightedSequence, omega: LocalDensityTable, dmax: int) -> list[tuple]:
+    """(d, nu(d), |A_d|, omega(d)/d X, R_d) for each square-free d <= dmax
+    prime to the exceptional set, in increasing d.
 
-
-def _check_table_match(seq: WeightedSequence, omega: LocalDensityTable) -> None:
+    |A_d| is the fsum of a_n over d | n; fsum is correctly rounded, so the
+    order of the values does not matter.  R_d = |A_d| - (omega(d)/d) X.
+    """
     if omega.form != seq.form or omega.t != seq.t or omega.variant != seq.projection:
         raise DomainError("density table does not match the sequence "
                           f"(table: {omega.form.to_string()}, t={omega.t}, "
                           f"{omega.variant}; sequence: {seq.form.to_string()}, "
                           f"t={seq.t}, {seq.projection})")
+    rows = []
+    for d in range(1, dmax + 1):
+        primes = squarefree_primes(d, BAD_SET)
+        if primes is not None:
+            mass = math.fsum(a for n, a in seq.values.items() if n % d == 0)
+            expect = float(omega.omega_d(d)) * seq.X
+            rows.append((d, len(primes), mass, expect, mass - expect))
+    return rows
 
 
-def level_statistic(seq: WeightedSequence, omega: LocalDensityTable,
-                    D: float) -> float:
-    """sum over square-free d < D coprime to the exceptional set of 4^nu(d) |R_d|.
+def level_statistic(rows: list[tuple], D: float) -> float:
+    """sum of 4^nu(d) |R_d| over the `residual_Rd` rows with 1 < d < D.
 
-    The canonical cutoff in the level condition is X^tau log^-A X; callers
-    fold the log power into D.
+    The rows must reach D - 1.  The canonical cutoff in the level condition
+    is X^tau log^-A X; callers fold the log power into D.
     """
     if D <= 1:
         raise DomainError(f"D must exceed 1, got {D}")
-    total = []
-    for d in range(2, math.ceil(D)):
-        primes = squarefree_primes(d, BAD_SET)
-        if primes is not None:
-            total.append(4 ** len(primes) * abs(residual_Rd(seq, omega, d)))
-    return math.fsum(total)
+    return math.fsum(4 ** nu * abs(r) for d, nu, _, _, r in rows if 1 < d < D)
 
 
 def census(seq: WeightedSequence, r: int) -> tuple[float, int]:
@@ -560,10 +545,10 @@ def census(seq: WeightedSequence, r: int) -> tuple[float, int]:
     omega = [0] * (top + 1)  # omega[m]: prime factors of m outside B
     for m in range(2, top + 1):
         omega[m] = omega[m // spf[m]] + (spf[m] not in BAD_SET)
-    qualifying = [n for n in sorted(seq.values) if n >= 1
-                  and sum(omega[abs(v)] for v in seq.witnesses[n][:width]) <= r]
+    qualifying = [n for n in sorted(seq.values)
+                  if sum(omega[abs(v)] for v in seq.witnesses[n][:width]) <= r]
     weighted = math.fsum(seq.values[n] for n in qualifying)
-    raw = sum(seq.counts.get(n, 0) for n in qualifying)
+    raw = sum(seq.counts[n] for n in qualifying)
     return weighted, raw
 
 

@@ -74,21 +74,21 @@ def _panel(fn, lo: float, hi: float):
     """(15-point estimate, error estimate vs embedded 7-point) on [lo, hi]."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    i15 = 0.0
-    for x, w in zip(_NODES15, _WEIGHTS15):
-        t = mid + half * x
-        v = fn(t)
-        if not math.isfinite(v):
-            raise EvaluationError("integrand returned a non-finite value", t)
-        i15 += w * v
-    i7 = 0.0
-    for x, w in zip(_NODES7, _WEIGHTS7):
-        t = mid + half * x
-        v = fn(t)
-        if not math.isfinite(v):
-            raise EvaluationError("integrand returned a non-finite value", t)
-        i7 += w * v
+    i15 = _rule(fn, mid, half, _NODES15, _WEIGHTS15)
+    i7 = _rule(fn, mid, half, _NODES7, _WEIGHTS7)
     return half * i15, half * abs(i15 - i7)
+
+
+def _rule(fn, mid: float, half: float, nodes, weights) -> float:
+    """sum of w fn(mid + half x) over the rule's nodes x and weights w, in order."""
+    total = 0.0
+    for x, w in zip(nodes, weights):
+        t = mid + half * x
+        v = fn(t)
+        if not math.isfinite(v):
+            raise EvaluationError("integrand returned a non-finite value", t)
+        total += w * v
+    return total
 
 
 def integrate(fn: Callable[[float], float], lo: float, hi: float,

@@ -21,8 +21,8 @@ def seq_cache():
     def get(T, projection="x1"):
         key = (float(T), projection)
         if key not in cache:
-            cache[key] = build_sequence(REFERENCE_FORM, REFERENCE_T, float(T),
-                                        2.0, projection)
+            [cache[key]] = build_sequence(REFERENCE_FORM, REFERENCE_T, [float(T)],
+                                          2.0, projection)
         return cache[key]
 
     return get

@@ -130,6 +130,20 @@ class TestEquidist:
         run(capsys, *args, "--output", "json", "--trend")
         assert radii[2:] == [200.0]
 
+    def test_one_residual_pass_per_sequence(self, capsys, monkeypatch):
+        # rows, level statistic and trend share the R_d rows of each sequence
+        calls = []
+
+        def counted(seq, omega, dmax):
+            calls.append((seq.T, dmax))
+            return lattice_points.residual_Rd(seq, omega, dmax)
+
+        monkeypatch.setattr(cli, "residual_Rd", counted)
+        code, _, _ = run(capsys, "equidist", "--form", "1,1,-3,0,0,0", "--t", "1",
+                         "--T", "50", "--dmax", "30", "--trend")
+        assert code == 0
+        assert calls == [(50.0, 30), (100.0, 30)]
+
 
 class TestCensus:
     def test_report_fields(self, capsys):
@@ -149,6 +163,14 @@ class TestCensus:
                            "--output", "json")
         assert code == 0
         assert json.loads(out)["published_r"] == 14
+
+    def test_radius_beyond_the_cell_limit_is_refused(self, capsys):
+        code, out, err = run(capsys, "census", "--form=1,1,-3,0,0,0", "--t=1",
+                             "--T", "8000")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: c0*T = 16000 is too large: the enumeration "
+                       "needs c0*T below 15811\n")
 
 
 class TestEnumerate:

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from sievelab import arith, cli, lattice_points
 from sievelab.arith import factorint
 from sievelab.errors import DomainError, ResourceError, StructureError
-from sievelab.lattice_points import (PROJECTIONS, _DEFAULT_CELL_BUDGET, _MAX_SLICES,
+from sievelab.lattice_points import (PROJECTIONS, _MAX_CELLS, _MAX_SLICES,
                                      _factor_slices, _projection_value,
                                      _representations, _slice_normal, build_sequence,
-                                     build_sequences, census, enumerate_points,
-                                     find_automorphs, level_statistic, residual_Rd,
-                                     weight_FT)
-from sievelab.localdata import BAD_SET
+                                     census, enumerate_points, find_automorphs,
+                                     level_statistic, residual_Rd, weight_FT)
+from sievelab.localdata import BAD_SET, build_local_table
 from sievelab.quadforms import TernaryForm, det_form, eval_form, transform
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
@@ -90,14 +89,18 @@ def sequence_oracle(f, t, T, c0, projection):
             (weights.setdefault(n, []) if n else a0).append(w)
     values = {n: math.fsum(ws) for n, ws in sorted(weights.items())}
     x_mass = math.fsum(values[n] for n in sorted(values))
-    values[0] = math.fsum(a0)
     counts = {n: len(ws) for n, ws in weights.items()}
-    return values, counts, x_mass, values[0], len(a0) + sum(counts.values())
+    return values, counts, x_mass, math.fsum(a0), len(a0) + sum(counts.values())
+
+
+def mass_oracle(seq, d):
+    """|A_d| = sum of a_n over d | n, added in increasing n."""
+    return math.fsum(seq.values[n] for n in sorted(seq.values) if n % d == 0)
 
 
 def census_oracle(seq, r):
     """census(seq, r) with each value n factored on its own."""
-    qualifying = [n for n in sorted(seq.values) if n >= 1 and omega_B_count(n) <= r]
+    qualifying = [n for n in sorted(seq.values) if omega_B_count(n) <= r]
     return (math.fsum(seq.values[n] for n in qualifying),
             sum(seq.counts[n] for n in qualifying))
 
@@ -242,7 +245,7 @@ class TestWeight:
         with pytest.raises(DomainError):
             weight_FT((1, 0, 0), T, c0)
         with pytest.raises(DomainError):
-            build_sequence(DIAG113, 1, T, c0, "x1")
+            build_sequence(DIAG113, 1, [T], c0, "x1")
 
 
 class TestEnumeration:
@@ -415,8 +418,8 @@ class TestWorkGuard:
             enumerate_points(DIAG113, 1, 1e200)  # R^2 overflows a float
 
     def test_admits_the_default_cell_budget(self):
-        # the largest radius build_sequence admits by default, on every pool form
-        radius = (math.isqrt(_DEFAULT_CELL_BUDGET) - 1) // 2 + 0.999
+        # the largest radius build_sequence admits, on every pool form
+        radius = (math.isqrt(_MAX_CELLS) - 1) // 2 + 0.999
         for form, _ in POOL_FORMS:
             normal = _slice_normal(TernaryForm.from_string(form))
             assert radius * math.sqrt(sum(e * e for e in normal)) + 2 <= _MAX_SLICES
@@ -424,46 +427,52 @@ class TestWorkGuard:
 
 class TestBuildSequence:
     def test_small_scale_values(self):
-        seq = build_sequence(DIAG113, 1, 10.0, 2.0, "x1")
+        [seq] = build_sequence(DIAG113, 1, [10.0], 2.0, "x1")
         assert seq.values[1] >= 2.0  # (+-1, 0, 0) carry weight 1
-        assert seq.values[0] == seq.a0
+        assert 0 not in seq.values
 
     @pytest.mark.parametrize("projection,degree", [("x1", 1), ("x1x2", 2),
                                                    ("x1x2x3", 3)])
     def test_support_bound(self, projection, degree):
-        seq = build_sequence(DIAG113, 1, 15.0, 2.0, projection)
+        [seq] = build_sequence(DIAG113, 1, [15.0], 2.0, projection)
         bound = (2.0 * 15.0) ** degree
         assert all(n < bound for n in seq.values)
         assert seq.X > 0
 
     def test_partition_identity(self):
         # total weighted mass splits into X plus the zero-projection mass
-        seq = build_sequence(DIAG113, 1, 50.0, 2.0, "x1")
+        [seq] = build_sequence(DIAG113, 1, [50.0], 2.0, "x1")
         pts = enumerate_points(DIAG113, 1, 100.0)
         total = math.fsum(weight_FT(x, 50.0, 2.0) for x in pts)
         assert seq.X + seq.a0 == pytest.approx(total, abs=1e-9)
 
     def test_point_total_consistency(self):
-        seq = build_sequence(DIAG113, 1, 50.0, 2.0, "x1")
+        [seq] = build_sequence(DIAG113, 1, [50.0], 2.0, "x1")
         zero_proj = seq.point_total - sum(seq.counts.values())
         assert zero_proj >= 0
         assert sum(seq.counts.values()) <= seq.point_total
 
-    def test_budget_guard(self):
-        with pytest.raises(ResourceError, match="budget"):
-            build_sequence(DIAG113, 1, 100.0, 2.0, "x1", cell_budget=100)
+    def test_budget_guard(self, monkeypatch):
+        radii = []
+        monkeypatch.setattr(lattice_points, "enumerate_points",
+                            lambda f, t, R: radii.append(R) or [])
+        with pytest.raises(ResourceError, match="c0\\*T below 15811"):
+            build_sequence(DIAG113, 1, [8000.0], 2.0, "x1")
+        assert radii == []  # refused before any enumeration
+        build_sequence(DIAG113, 1, [7905.4], 2.0, "x1")  # c0*T = 15810.8
+        assert radii == [15810.8]
 
     def test_guards(self):
         with pytest.raises(DomainError):
-            build_sequence(DIAG113, 1, 9.0, 2.0, "x1")
+            build_sequence(DIAG113, 1, [9.0], 2.0, "x1")
         with pytest.raises(DomainError):
-            build_sequence(DIAG113, 1, 100.0, 0.5, "x1")
+            build_sequence(DIAG113, 1, [100.0], 0.5, "x1")
         with pytest.raises(DomainError):
-            build_sequence(DIAG113, 1, 100.0, 2.0, "x7")
+            build_sequence(DIAG113, 1, [100.0], 2.0, "x7")
 
     def test_determinism(self):
-        a = build_sequence(DIAG113, 1, 80.0, 2.0, "x1")
-        b = build_sequence(DIAG113, 1, 80.0, 2.0, "x1")
+        [a] = build_sequence(DIAG113, 1, [80.0], 2.0, "x1")
+        [b] = build_sequence(DIAG113, 1, [80.0], 2.0, "x1")
         assert a.values == b.values and a.X == b.X
 
 
@@ -473,7 +482,7 @@ class TestSequenceOracles:
            T=st.sampled_from((10.0, 23.5, 40.0, 61.0)))
     def test_build_sequence_against_point_by_point(self, form, projection, T):
         f = TernaryForm.from_string(form[0])
-        seq = build_sequence(f, form[1], T, 2.0, projection)
+        [seq] = build_sequence(f, form[1], [T], 2.0, projection)
         values, counts, x_mass, a0, total = sequence_oracle(f, form[1], T, 2.0, projection)
         assert seq.values == values and seq.counts == counts
         assert seq.X == x_mass and seq.a0 == a0 and seq.point_total == total
@@ -483,64 +492,73 @@ class TestSequenceOracles:
            T=st.sampled_from((10.0, 17.3, 30.0, 45.5)), c0=st.sampled_from((1.5, 2.0, 3.0)))
     def test_T_cut_from_the_2T_enumeration(self, form, projection, T, c0):
         f = TernaryForm.from_string(form[0])
-        at_T, at_2T = build_sequences(f, form[1], [T, 2 * T], c0, projection)
-        assert at_T == build_sequence(f, form[1], T, c0, projection)
-        assert at_2T == build_sequence(f, form[1], 2 * T, c0, projection)
+        at_T, at_2T = build_sequence(f, form[1], [T, 2 * T], c0, projection)
+        assert [at_T] == build_sequence(f, form[1], [T], c0, projection)
+        assert [at_2T] == build_sequence(f, form[1], [2 * T], c0, projection)
 
     def test_one_enumeration_for_both(self, monkeypatch):
         radii = []
         monkeypatch.setattr(lattice_points, "enumerate_points",
                             lambda f, t, R: radii.append(R) or enumerate_points(f, t, R))
-        build_sequences(DIAG113, 1, [50.0, 100.0], 2.0, "x1")
+        build_sequence(DIAG113, 1, [50.0, 100.0], 2.0, "x1")
         assert radii == [200.0]
 
 
 class TestResiduals:
     def test_d1_exactly_zero(self, seq_cache, ref_table):
-        assert residual_Rd(seq_cache(1000), ref_table, 1) == 0.0
+        [(d, _, _, _, r)] = residual_Rd(seq_cache(1000), ref_table, 1)
+        assert d == 1 and r == 0.0
 
     def test_frozen_baselines(self, seq_cache, ref_table):
         seq = seq_cache(1000)
         assert seq.X == pytest.approx(X_T1000, abs=1e-9)
         assert seq.a0 == pytest.approx(A0_T1000, abs=1e-9)
+        residuals = {d: r for d, *_, r in residual_Rd(seq, ref_table, 143)}
         for d, expected in RD_BASELINES_T1000.items():
-            assert residual_Rd(seq, ref_table, d) == pytest.approx(
-                expected, abs=1e-9), d
+            assert residuals[d] == pytest.approx(expected, abs=1e-9), d
 
     def test_rejects_mismatched_table(self, seq_cache):
-        from sievelab.localdata import build_local_table
         other = build_local_table(DIAG113, 1, "x1x2", 50)
         with pytest.raises(DomainError):
             residual_Rd(seq_cache(1000), other, 11)
 
-    def test_rejects_bad_modulus(self, seq_cache, ref_table):
-        seq = seq_cache(1000)
-        with pytest.raises(DomainError):
-            residual_Rd(seq, ref_table, 14)  # shares 7 with the exceptional set
-        with pytest.raises(DomainError):
-            residual_Rd(seq, ref_table, 121)
-        with pytest.raises(DomainError):
-            residual_Rd(seq, ref_table, 0)
+    @pytest.mark.parametrize("projection", PROJECTIONS)
+    def test_rows_against_sorted_mass_oracle(self, projection):
+        # every row, bit for bit, over the square-free moduli prime to B
+        for form, t in POOL_FORMS:
+            f = TernaryForm.from_string(form)
+            [seq] = build_sequence(f, t, [100.0], 2.0, projection)
+            table = build_local_table(f, t, projection, 200)
+            for dmax in (1, 30, 200):
+                rows = residual_Rd(seq, table, dmax)
+                moduli = [d for d in range(1, dmax + 1) if all(
+                    e == 1 and p not in BAD_SET for p, e in factorint(d).items())]
+                assert [row[0] for row in rows] == moduli
+                for d, nu, mass, expect, r in rows:
+                    assert nu == len(factorint(d))
+                    assert mass == mass_oracle(seq, d), (form, t, d)
+                    assert expect == float(table.omega_d(d)) * seq.X
+                    assert r == mass - expect
 
 
 class TestLevelStatistic:
     def test_tiny_cutoff_is_zero(self, seq_cache, ref_table):
-        assert level_statistic(seq_cache(1000), ref_table, 2.0) == 0.0
+        assert level_statistic(residual_Rd(seq_cache(1000), ref_table, 30), 2.0) == 0.0
 
     def test_frozen_baseline(self, seq_cache, ref_table):
-        stat = level_statistic(seq_cache(1000), ref_table, 30.0)
+        stat = level_statistic(residual_Rd(seq_cache(1000), ref_table, 30), 30.0)
         assert stat == pytest.approx(LEVEL_D30_T1000, abs=1e-9)
 
     def test_ratio_does_not_grow_with_T(self, seq_cache, ref_table):
-        ratio500 = (level_statistic(seq_cache(500), ref_table, 30.0)
+        ratio500 = (level_statistic(residual_Rd(seq_cache(500), ref_table, 30), 30.0)
                     / seq_cache(500).X)
-        ratio1000 = (level_statistic(seq_cache(1000), ref_table, 30.0)
+        ratio1000 = (level_statistic(residual_Rd(seq_cache(1000), ref_table, 30), 30.0)
                      / seq_cache(1000).X)
         assert ratio1000 <= 2.0 * ratio500
 
     def test_guard(self, seq_cache, ref_table):
         with pytest.raises(DomainError):
-            level_statistic(seq_cache(1000), ref_table, 1.0)
+            level_statistic(residual_Rd(seq_cache(1000), ref_table, 30), 1.0)
 
 
 class TestAlmostPrimeCounting:
@@ -558,8 +576,8 @@ class TestAlmostPrimeCounting:
     @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(PROJECTIONS),
            r=st.integers(0, 8))
     def test_census_against_per_value_oracle(self, form, projection, r):
-        seq = build_sequence(TernaryForm.from_string(form[0]), form[1], 40.0, 2.0,
-                             projection)
+        [seq] = build_sequence(TernaryForm.from_string(form[0]), form[1], [40.0], 2.0,
+                               projection)
         assert seq.witnesses.keys() == seq.counts.keys()
         assert all(_projection_value(x, projection) == n
                    for n, x in seq.witnesses.items())
