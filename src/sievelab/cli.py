@@ -63,6 +63,10 @@ def _parse_inputs(args) -> None:
         raise SieveLabError("c0 must exceed 1")
     if args.form is not None and det_form(args.form) == 0:
         raise SieveLabError("form is degenerate (zero determinant)")
+    if getattr(args, "dmax", 2) < 2:
+        raise SieveLabError(f"--dmax must be >= 2, got {args.dmax}")
+    if getattr(args, "r", 0) < 0:
+        raise SieveLabError(f"--r must be >= 0, got {args.r}")
     for name in ("T", "c0", "R"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):

@@ -7,13 +7,9 @@ of the 7- and 15-point Gauss-Legendre rules (a test checks them bit for bit
 against a reference implementation), so every run evaluates the same
 abscissae in the same order and results are bit-identical across runs.
 
-Nested integrals are evaluated by passing another `integrate` call as the
-integrand; callers tighten the inner tolerance (see
-``QuadratureSpec.tightened``) so that error does not accumulate across
-nesting levels.  Closed forms in the dilogarithm (see `sieve_functions`)
-make Phi, Psi and W at most single quadratures, so nesting remains in f's
-third window (the E integral) and where a caller integrates W (I3 and the
-third window of F in `thresholds`).
+Closed forms in the dilogarithm and Chebyshev primitives (see
+`sieve_functions`) make F and f quadrature-free, so no caller nests one
+`integrate` call inside another.
 
 All functions here are pure and hold no mutable state.
 """
@@ -57,10 +53,6 @@ class QuadratureSpec:
             raise DomainError("quadrature tolerances must be positive")
         if self.max_depth < 1:
             raise DomainError("max_depth must be >= 1")
-
-    def tightened(self) -> "QuadratureSpec":
-        """Spec with tolerances divided by 10, for nested integrands."""
-        return QuadratureSpec(self.abs_tol / 10, self.rel_tol / 10, self.max_depth)
 
 
 @dataclass(frozen=True)

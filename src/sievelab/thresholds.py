@@ -68,8 +68,8 @@ def threshold_components(a: float, b: float,
     """(I1, I2, I3) of the linear threshold for the window pair (a, b).
 
     I1 is closed-form; I2 and I3 integrate the weight
-    (1/t)(1/(b-t) - 1/(b-a)) against Phi(t-1) and W(t) of `sieve_functions`.
-    Phi is closed-form and W a single quadrature at a tightened tolerance.
+    (1/t)(1/(b-t) - 1/(b-a)) against Phi(t-1) and W(t) of `sieve_functions`,
+    both closed forms.
     """
     _validate_ab(a, b)
 
@@ -80,7 +80,7 @@ def threshold_components(a: float, b: float,
         return (1.0 / t) * (1.0 / (b - t) - 1.0 / (b - a))
 
     i2 = integrate(lambda t: weight(t) * _phi(t - 1.0), 3.0, b - 1.0, spec)
-    i3 = integrate(lambda t: weight(t) * _W(t, spec), 5.0, b - 1.0, spec)
+    i3 = integrate(lambda t: weight(t) * _W(t), 5.0, b - 1.0, spec)
     return i1, i2, i3
 
 
@@ -96,7 +96,7 @@ def linear_threshold(a: float, b: float, tau,
     if tau <= 0:
         raise DomainError("tau must be positive")
     i1, i2, i3 = threshold_components(a, b, spec)
-    return b / ((b - a) * tau) - 1.0 + TWO_E_GAMMA / f_lin(b, spec) * (i1 + i2 + i3)
+    return b / ((b - a) * tau) - 1.0 + TWO_E_GAMMA / f_lin(b) * (i1 + i2 + i3)
 
 
 def dh_threshold_linear(tau, u: float, v: float,
@@ -124,14 +124,13 @@ def dh_threshold_linear(tau, u: float, v: float,
         return u - 1.0
 
     cuts = sorted({1.0, hi} | {tv - brk for brk in (3.0, 5.0) if 1.0 < tv - brk < hi})
-    inner_spec = spec.tightened()
 
     def integrand(s):
-        return F_lin(tv - s, inner_spec) * (1.0 - (u / v) * s) / s
+        return F_lin(tv - s) * (1.0 - (u / v) * s) / s
 
     total = sum(integrate(integrand, lo, hi_, spec)
                 for lo, hi_ in zip(cuts, cuts[1:]))
-    return u - 1.0 + total / f_lin(tv, spec)
+    return u - 1.0 + total / f_lin(tv)
 
 
 def m_zeta(mu: float, zeta: float) -> float:
@@ -258,7 +257,7 @@ def reproduce_constants(mode: str = "unconditional",
     report.add_interval(f"I2(a={a}, b={b})", i2, *exp["I2"])
     report.add_interval(f"I3(a={a}, b={b})", i3, *exp["I3"])
 
-    scale = TWO_E_GAMMA / f_lin(b, spec)
+    scale = TWO_E_GAMMA / f_lin(b)
     report.add_interval(f"2e^gamma/f({b})", scale, *exp["scale"])
 
     threshold = b / ((b - a) * float(tau)) - 1.0 + scale * (i1 + i2 + i3)

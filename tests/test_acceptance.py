@@ -108,7 +108,7 @@ def test_criterion_06_proof_identities():
             i1, i2, i3 = threshold_components(a, b)
 
             def integrand(s):
-                return F_lin(b - s, spec.tightened()) * (1.0 / s - 1.0 / (b - a))
+                return F_lin(b - s) * (1.0 / s - 1.0 / (b - a))
 
             cuts = sorted({1.0, b - a}
                           | {b - c for c in (3.0, 5.0) if 1.0 < b - c < b - a})

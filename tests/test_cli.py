@@ -283,6 +283,22 @@ class TestConfigAndErrors:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["equidist", "--dmax", "1"], "--dmax must be >= 2, got 1"),
+        (["equidist", "--dmax", "-5"], "--dmax must be >= 2, got -5"),
+        (["census", "--r", "-1"], "--r must be >= 0, got -1"),
+    ])
+    def test_bad_flag_is_refused_before_any_work(self, capsys, monkeypatch, argv, message):
+        def refused(*args):
+            raise AssertionError("build_sequence ran")
+
+        monkeypatch.setattr(cli, "build_sequence", refused)
+        code, out, err = run(capsys, argv[0], "--form", "1,1,-3,0,0,0", "--t", "1",
+                             "--T", "4000", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("output", ["text", "csv"])
     def test_equidist_without_points_is_config_error(self, capsys, output):
         # x^2 + y^2 - 3z^2 = 3 has no integer point, so X = 0

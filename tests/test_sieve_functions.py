@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 from sievelab import sieve_functions, thresholds
 from sievelab.errors import DomainError, UnsupportedKappaError
 from sievelab.numerics import EULER_GAMMA, derivative_central, integrate
-from sievelab.sieve_functions import (BETA, TWO_E_GAMMA, F_lin,
-                                      _F1, _F2, _F3, _f1, _f2, _f3, _G, _li2,
-                                      _phi, _W, f_lin, hr_upper)
+from sievelab.sieve_functions import (BETA, TWO_E_GAMMA, F_lin, _E, _G, _li2,
+                                      _phi, _psi, _W, f_lin, hr_upper)
 from sievelab.numerics import QuadratureSpec
 
 from test_numerics import LOG_INTEGRAL_2_3
 
-SPEC = QuadratureSpec(1e-11, 1e-11)
-
-# Oracle for the dilogarithm closed forms: Phi and the W ring by direct
-# quadrature, W by quadrature nested in quadrature.
+# Oracles for the closed forms: Phi, Psi and the W ring by direct
+# quadrature, W and E by quadrature nested in quadrature.
 ORACLE_SPEC = QuadratureSpec(1e-14, 1e-14)
 
 
@@ -32,11 +29,31 @@ def ring_oracle(t, s):
                      t + 2.0, s - 1.0, ORACLE_SPEC)
 
 
-def W_oracle(s, spec):
+def W_oracle(s):
     if s <= 5.0:
         return 0.0
     return integrate(lambda t: math.log(t - 1.0) / t * ring_oracle(t, s),
-                     2.0, s - 3.0, spec.tightened())
+                     2.0, s - 3.0, ORACLE_SPEC)
+
+
+def psi_oracle(s):
+    if s <= 4.0:
+        return 0.0
+    return integrate(lambda t: _phi(t - 1.0) / t, 3.0, s - 1.0, ORACLE_SPEC)
+
+
+def E_oracle(s):
+    if s <= 6.0:
+        return 0.0
+
+    def outer(t):
+        def inner(u):
+            return (math.log((u - 1.0) / (t + 1.0)) / u
+                    * math.log((s - 1.0) / (u + 1.0)))
+
+        return math.log(t - 1.0) / t * integrate(inner, t + 2.0, s - 2.0, ORACLE_SPEC)
+
+    return integrate(outer, 2.0, s - 4.0, ORACLE_SPEC)
 
 
 def ring_closed(t, s):
@@ -45,10 +62,12 @@ def ring_closed(t, s):
 
 
 def use_oracle(monkeypatch):
-    """Route F, f and the thresholds through the nested-quadrature oracle."""
+    """Route F, f and the thresholds through the nested-quadrature oracles."""
     for module in (sieve_functions, thresholds):
         monkeypatch.setattr(module, "_phi", phi_oracle)
         monkeypatch.setattr(module, "_W", W_oracle)
+    monkeypatch.setattr(sieve_functions, "_psi", psi_oracle)
+    monkeypatch.setattr(sieve_functions, "_E", E_oracle)
 
 
 CLOSED_FORM_TOL = 1e-13
@@ -65,8 +84,15 @@ class TestDilogarithm:
             series = math.fsum(z ** k / (k * k) for k in range(1, 90))
             assert _li2(z) == pytest.approx(series, rel=4e-16, abs=0.0)
 
+    def test_negative_branch_against_landen(self):
+        # Li2(z) + Li2(z/(z-1)) = -(1/2) log^2(1-z), with z/(z-1) in (0, 1/3]
+        for k in range(1, 51):
+            z = -0.01 * k
+            lhs = _li2(z) + _li2(z / (z - 1.0))
+            assert abs(lhs + 0.5 * math.log1p(-z) ** 2) <= 2e-16
+
     def test_domain(self):
-        for z in (-1e-300, -0.1, 0.5000001, 1.0, float("nan")):
+        for z in (-0.5000001, -1.0, 0.5000001, 1.0, float("nan")):
             with pytest.raises(DomainError):
                 _li2(z)
 
@@ -89,7 +115,12 @@ class TestClosedForms:
 
     def test_W_against_nested_quadrature(self):
         for s in (5.0, 5.3, 6.0, 6.6, 7.0):
-            assert abs(_W(s, SPEC) - W_oracle(s, SPEC)) <= CLOSED_FORM_TOL
+            assert abs(_W(s) - W_oracle(s)) <= CLOSED_FORM_TOL
+
+    def test_psi_and_E_against_quadrature(self):
+        for s in (4.0, 4.7, 5.9, 6.0, 6.1, 6.6, 7.0, 7.5, 8.0):
+            assert abs(_psi(s) - psi_oracle(s)) <= CLOSED_FORM_TOL
+            assert abs(_E(s) - E_oracle(s)) <= CLOSED_FORM_TOL
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.floats(min_value=2.0, max_value=7.0))
@@ -104,8 +135,8 @@ class TestClosedForms:
         assert abs(ring_closed(t, s) - ring_oracle(t, s)) <= CLOSED_FORM_TOL
 
     def test_F_and_f_against_nested_quadrature(self, monkeypatch):
-        grid_F = [3.0 + 0.4 * k for k in range(1, 11)]
-        grid_f = [2.0 + 0.6 * k for k in range(1, 11)]
+        grid_F = [0.05 * k for k in range(1, 141)]  # (0, 7]
+        grid_f = [0.05 * k for k in range(1, 161)]  # (0, 8]
         closed = [F_lin(s) for s in grid_F] + [f_lin(s) for s in grid_f]
         use_oracle(monkeypatch)
         nested = [F_lin(s) for s in grid_F] + [f_lin(s) for s in grid_f]
@@ -163,14 +194,16 @@ class TestLowerFunction:
 
 
 class TestContinuity:
+    # one formula covers every window, so the next window's closed form,
+    # evaluated just past its joint, must vanish there
     def test_upper_breakpoints(self):
-        assert abs(_F1(3.0) - _F2(3.0)) <= 1e-8
-        assert abs(_F2(5.0) - _F3(5.0, SPEC)) <= 1e-8
+        for joint in (3.0, 5.0):
+            assert abs(F_lin(joint + 1e-12) - F_lin(joint)) <= 1e-8
 
     def test_lower_breakpoints(self):
-        assert abs(_f1(4.0) - _f2(4.0, SPEC)) <= 1e-8
-        assert abs(_f2(6.0, SPEC) - _f3(6.0, SPEC)) <= 1e-8
-        assert abs(_f1(2.0) - 0.0) <= 1e-12
+        for joint in (4.0, 6.0):
+            assert abs(f_lin(joint + 1e-12) - f_lin(joint)) <= 1e-8
+        assert abs(f_lin(2.0 + 1e-12)) <= 2e-12  # e^gamma log(1 + 1e-12)
 
 
 class TestMonotonicity:

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sievelab import numerics
+from sievelab import numerics, sieve_functions, thresholds
 from sievelab.errors import DomainError
 from sievelab.numerics import QuadratureSpec, integrate
 from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
@@ -125,7 +128,7 @@ class TestProofIdentities:
         spec = QuadratureSpec(1e-11, 1e-11)
 
         def integrand(s):
-            return F_lin(b - s, spec.tightened()) * (1.0 / s - 1.0 / (b - a))
+            return F_lin(b - s) * (1.0 / s - 1.0 / (b - a))
 
         cuts = sorted({1.0, b - a} | {b - c for c in (3.0, 5.0) if 1.0 < b - c < b - a})
         direct = sum(integrate(integrand, lo, hi, spec)
@@ -231,3 +234,59 @@ class TestReproduceConstants:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             reproduce_constants("hybrid")
+
+
+class TestQuadratureNesting:
+    """`integrate` calls, each recorded with its nesting depth, counted
+    through every module's binding of the name."""
+
+    @pytest.fixture
+    def depths(self, monkeypatch):
+        depths, open_calls = [], []
+        real = numerics.integrate
+
+        def counted(*args):
+            open_calls.append(None)
+            depths.append(len(open_calls))
+            try:
+                return real(*args)
+            finally:
+                open_calls.pop()
+
+        for module in (numerics, sieve_functions, thresholds):
+            if hasattr(module, "integrate"):
+                monkeypatch.setattr(module, "integrate", counted)
+        return depths
+
+    def test_F_and_f_make_no_call(self, depths):
+        sieve_functions._primitives.cache_clear()  # the first build counts too
+        for k in range(1, 801):
+            if k <= 700:
+                F_lin(0.01 * k)
+            f_lin(0.01 * k)
+        assert depths == []
+
+    def test_thresholds_never_nest(self, depths):
+        for a, b, tau in ((1.0, 6.6, Fraction(25, 128)), (1.0, 7.0, Fraction(1, 4)),
+                          (2.5, 8.0, Fraction(25, 128))):
+            linear_threshold(a, b, tau)
+            dh_threshold_linear(tau, b / ((b - a) * float(tau)), b / float(tau))
+        reproduce_constants("unconditional")
+        reproduce_constants("selberg")
+        assert depths and max(depths) == 1
+
+    def test_only_constants_builds_the_primitives(self):
+        src = Path(sieve_functions.__file__).resolve().parent.parent
+        code = ("import contextlib, io\n"
+                "import sievelab.cli as cli\n"
+                "from sievelab.sieve_functions import _primitives\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['local', '--form=1,1,-3,0,0,0', '--t', '1', '--pmax', '13'])\n"
+                "    cli.main(['enumerate', '--form=1,1,-3,0,0,0', '--t', '1', '--R', '3'])\n"
+                "    before = _primitives.cache_info().misses\n"
+                "    cli.main(['constants'])\n"
+                "print(before, _primitives.cache_info().misses)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1"]
