@@ -284,7 +284,7 @@ def cmd_enumerate(args) -> tuple[int, dict]:
 def cmd_automorphs(args) -> tuple[int, dict]:
     if args.form is None:
         raise SieveLabError("automorphs requires --form")
-    gens = find_automorphs(args.form, args.H).generators
+    gens = find_automorphs(args.form, args.H)
 
     def as_text():
         return [f"form {args.form.to_string()}  height={args.H}  count={len(gens)}",

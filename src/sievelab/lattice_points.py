@@ -19,15 +19,15 @@ disc:
   sign; the mirrors -x complete the sorted list.
 * Representations.  A slice whose ellipse spans few rows (at most
   max(32, n_k^(1/4)), below the cost of a factorization) is scanned row by
-  row.  The others are factored together by one sieve over k, since n_k
-  is quadratic in k (only a cofactor above B^2 goes to arith.factorint).
-  Then a q(z) = X^2 + beta X Y + gamma Y^2, the norm form of the order of
-  discriminant b^2 - 4ac (beta = b mod 2; Cohen, A Course in Computational
-  Algebraic Number Theory, 5.2), so n_k is inflated by a alone.  A prime
-  inert there ends a slice it divides to an odd power; for each g^2 | a n_k
-  and each root r of the norm form modulo a n_k / g^2 (kept per prime power
-  for the whole enumeration), one Gauss reduction of the lattice X = r Y
-  yields the solutions.  Each point is checked with eval_form.
+  row.  The others go to one sieve over k (n_k is quadratic in k), which
+  divides the content of (a, b, c) out of q and n_k and decides each
+  slice's local solvability once per prime.  Only the slices that pass are
+  solved: a q(z) = X^2 + beta X Y + gamma Y^2 is the norm form of the order
+  of discriminant D = b^2 - 4ac (beta = b mod 2; Cohen, A Course in
+  Computational Algebraic Number Theory, 5.2), and for each g^2 | a n_k and
+  each root r of the norm form modulo a n_k / g^2 (kept per prime power),
+  one Gauss reduction of the lattice X = r Y yields the solutions.  Each
+  point is checked with eval_form.
 
 The former O(R^2) sweep of the (x1, x2) disc is kept in the tests as the
 oracle (tests/test_lattice_points.py, `sweep_oracle`).
@@ -62,8 +62,8 @@ import math
 from dataclasses import dataclass
 from itertools import count, product
 
-from .arith import (crt_roots, factorint, primes_up_to, smallest_prime_factors,
-                    sqrt_mod)
+from .arith import (_sqrt_mod_p, crt_roots, factorint, legendre_raw, primes_up_to,
+                    smallest_prime_factors, sqrt_mod)
 from .errors import DomainError, ResourceError, StructureError
 from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
 from .quadforms import TernaryForm, det_form, eval_form, transform
@@ -74,10 +74,12 @@ PROJECTIONS = ("x1", "x1x2", "x1x2x3")
 # _MAX_CELLS cells, that is c0*T >= _MAX_RADIUS = 15,811.  _MAX_SLICES, the
 # most slices one enumeration may solve or scan, admits every radius below
 # that for every slice normal of length up to 63 (coordinate normals have
-# length 1).
+# length 1).  _MAX_POINTS, the most pairs +-x one enumeration keeps (~0.4
+# KB each in `enumerate`), is 5 times what any pool form keeps below that.
 _MAX_CELLS = 10 ** 9
 _MAX_RADIUS = (math.isqrt(_MAX_CELLS) - 1) // 2 + 1
 _MAX_SLICES = 10 ** 6
+_MAX_POINTS = 250_000
 
 
 def weight_FT(x, T: float, c0: float) -> float:
@@ -194,27 +196,54 @@ def _slice_frame(f: TernaryForm) -> list[list[int]]:
 _SIEVE_PER_SLICE = 8
 
 
-def _factor_slices(n0: int, m0: int, ks: list[int]) -> dict[int, dict[int, int]]:
-    """The factorization of each n_k = n0 - k^2 m0 >= 1, k in ks (all >= 0).
+def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
+                   roots: dict) -> dict[int, dict[int, int]]:
+    """{k: factorization of n_k / g} for the k of ks (all >= 0, n_k = n0 -
+    k^2 m0 >= 1) at which a z1^2 + b z1 z2 + c z2^2 = n_k passes every local
+    test; g = gcd(a, b, c).
 
     One sieve over k: p | n_k exactly when k^2 m0 = n0 (mod p), which for
     odd p prime to m0 is the two classes k = +-r of the roots of r^2 =
     n0/m0 and for p | m0 is every k or none; p = 2 is tried on k = 0, 1.
-    Each prime up to B = min(sqrt(max n_k), _SIEVE_PER_SLICE |ks|) is
-    divided out in full wherever it hits.  A cofactor left <= B^2 is 1 or a
-    prime; a larger one goes to factorint, so n_k of any size is factored.
+    Each prime up to B = min(sqrt(max n_k / g), _SIEVE_PER_SLICE |slices|)
+    is divided out in full wherever it hits.  A cofactor left <= B^2 is 1 or
+    a prime; a larger one goes to factorint.
+
+    Write (a, b, c) / g as N(X, Y) / a, as in `_representations`, with
+    D = b^2 - 4ac.  A slice is dropped, and not divided further, unless
+    * g | n_k and a n_k / g is a value of N modulo 8;
+    * a n_k / g is a square modulo each odd sieve prime p | D, as
+      4N = (2X + beta Y)^2 (mod p);
+    * each prime inert for D divides n_k / g to an even power.  Such a
+      prime does not divide a (D is a square modulo 4a; Cox, Primes of the
+      Form x^2 + ny^2, Lemma 2.5).  `_local_roots(p, 1)` gives the verdict
+      and keeps the roots in `roots` for the solver.
     """
-    rest = {k: n0 - k * k * m0 for k in ks}
-    factors = {k: {} for k in ks}
-    top = max(ks, default=0)
-    bound = min(math.isqrt(max(rest.values(), default=0)), _SIEVE_PER_SLICE * len(ks))
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    beta, disc = b % 2, b * b - 4 * a * c
+    gamma = (beta - disc) // 4
+    norms = {(x * x + beta * x * y + gamma * y * y) % 8 for x in range(8) for y in range(8)}
+    rest = {}
+    for k in ks:
+        n, r = divmod(n0 - k * k * m0, g)
+        if r == 0 and a * n % 8 in norms:
+            rest[k] = n
+    factors = {k: {} for k in rest}
+    top = max(rest, default=0)
+    bound = min(math.isqrt(max(rest.values(), default=0)), _SIEVE_PER_SLICE * len(rest))
     for p in primes_up_to(bound):
+        if p > 2 and disc % p == 0:
+            for k in [k for k in rest if legendre_raw(a * ((n0 - k * k * m0) // g), p) < 0]:
+                del rest[k], factors[k]
         if m0 % p == 0:
             classes, step = [0] if n0 % p == 0 else [], 1
         elif p == 2:
             classes, step = [r for r in (0, 1) if (n0 - r * r * m0) % 2 == 0], 2
         else:
-            classes, step = sqrt_mod(n0 * pow(m0, -1, p), {p: 1}), p
+            x = n0 * pow(m0, -1, p) % p
+            r = _sqrt_mod_p(x, p) if x else 0
+            classes, step = () if r is None else {r, -r % p}, p
         for r in classes:
             for k in range(r, top + 1, step):
                 v = rest.get(k)
@@ -223,13 +252,16 @@ def _factor_slices(n0: int, m0: int, ks: list[int]) -> dict[int, dict[int, int]]
                 e = 0
                 while v % p == 0:
                     v, e = v // p, e + 1
-                rest[k], factors[k][p] = v, e
+                if e % 2 and not _local_roots(p, 1, beta, disc, roots):
+                    del rest[k], factors[k]
+                elif e:
+                    rest[k], factors[k][p] = v, e
+    out = {}
     for k, v in rest.items():
-        if v > bound * bound:
-            factors[k].update(factorint(v))
-        elif v > 1:
-            factors[k][v] = 1
-    return factors
+        tail = factorint(v) if v > bound * bound else {v: 1} if v > 1 else {}
+        if all(e % 2 == 0 or _local_roots(p, 1, beta, disc, roots) for p, e in tail.items()):
+            out[k] = factors[k] | tail
+    return out
 
 
 def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
@@ -238,11 +270,11 @@ def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
 
     a q(z) = N(X, Y) = X^2 + beta X Y + gamma Y^2 for X = a z1 + ((b -
     beta)/2) z2, Y = z2; `n_factors` and `inflation` factor n and a, and
-    `roots` is the enumeration's memo of `_local_roots`.  A prime with no
-    root of N(r, 1) modulo p divides N only through p | X, Y.  Each solution
-    is g (X', Y') with g^2 | m = a n and X' = r Y' modulo m / g^2 for a root
-    r; root -beta - r gives the mirror (X + beta Y, -Y), so only 2r + beta
-    <= m / g^2 is reduced, and mirrors and signs are restored.
+    `roots` is the enumeration's memo of `_local_roots`.  Each solution is
+    g (X', Y') with g^2 | m = a n and X' = r Y' modulo m / g^2 for a root r
+    (a g leaving a prime power with no root is skipped); root -beta - r
+    gives the mirror (X + beta Y, -Y), so only 2r + beta <= m / g^2 is
+    reduced, and mirrors and signs are restored.
     """
     beta = b % 2
     disc = b * b - 4 * a * c
@@ -250,22 +282,17 @@ def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
     factors = dict(inflation)
     for p, e in n_factors.items():
         factors[p] = factors.get(p, 0) + e
-    spans = []
+    choices = []  # per p^e: (p^j, p^(e - 2j), its roots) for each j
     for p, e in factors.items():
-        inert = not _local_roots(p, 1, beta, disc, roots)
-        if inert and e % 2:
-            return set()
-        spans.append((e // 2,) if inert else range(e // 2 + 1))
+        options = [(p ** j, p ** (e - 2 * j), _local_roots(p, e - 2 * j, beta, disc, roots)
+                    if e > 2 * j else [0]) for j in range(e // 2 + 1)]
+        choices.append([option for option in options if option[2]])
     m = a * n
     found = set()
-    for exps in product(*spans):
-        g, local = 1, []
-        for (p, e), j in zip(factors.items(), exps):
-            g *= p ** j
-            if e > 2 * j:
-                local.append((p ** (e - 2 * j), _local_roots(p, e - 2 * j, beta, disc, roots)))
+    for combo in product(*choices):
+        g = math.prod(option[0] for option in combo)
         mg = m // (g * g)
-        for r in crt_roots(local):
+        for r in crt_roots([(q, local) for _, q, local in combo if q > 1]):
             if 2 * r + beta <= mg:
                 found.update((g * x, g * y) for x, y in _shortest_vectors(mg, r, beta, gamma))
     out = set()
@@ -285,6 +312,9 @@ def _local_roots(p: int, e: int, beta: int, disc: int, memo: dict) -> list[int]:
         q = p ** e
         if p == 2:
             local = [(s - beta) // 2 for s in sqrt_mod(disc, {2: e + 2}) if s < 2 * q]
+        elif e == 1 and disc % p:
+            s = _sqrt_mod_p(disc % p, p)
+            local = [] if s is None else [(t - beta) * (p + 1) // 2 % p for t in (s, p - s)]
         else:
             local = [(s - beta) * (q + 1) // 2 % q for s in sqrt_mod(disc, {p: e})]
         memo[p, e] = local
@@ -342,7 +372,9 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
     delta, H1, H2 = disc // common, h1 // common, h2 // common
     m0 = delta * delta * sign * g.a33 - (a * H1 * H1 + b * H1 * H2 + c * H2 * H2)
     n0 = delta * delta * sign * t
-    inflation = factorint(a)
+    content = math.gcd(a, b, c)
+    primitive = (a // content, b // content, c // content)
+    inflation = factorint(primitive[0])
 
     nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
     slices = R * math.sqrt(nn) + 2  # kmax + 1 below, in floats
@@ -380,6 +412,11 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
         if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
             points.append((x1, x2, x3) if (x1, x2, x3) > (0, 0, 0) else (-x1, -x2, -x3))
 
+    def check_points():  # once per slice
+        if len(points) > _MAX_POINTS:
+            raise ResourceError(f"radius {R:g} holds more than {_MAX_POINTS} pairs "
+                                "of points, the limit of one enumeration")
+
     solved = []
     for k in range(kmax + 1):
         n = n0 - k * k * m0
@@ -392,7 +429,8 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
         if k * k / nn + gap * gap > limit:
             continue
         top = math.isqrt(4 * a * n // disc)  # |z2| <= top on the ellipse
-        if min(2 * top // delta + 1, 2 * ymax + 1) > max(_SCAN_ROWS, math.isqrt(math.isqrt(n))):
+        rows = min(2 * top // delta + 1, 2 * ymax + 1)
+        if rows > max(_SCAN_ROWS, math.isqrt(math.isqrt(n // content))):
             solved.append(k)
             continue
         # 4a q(z) = (2a z1 + b z2)^2 + disc z2^2
@@ -408,13 +446,16 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
                 z1, rem = divmod(root - b * z2, 2 * a)
                 if rem == 0 and (z1 - k * H1) % delta == 0:
                     keep((z1 - k * H1) // delta, y2, k)
+        check_points()
 
     roots: dict = {}
-    for k, n_factors in _factor_slices(n0, m0, solved).items():
-        for z1, z2 in _representations(a, b, c, n0 - k * k * m0, n_factors, inflation, roots):
+    for k, n_factors in _factor_slices(n0, m0, solved, a, b, c, roots).items():
+        n = (n0 - k * k * m0) // content
+        for z1, z2 in _representations(*primitive, n, n_factors, inflation, roots):
             y1, y2 = z1 - k * H1, z2 - k * H2
             if y1 % delta == 0 and y2 % delta == 0:
                 keep(y1 // delta, y2 // delta, k)
+        check_points()
 
     half = sorted(set(points))
     for x in half:  # f(-x) = f(x), so each mirror is checked through its twin
@@ -552,14 +593,6 @@ def census(seq: WeightedSequence, r: int) -> tuple[float, int]:
     return weighted, raw
 
 
-@dataclass(frozen=True)
-class AutomorphSet:
-    """Integral automorphs of a form found by bounded entry search."""
-
-    generators: tuple
-    search_height: int
-
-
 def _polar(f: TernaryForm, u, v) -> int:
     """u^T (2G) v: the integer polar form of f."""
     return (2 * f.a11 * u[0] * v[0] + 2 * f.a22 * u[1] * v[1]
@@ -575,8 +608,8 @@ def _det3(c1, c2, c3) -> int:
             + c3[0] * (c1[1] * c2[2] - c1[2] * c2[1]))
 
 
-def find_automorphs(f: TernaryForm, H: int) -> AutomorphSet:
-    """All M with entries in [-H, H], M^T G M = G and det M = +1.
+def find_automorphs(f: TernaryForm, H: int) -> tuple:
+    """All M with entries in [-H, H], M^T G M = G and det M = +1, sorted.
 
     The identity is always included.  Columns are searched independently
     against the diagonal and polar constraints, so the cost is governed by
@@ -603,7 +636,7 @@ def find_automorphs(f: TernaryForm, H: int) -> AutomorphSet:
                     found.add(rows)
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     found.add(identity)
-    return AutomorphSet(generators=tuple(sorted(found)), search_height=H)
+    return tuple(sorted(found))
 
 
 def _mat_inverse_unimodular(m):

@@ -39,7 +39,7 @@ from .errors import DomainError
 from .numerics import MinimizeResult, QuadratureSpec, integrate, minimize_scalar
 from .sieve_functions import BETA, TWO_E_GAMMA, F_lin, _phi, _W, f_lin, hr_upper
 
-_DEFAULT_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
 
 # Spectral-gap exponent admissible without hypotheses, and the conjectural one.
 THETA_UNCONDITIONAL = Fraction(7, 64)
@@ -63,8 +63,7 @@ def _validate_ab(a: float, b: float) -> None:
             f"window pair must satisfy 1 <= a < 3 < a+5 < b <= 8, got ({a}, {b})")
 
 
-def threshold_components(a: float, b: float,
-                         spec: QuadratureSpec = _DEFAULT_SPEC) -> tuple[float, float, float]:
+def threshold_components(a: float, b: float) -> tuple[float, float, float]:
     """(I1, I2, I3) of the linear threshold for the window pair (a, b).
 
     I1 is closed-form; I2 and I3 integrate the weight
@@ -79,13 +78,12 @@ def threshold_components(a: float, b: float,
     def weight(t):
         return (1.0 / t) * (1.0 / (b - t) - 1.0 / (b - a))
 
-    i2 = integrate(lambda t: weight(t) * _phi(t - 1.0), 3.0, b - 1.0, spec)
-    i3 = integrate(lambda t: weight(t) * _W(t), 5.0, b - 1.0, spec)
+    i2 = integrate(lambda t: weight(t) * _phi(t - 1.0), 3.0, b - 1.0, _SPEC)
+    i3 = integrate(lambda t: weight(t) * _W(t), 5.0, b - 1.0, _SPEC)
     return i1, i2, i3
 
 
-def linear_threshold(a: float, b: float, tau,
-                     spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+def linear_threshold(a: float, b: float, tau) -> float:
     """Linear-sieve almost-prime threshold for window pair (a, b) at level tau.
 
     Any r strictly above the returned value is admissible; see
@@ -95,12 +93,11 @@ def linear_threshold(a: float, b: float, tau,
     tau = float(tau)
     if tau <= 0:
         raise DomainError("tau must be positive")
-    i1, i2, i3 = threshold_components(a, b, spec)
+    i1, i2, i3 = threshold_components(a, b)
     return b / ((b - a) * tau) - 1.0 + TWO_E_GAMMA / f_lin(b) * (i1 + i2 + i3)
 
 
-def dh_threshold_linear(tau, u: float, v: float,
-                        spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+def dh_threshold_linear(tau, u: float, v: float) -> float:
     """Diamond-Halberstam threshold in the linear case, general (u, v).
 
     Evaluates u - 1 + (1/f(tau v)) * int_1^{v/u} F(tau v - s)(1 - (u/v)s) ds/s,
@@ -128,7 +125,7 @@ def dh_threshold_linear(tau, u: float, v: float,
     def integrand(s):
         return F_lin(tv - s) * (1.0 - (u / v) * s) / s
 
-    total = sum(integrate(integrand, lo, hi_, spec)
+    total = sum(integrate(integrand, lo, hi_, _SPEC)
                 for lo, hi_ in zip(cuts, cuts[1:]))
     return u - 1.0 + total / f_lin(tv)
 
@@ -235,8 +232,7 @@ _EXPECTED = {
 }
 
 
-def reproduce_constants(mode: str = "unconditional",
-                        spec: QuadratureSpec = _DEFAULT_SPEC) -> ThresholdReport:
+def reproduce_constants(mode: str = "unconditional") -> ThresholdReport:
     """Recompute every constant of both threshold routes for the given mode.
 
     mode "unconditional" uses theta = 7/64; mode "selberg" uses theta = 0.
@@ -252,7 +248,7 @@ def reproduce_constants(mode: str = "unconditional",
     report.add_exact("tau = 1/4 - theta/2", tau, exp["tau"])
 
     a, b = exp["ab"]
-    i1, i2, i3 = threshold_components(a, b, spec)
+    i1, i2, i3 = threshold_components(a, b)
     report.add_interval(f"I1(a={a}, b={b})", i1, *exp["I1"])
     report.add_interval(f"I2(a={a}, b={b})", i2, *exp["I2"])
     report.add_interval(f"I3(a={a}, b={b})", i3, *exp["I3"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sievelab import arith, cli, lattice_points
 from sievelab.arith import factorint
 from sievelab.errors import DomainError, ResourceError, StructureError
-from sievelab.lattice_points import (PROJECTIONS, _MAX_CELLS, _MAX_SLICES,
+from sievelab.lattice_points import (PROJECTIONS, _MAX_CELLS, _MAX_POINTS, _MAX_SLICES,
                                      _factor_slices, _projection_value,
                                      _representations, _slice_normal, build_sequence,
                                      census, enumerate_points, find_automorphs,
@@ -338,16 +338,11 @@ class TestRepresentations:
         for n in ns:
             assert self.solve(a, b, c, n, roots) == representations_oracle(a, b, c, n), n
 
-    def test_inert_primes_cut_the_work(self, monkeypatch):
+    def test_an_even_power_of_an_inert_prime_goes_to_g_whole(self, monkeypatch):
         calls = []
         monkeypatch.setattr(lattice_points, "crt_roots",
                             lambda local: calls.append(local) or arith.crt_roots(local))
-        # an odd power of an inert prime ends the slice before any root is sought
-        assert self.solve(1, 0, 1, 3 * 5) == set()   # 3 inert for D = -4
-        assert self.solve(1, 1, 5, 2 * 7) == set()   # 2 inert for D = -19
-        assert self.solve(1, 1, 5, 3 ** 3) == set()  # 3 inert for D = -19
-        assert calls == []
-        # an even power goes to g whole: one choice of g, not two
+        # 3 is inert for D = -4: of g = 1, 3 only g = 3 leaves a prime power with roots
         assert self.solve(1, 0, 1, 9 * 5) == representations_oracle(1, 0, 1, 9 * 5)
         assert len(calls) == 1
 
@@ -374,16 +369,40 @@ class TestRepresentations:
         assert len(calls) == 971 and all(calls)
 
 
+def sieve_oracle(n0, m0, ks, a, b, c):
+    """`_factor_slices` on (n0, m0, ks) checked slice by slice: a kept slice
+    carries the factorization of n_k / g, g = gcd(a, b, c), and a dropped one
+    has no representation (by the row search up to n_k = 10^6, past it by
+    `_representations`, itself checked against the row search)."""
+    g = math.gcd(a, b, c)
+    kept = _factor_slices(n0, m0, ks, a, b, c, {})
+    for k in ks:
+        n = n0 - k * k * m0
+        if k in kept:
+            assert kept[k] == factorint(n // g), k
+        elif n <= 10 ** 6:
+            assert representations_oracle(a, b, c, n) == set(), k
+        elif n % g == 0:
+            assert TestRepresentations.solve(a // g, b // g, c // g, n // g) == set(), k
+    return kept
+
+
+# Binary forms for the slice sieve: D = -4, -3, -19 (2 inert), -23 (h = 3),
+# -56 (two classes per genus), -20 (4 | D); content 2, 3 and 6.
+SIEVE_FORMS = [(1, 0, 1), (1, 1, 1), (1, 1, 5), (2, 1, 3), (3, 2, 5), (2, 2, 3),
+               (2, 0, 2), (3, 3, 3), (6, 0, 6)]
+
+
 class TestSliceSieve:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(common=st.sampled_from((1, 2, 3, 4, 12, 49)), m0=st.integers(-40, 40),
            n0=st.one_of(st.integers(-10 ** 4, 10 ** 4), st.integers(10 ** 9, 10 ** 15)),
-           ks=st.lists(st.integers(0, 300), max_size=40, unique=True))
-    def test_against_factorint(self, common, m0, n0, ks):
+           ks=st.lists(st.integers(0, 300), max_size=40, unique=True),
+           form=st.sampled_from(SIEVE_FORMS))
+    def test_against_factorint(self, common, m0, n0, ks, form):
         # common > 1 makes every prime of it divide m0 and n0 alike
         n0, m0 = common * n0, common * m0
-        ks = [k for k in ks if n0 - k * k * m0 >= 1]
-        assert _factor_slices(n0, m0, ks) == {k: factorint(n0 - k * k * m0) for k in ks}
+        sieve_oracle(n0, m0, [k for k in ks if n0 - k * k * m0 >= 1], *form)
 
     @pytest.mark.parametrize("n0,m0", [
         (1, -3),      # the reference frame: n_k = 1 + 3 k^2, p = 2 hits odd k
@@ -392,22 +411,82 @@ class TestSliceSieve:
         (-2, -6),     # n0 < 0: the slices start at k = 1
         (7, 0),       # m0 = 0: every slice is n0
     ])
-    def test_full_range(self, n0, m0):
-        ks = [k for k in range(400) if n0 - k * k * m0 >= 1]
-        assert _factor_slices(n0, m0, ks) == {k: factorint(n0 - k * k * m0) for k in ks}
+    @pytest.mark.parametrize("form", [(1, 0, 1), (1, 1, 5), (2, 1, 3), (6, 0, 6)])
+    def test_full_range(self, n0, m0, form):
+        sieve_oracle(n0, m0, [k for k in range(400) if n0 - k * k * m0 >= 1], *form)
 
     def test_capped_bound_hands_cofactors_to_factorint(self, monkeypatch):
         # two slices cap B at 16, far below sqrt(n_k), so factorint splits
-        # what the sieve leaves above 16^2
+        # what the sieve leaves above 16^2 (both slices are sums of two squares)
         calls = []
         monkeypatch.setattr(lattice_points, "factorint",
                             lambda n: calls.append(n) or factorint(n))
-        n0, m0 = 1000003 * 1000033 * 6, -6
-        assert _factor_slices(n0, m0, [0, 1]) == {0: factorint(n0), 1: factorint(n0 + 6)}
+        n0, m0 = 1000033 * 1000121 * 2, -2
+        assert _factor_slices(n0, m0, [0, 1], 1, 0, 1, {}) == {
+            0: factorint(n0), 1: factorint(n0 + 2)}
         assert calls and all(n > 16 ** 2 for n in calls)
 
+    def test_inert_primes_cut_the_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lattice_points, "factorint",
+                            lambda n: calls.append(n) or factorint(n))
+        big = 1000003 * 1000033  # above B^2 = 8^2: the cofactor goes to factorint
+        # an odd power of an inert prime drops the slice in the sieve, before
+        # its cofactor is factored
+        assert _factor_slices(15 * big, 0, [0], 1, 0, 1, {}) == {}  # 3 inert, D = -4
+        assert _factor_slices(14 * big, 0, [0], 1, 1, 5, {}) == {}  # 2 inert, D = -19
+        assert _factor_slices(27 * big, 0, [0], 1, 1, 5, {}) == {}  # 3 inert, D = -19
+        assert calls == []
+        # 3^2 passes; 1000003 and 1000039 are inert for D = -4, so the slice
+        # drops once its cofactor is factored
+        inert = 1000003 * 1000039
+        assert _factor_slices(9 * inert, 0, [0], 1, 0, 1, {}) == {}
+        assert calls == [inert]
+        assert _factor_slices(45, 0, [0], 1, 0, 1, {}) == {0: {3: 2, 5: 1}}
+
+    @pytest.mark.parametrize("form,t", POOL_FORMS)
+    def test_dropped_slices_have_no_representation(self, form, t, monkeypatch):
+        seen = []
+        sieve = lattice_points._factor_slices
+        monkeypatch.setattr(lattice_points, "_factor_slices",
+                            lambda *args: seen.append(args[:6]) or sieve(*args))
+        enumerate_points(TernaryForm.from_string(form), t, 200)
+        [(n0, m0, ks, a, b, c)] = seen
+        assert len(sieve_oracle(n0, m0, ks, a, b, c)) < len(ks)
+
+    # definite and 10^9-scale forms solve no slice at these radii: their
+    # slices are all scanned row by row
+    @pytest.mark.parametrize("kind", ["no_plane", "cross"])
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_dropped_slices_have_no_representation_on_random_forms(self, kind, data):
+        f = data.draw(forms(kind))
+        x0 = data.draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        t = (eval_form(f, x0) or data.draw(st.integers(1, 40))) * data.draw(
+            st.sampled_from((1, -1)))
+        seen = []
+        sieve = lattice_points._factor_slices
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_points, "_factor_slices",
+                       lambda *args: seen.append(args[:6]) or sieve(*args))
+            enumerate_points(f, t, data.draw(st.sampled_from((40, 90))))
+        for args in seen:
+            sieve_oracle(*args)
+
+    def test_no_dead_slice_reaches_the_solver(self, monkeypatch):
+        # the drift frame x^2 + y^2 (h(-4) = 1, the maximal order): the local
+        # tests are exact, so every slice the sieve keeps has a representation
+        kept, solved = [], []
+        sieve, solve = lattice_points._factor_slices, lattice_points._representations
+        monkeypatch.setattr(lattice_points, "_factor_slices",
+                            lambda *args: solved.append(len(args[2])) or sieve(*args))
+        monkeypatch.setattr(lattice_points, "_representations",
+                            lambda *args: kept.append(solve(*args)) or kept[-1])
+        enumerate_points(TernaryForm.from_string("1,-2,-1,0,-2,2"), -2, 1000)
+        assert solved == [991] and len(kept) == 342 and all(kept)
+
     def test_empty(self):
-        assert _factor_slices(1, -3, []) == {}
+        assert _factor_slices(1, -3, [], 1, 0, 1, {}) == {}
 
 
 class TestWorkGuard:
@@ -423,6 +502,50 @@ class TestWorkGuard:
         for form, _ in POOL_FORMS:
             normal = _slice_normal(TernaryForm.from_string(form))
             assert radius * math.sqrt(sum(e * e for e in normal)) + 2 <= _MAX_SLICES
+
+    def test_points_limit_admits_the_default_cell_budget(self):
+        # points grow linearly with R (each pool form holds 1.9-2.1 times as
+        # many at R = 2000 as at 1000), so twice the linear extrapolation
+        # from R = 1000 bounds every pool form at the largest radius
+        # build_sequence admits; the densest form is counted there too
+        radius = (math.isqrt(_MAX_CELLS) - 1) // 2 + 0.999
+        for form, t in POOL_FORMS:
+            pairs = len(enumerate_points(TernaryForm.from_string(form), t, 1000)) // 2
+            assert 2 * pairs * radius / 1000 <= _MAX_POINTS, form
+        densest = enumerate_points(TernaryForm.from_string("-2,-1,1,0,-2,2"), 1, radius)
+        assert len(densest) // 2 == 43310 <= _MAX_POINTS / 5
+
+    def test_refuses_too_many_points(self, monkeypatch, capsys):
+        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 100)
+        assert len(enumerate_points(DIAG113, 1, 40)) == 2 * 78
+        with pytest.raises(ResourceError, match="more than 100 pairs of points"):
+            enumerate_points(DIAG113, 1, 300)  # 618 pairs
+        assert cli.main(["enumerate", "--form", "1,1,-3,0,0,0", "--t", "1",
+                         "--R", "300"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: radius 300 holds more than 100")
+
+
+class TestContent:
+    def test_scaled_form_solves_like_the_reference(self, monkeypatch):
+        # 3600 (x^2 + y^2 - 3 z^2) = 3600: the content 3600 of the binary part
+        # is divided out, so every slice solves as the reference form's does
+        calls = []
+        reduce = lattice_points._shortest_vectors
+        monkeypatch.setattr(lattice_points, "_shortest_vectors",
+                            lambda *args: calls.append(args) or reduce(*args))
+        reference = enumerate_points(DIAG113, 1, 500)
+        reference_calls, calls[:] = list(calls), []
+        scaled = TernaryForm.diagonal(3600, 3600, -10800)
+        assert enumerate_points(scaled, 3600, 500) == reference
+        assert calls == reference_calls and len(calls) == 135
+
+    def test_slices_the_content_does_not_divide_have_no_point(self):
+        # 2 (x^2 + y^2) - z^2 = 1: n_k = 1 + k^2 is even only for odd k
+        assert _factor_slices(1, -1, [0, 1, 2, 3], 2, 0, 2, {}) == {1: {}, 3: {5: 1}}
+        f = TernaryForm.diagonal(2, 2, -1)
+        for t in (1, 7, -2):
+            assert enumerate_points(f, t, 60) == sweep_oracle(f, t, 60)
 
 
 class TestBuildSequence:
@@ -614,11 +737,10 @@ class TestAlmostPrimeCounting:
 
 class TestAutomorphs:
     def test_height_zero_identity_only(self):
-        autos = find_automorphs(DIAG113, 0)
-        assert autos.generators == (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)
+        assert find_automorphs(DIAG113, 0) == (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)
 
     def test_even_sign_flips_present(self):
-        gens = set(find_automorphs(DIAG113, 1).generators)
+        gens = set(find_automorphs(DIAG113, 1))
         assert ((1, 0, 0), (0, 1, 0), (0, 0, 1)) in gens
         assert ((-1, 0, 0), (0, -1, 0), (0, 0, 1)) in gens
         assert ((-1, 0, 0), (0, 1, 0), (0, 0, -1)) in gens
@@ -626,8 +748,8 @@ class TestAutomorphs:
 
     def test_all_verify_exactly(self):
         autos = find_automorphs(DIAG113, 3)
-        assert len(autos.generators) == AUTOMORPH_COUNT_H3
-        for m in autos.generators:
+        assert len(autos) == AUTOMORPH_COUNT_H3
+        for m in autos:
             u = [list(row) for row in m]
             assert transform(DIAG113, u) == DIAG113
             det = (u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
@@ -636,7 +758,7 @@ class TestAutomorphs:
             assert det == 1
 
     def test_pell_type_fixing_first_coordinate(self):
-        gens = find_automorphs(DIAG113, 3).generators
+        gens = find_automorphs(DIAG113, 3)
         pell = [m for m in gens
                 if (m[0][0], m[1][0], m[2][0]) == (1, 0, 0)
                 and max(abs(e) for row in m for e in row) >= 2]
