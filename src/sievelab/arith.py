@@ -5,13 +5,13 @@ deterministic Miller-Rabin for primality (valid far beyond any integer this
 package produces), and Brent's cycle variant of Pollard rho with a fixed
 parameter schedule for the composite residue.  It serves single integers of
 any size (moduli, discriminants); numbers that come in bulk are factored by
-sieves instead: `primes_up_to` feeds the slice sieve of
-`lattice_points.enumerate_points`, and `smallest_prime_factors` tabulates
-every integer up to a bound for the census.  Square roots modulo n are
-taken from the factorization of n: Tonelli-Shanks modulo p, Newton lifting
-to p^e, and the Chinese remainder theorem across prime powers
-(`crt_roots`, which also combines the prime-power roots of the quadratic
-norm forms that `lattice_points` memoizes per enumeration).
+sieves instead: `primes_up_to` feeds the slice sieve of `binary_forms`,
+and `smallest_prime_factors` tabulates every integer up to a bound for the
+census.  Square roots modulo n are taken from the factorization of n: one
+power, Atkin's formula or Tonelli-Shanks modulo p, Newton lifting to p^e,
+and the Chinese remainder theorem across prime powers (`crt_roots`, which
+also combines the prime-power roots of the quadratic norm forms that
+`binary_forms` memoizes per enumeration).
 """
 
 import math

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sievelab import arith, cli, lattice_points
+from sievelab import arith, binary_forms, cli, lattice_points
 from sievelab.arith import factorint
 from sievelab.errors import DomainError, ResourceError, StructureError
+from sievelab.binary_forms import _factor_slices, _representations
 from sievelab.lattice_points import (PROJECTIONS, _MAX_CELLS, _MAX_POINTS, _MAX_SLICES,
-                                     _factor_slices, _projection_value,
-                                     _representations, _slice_normal, build_sequence,
+                                     _projection_value, _slice_normal, build_sequence,
                                      census, enumerate_points, find_automorphs,
                                      level_statistic, residual_Rd, weight_FT)
 from sievelab.localdata import BAD_SET, build_local_table
@@ -340,7 +340,7 @@ class TestRepresentations:
 
     def test_an_even_power_of_an_inert_prime_goes_to_g_whole(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(lattice_points, "crt_roots",
+        monkeypatch.setattr(binary_forms, "crt_roots",
                             lambda local: calls.append(local) or arith.crt_roots(local))
         # 3 is inert for D = -4: of g = 1, 3 only g = 3 leaves a prime power with roots
         assert self.solve(1, 0, 1, 9 * 5) == representations_oracle(1, 0, 1, 9 * 5)
@@ -362,8 +362,8 @@ class TestRepresentations:
         # in the maximal order every Gauss reduction finds a vector (the
         # order of discriminant -76, h = 3, found one in three)
         calls = []
-        reduce = lattice_points._shortest_vectors
-        monkeypatch.setattr(lattice_points, "_shortest_vectors",
+        reduce = binary_forms._shortest_vectors
+        monkeypatch.setattr(binary_forms, "_shortest_vectors",
                             lambda *args: calls.append(reduce(*args)) or calls[-1])
         enumerate_points(TernaryForm.from_string("1,-1,5,-1,1,0"), -1, 600)
         assert len(calls) == 971 and all(calls)
@@ -419,7 +419,7 @@ class TestSliceSieve:
         # two slices cap B at 16, far below sqrt(n_k), so factorint splits
         # what the sieve leaves above 16^2 (both slices are sums of two squares)
         calls = []
-        monkeypatch.setattr(lattice_points, "factorint",
+        monkeypatch.setattr(binary_forms, "factorint",
                             lambda n: calls.append(n) or factorint(n))
         n0, m0 = 1000033 * 1000121 * 2, -2
         assert _factor_slices(n0, m0, [0, 1], 1, 0, 1, {}) == {
@@ -428,7 +428,7 @@ class TestSliceSieve:
 
     def test_inert_primes_cut_the_work(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(lattice_points, "factorint",
+        monkeypatch.setattr(binary_forms, "factorint",
                             lambda n: calls.append(n) or factorint(n))
         big = 1000003 * 1000033  # above B^2 = 8^2: the cofactor goes to factorint
         # an odd power of an inert prime drops the slice in the sieve, before
@@ -531,8 +531,8 @@ class TestContent:
         # 3600 (x^2 + y^2 - 3 z^2) = 3600: the content 3600 of the binary part
         # is divided out, so every slice solves as the reference form's does
         calls = []
-        reduce = lattice_points._shortest_vectors
-        monkeypatch.setattr(lattice_points, "_shortest_vectors",
+        reduce = binary_forms._shortest_vectors
+        monkeypatch.setattr(binary_forms, "_shortest_vectors",
                             lambda *args: calls.append(args) or reduce(*args))
         reference = enumerate_points(DIAG113, 1, 500)
         reference_calls, calls[:] = list(calls), []
@@ -708,7 +708,7 @@ class TestAlmostPrimeCounting:
 
     def test_census_factors_no_value(self, monkeypatch):
         calls = []
-        for module in (arith, lattice_points):
+        for module in (arith, binary_forms, lattice_points):
             monkeypatch.setattr(module, "factorint",
                                 lambda n: calls.append(n) or factorint(n))
         assert cli.main(["census", "--form", "1,1,-3,0,0,0", "--t", "1", "--T", "300",
