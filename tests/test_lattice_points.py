@@ -338,11 +338,16 @@ class TestRepresentations:
         for n in ns:
             assert self.solve(a, b, c, n, roots) == representations_oracle(a, b, c, n), n
 
-    def test_an_even_power_of_an_inert_prime_goes_to_g_whole(self, monkeypatch):
+    def test_inert_primes_cut_the_work(self, monkeypatch):
         calls = []
         monkeypatch.setattr(binary_forms, "crt_roots",
                             lambda local: calls.append(local) or arith.crt_roots(local))
-        # 3 is inert for D = -4: of g = 1, 3 only g = 3 leaves a prime power with roots
+        # an odd power of an inert prime leaves no choice of g with roots
+        assert self.solve(1, 0, 1, 3 * 5) == set()   # 3 inert for D = -4
+        assert self.solve(1, 1, 5, 2 * 7) == set()   # 2 inert for D = -19
+        assert self.solve(1, 1, 5, 3 ** 3) == set()  # 3 inert for D = -19
+        assert calls == []
+        # an even power goes to g whole: one choice of g, not two
         assert self.solve(1, 0, 1, 9 * 5) == representations_oracle(1, 0, 1, 9 * 5)
         assert len(calls) == 1
 
@@ -411,9 +416,10 @@ class TestSliceSieve:
         (-2, -6),     # n0 < 0: the slices start at k = 1
         (7, 0),       # m0 = 0: every slice is n0
     ])
-    @pytest.mark.parametrize("form", [(1, 0, 1), (1, 1, 5), (2, 1, 3), (6, 0, 6)])
-    def test_full_range(self, n0, m0, form):
-        sieve_oracle(n0, m0, [k for k in range(400) if n0 - k * k * m0 >= 1], *form)
+    def test_full_range(self, n0, m0):
+        ks = [k for k in range(400) if n0 - k * k * m0 >= 1]
+        for form in ((1, 0, 1), (1, 1, 5), (2, 1, 3), (6, 0, 6)):
+            sieve_oracle(n0, m0, ks, *form)
 
     def test_capped_bound_hands_cofactors_to_factorint(self, monkeypatch):
         # two slices cap B at 16, far below sqrt(n_k), so factorint splits
