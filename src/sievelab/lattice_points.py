@@ -70,7 +70,7 @@ PROJECTIONS = ("x1", "x1x2", "x1x2x3")
 # most slices one enumeration may solve or scan, admits every radius below
 # that for every slice normal of length up to 63 (coordinate normals have
 # length 1).  _MAX_POINTS, the most pairs +-x one enumeration keeps (~0.4
-# KB each in `enumerate`), is 5 times what any pool form keeps below that.
+# KB each in `enumerate`), is over 5 times what any pool form keeps below it.
 _MAX_CELLS = 10 ** 9
 _MAX_RADIUS = (math.isqrt(_MAX_CELLS) - 1) // 2 + 1
 _MAX_SLICES = 10 ** 6
