@@ -51,8 +51,8 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
     norms = {(x * x + beta * x * y + gamma * y * y) % 8 for x in range(8) for y in range(8)}
     rest = {}
     for k in ks:
-        n, r = divmod(n0 - k * k * m0, g)
-        if r == 0 and a * n % 8 in norms:
+        n, rem = divmod(n0 - k * k * m0, g)
+        if rem == 0 and a * n % 8 in norms:
             rest[k] = n
     factors = {k: {} for k in rest}
     top = max(rest, default=0)
