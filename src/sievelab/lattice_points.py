@@ -14,9 +14,13 @@ disc:
 * Slices.  On y3 = k the equation becomes q(z) = n_k for z = delta (y1, y2)
   + k H, where delta is the least denominator of the ellipse centre;
   |k| <= |n| R, and a slice whose ellipse stays outside the ball by a
-  float-safe margin is skipped.  x -> -x takes slice k to slice -k, so only
-  k >= 0 is solved, each point kept with its lexicographically positive
-  sign; the mirrors -x complete the sorted list.
+  float-safe margin is skipped.  The points are found up to E_U, the sign
+  changes eps of x with f(eps x) = f(x) that change only the signs of y:
+  -I takes slice k to slice -k, so only k >= 0 is solved; those that keep
+  y3 keep each slice, so its row scan takes y2 >= 0 or one root when they
+  flip y2 or y1 alone, and the solver restores one z per orbit.  Each point
+  is kept as the largest point of its orbit, with the orbit's size m; on
+  E_U = {+-I} that is its lexicographically positive sign.
 * Representations.  A slice whose ellipse spans few rows (at most
   max(32, n_k^(1/4)), below the cost of a factorization) is scanned row by
   row.  The others go to `binary_forms`: one sieve over k factors them and
@@ -33,9 +37,9 @@ On top of the enumeration sits the weighted sequence
 
 where proj is x1, x1*x2 or x1*x2*x3 and F_T is a radial C^2 cutoff: 1 inside
 radius T/c0, 0 outside c0*T, quintic smoothstep in between.  X = sum_{n>=1} a_n
-is the sequence mass; a_0 collects the points with vanishing projection.  The
-upper half of the points is weighed, each point counting for -x too, and
-sequences at several T (equidist's T and 2T) share one enumeration.
+is the sequence mass; a_0 collects the points with vanishing projection.  One
+point per orbit is weighed, counting m, and sequences at several T
+(equidist's T and 2T) share one enumeration.
 
 Sieve-facing statistics:
 
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 from itertools import count, product
 
 from .arith import factorint, smallest_prime_factors
-from .binary_forms import _factor_slices, _representations
+from .binary_forms import _factor_slices, _representations, _restored
 from .errors import DomainError, ResourceError, StructureError
 from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
 from .quadforms import TernaryForm, det_form, eval_form, transform
@@ -75,6 +79,9 @@ _MAX_CELLS = 10 ** 9
 _MAX_RADIUS = (math.isqrt(_MAX_CELLS) - 1) // 2 + 1
 _MAX_SLICES = 10 ** 6
 _MAX_POINTS = 250_000
+# find_automorphs builds its box of (2H+1)^3 vectors whole, at about 2 us and
+# 70 bytes a vector; _MAX_BOX admits H <= 62, about 4 s and 140 MB.
+_MAX_BOX = 2 * 10 ** 6
 
 
 def weight_FT(x, T: float, c0: float) -> float:
@@ -186,10 +193,34 @@ def _slice_frame(f: TernaryForm) -> list[list[int]]:
              row[2]] for row in u]
 
 
+def _sign_flips(f: TernaryForm) -> list[tuple[int, int, int]]:
+    """The sign changes e with f(e1 x1, e2 x2, e3 x3) = f(x), (1, 1, 1) first:
+    each nonzero cross term a_ij asks e_i = e_j."""
+    return [e for e in product((1, -1), repeat=3)
+            if (not f.a12 or e[0] == e[1]) and (not f.a13 or e[0] == e[2])
+            and (not f.a23 or e[1] == e[2])]
+
+
 def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
     """All integer solutions of f(x) = t with Euclidean norm <= R, sorted.
 
-    Each point appears exactly once, in lexicographic order.
+    Each point appears exactly once, in lexicographic order: the images of
+    the `enumerate_orbits` representatives under f's sign changes, which
+    carry the solutions to themselves.
+    """
+    flips = _sign_flips(f)
+    return sorted({(e1 * x1, e2 * x2, e3 * x3) for x1, x2, x3 in enumerate_orbits(f, t, R)
+                   for e1, e2, e3 in flips})
+
+
+def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, int], int]:
+    """The orbits of the solutions of f(x) = t with Euclidean norm <= R under
+    E_U, as {x: m} in the order found: x is the lexicographically largest
+    point of the orbit and m = |E_U| / |Stab(x)| its number of points.
+
+    E_U holds the sign changes of f (`_sign_flips`) that act on the slice
+    frame's y by signs (U^-1 eps U diagonal); -I is always one, so E_U = {+-I}
+    gives the pairs +-x, each kept with its lexicographically positive sign.
     """
     if t == 0:
         raise DomainError("t must be a nonzero integer")
@@ -218,6 +249,29 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
     primitive = (a // content, b // content, c // content)
     inflation = factorint(primitive[0])
 
+    # E_U: the flips e constant on the support of each column u_j of U, so
+    # that e u_j = s_j u_j.  Those with s3 = +1 keep every slice, and a flipped
+    # y_i has H_i = 0 (and b = 0 if y_i is flipped alone), so they change the
+    # signs of z alike.
+    supports = [[i for i in range(3) if u[i][j]] for j in range(3)]
+    flips, in_slice = [], set()
+    for e in _sign_flips(f):
+        signs = [{e[i] for i in support} for support in supports]
+        if max(map(len, signs)) == 1:
+            flips.append(e)
+            (s1,), (s2,), (s3,) = signs
+            if s3 == 1:
+                in_slice.add((s1, s2))
+    half_rows = any(s2 < 0 for _, s2 in in_slice)  # row -y2 mirrors row y2
+    one_root = (-1, 1) in in_slice  # b = 0 and H1 = 0: root -s mirrors root s
+    restore = _restored(in_slice)
+    # E_U is generated by -I and the e_i it flips alone, so an orbit's largest
+    # point takes |x_i| there and makes the other coordinates lexicographically
+    # positive.
+    alone1, alone2, alone3 = (-1, 1, 1) in flips, (1, -1, 1) in flips, (1, 1, -1) in flips
+    n1, n2, n3 = (1 if alone else -1 for alone in (alone1, alone2, alone3))
+    full = len(flips)  # the size of every orbit without a zero coordinate
+
     nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
     slices = R * math.sqrt(nn) + 2  # kmax + 1 below, in floats
     if slices > _MAX_SLICES:
@@ -226,7 +280,8 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
     r2 = R * R
     kmax = math.isqrt(int(r2 * nn)) + 1
     ymax = math.isqrt(int(r2 * sum(e * e for e in w[1]))) + 1
-    points = []
+    orbits = {}
+    kept = 0  # points on slices k >= 0: the pairs +-x, those on k = 0 twice
 
     (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = u
     # On slice k, x = k v + U12 z / delta with v = u3 - U12 h, and v.n = 1, so
@@ -247,15 +302,24 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
         mu = 0.0
     limit = (1 + 1e-9) * r2 + 1e-9  # margin for float rounding
 
-    def keep(y1, y2, k):  # the lexicographically positive sign of +-x
+    def keep(y1, y2, k):  # the orbit of x, under its largest point
+        nonlocal kept
         x1 = u11 * y1 + u12 * y2 + u13 * k
         x2 = u21 * y1 + u22 * y2 + u23 * k
         x3 = u31 * y1 + u32 * y2 + u33 * k
         if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
-            points.append((x1, x2, x3) if (x1, x2, x3) > (0, 0, 0) else (-x1, -x2, -x3))
+            c1 = abs(x1) if alone1 else x1
+            c2 = abs(x2) if alone2 else x2
+            c3 = abs(x3) if alone3 else x3
+            x, y = (c1, c2, c3), (n1 * c1, n2 * c2, n3 * c3)
+            x = x if x > y else y
+            if x not in orbits:
+                m = orbits[x] = full if x1 and x2 and x3 else len(
+                    {(e1 * x1, e2 * x2, e3 * x3) for e1, e2, e3 in flips})
+                kept += m // 2 if k else m
 
     def check_points():  # once per slice
-        if len(points) > _MAX_POINTS:
+        if kept > _MAX_POINTS:
             raise ResourceError(f"radius {R:g} holds more than {_MAX_POINTS} pairs "
                                 "of points, the limit of one enumeration")
 
@@ -278,13 +342,13 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
         # 4a q(z) = (2a z1 + b z2)^2 + disc z2^2
         lo = max(-ymax, -((top + k * H2) // delta))
         hi = min(ymax, (top - k * H2) // delta)
-        for y2 in range(lo, hi + 1):
+        for y2 in range(max(lo, 0) if half_rows else lo, hi + 1):
             z2 = delta * y2 + k * H2
             rad = 4 * a * n - disc * z2 * z2
             s = math.isqrt(rad)
             if s * s != rad:
                 continue
-            for root in {s, -s}:
+            for root in (s,) if one_root else {s, -s}:
                 z1, rem = divmod(root - b * z2, 2 * a)
                 if rem == 0 and (z1 - k * H1) % delta == 0:
                     keep((z1 - k * H1) // delta, y2, k)
@@ -293,17 +357,16 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
     roots: dict = {}
     for k, n_factors in _factor_slices(n0, m0, solved, a, b, c, roots).items():
         n = (n0 - k * k * m0) // content
-        for z1, z2 in _representations(*primitive, n, n_factors, inflation, roots):
+        for z1, z2 in _representations(*primitive, n, n_factors, inflation, roots, restore):
             y1, y2 = z1 - k * H1, z2 - k * H2
             if y1 % delta == 0 and y2 % delta == 0:
                 keep(y1 // delta, y2 // delta, k)
         check_points()
 
-    half = sorted(set(points))
-    for x in half:  # f(-x) = f(x), so each mirror is checked through its twin
+    for x in orbits:  # each eps in E_U keeps f, so x checks its whole orbit
         if eval_form(f, x) != t:
             raise ArithmeticError(f"enumeration produced a non-solution {x}")
-    return [(-x1, -x2, -x3) for x1, x2, x3 in reversed(half)] + half
+    return orbits
 
 
 def _projection_value(x, projection: str) -> int:
@@ -336,8 +399,9 @@ def build_sequence(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
     """The weighted sequence at each T of Ts from one enumeration of |x| <=
     c0 max(Ts), cut by the enumerator's own test |x|^2 <= (c0 T)^2.
 
-    A point of the upper half stands for itself and -x, of equal weight and
-    projection: it counts 2 and each fsum of weights is doubled, exactly.
+    Sign changes keep |x| and |proj(x)|, so each orbit of `enumerate_orbits`
+    is weighed once at its representative x and counts m: its weight w
+    enters as w m, exactly, since m is a power of 2.
     """
     if projection not in PROJECTIONS:
         raise DomainError(f"projection must be one of {PROJECTIONS}, got {projection!r}")
@@ -348,33 +412,32 @@ def build_sequence(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
                                 f"needs c0*T below {_MAX_RADIUS}")
 
     radius = max(c0 * T for T in Ts)
-    points = enumerate_points(f, t, radius)
-    half = points[len(points) // 2:]  # the lexicographically positive sign of each pair
+    orbits = enumerate_orbits(f, t, radius)
     seqs = []
     for T in Ts:
         r2, cut = (c0 * T) * (c0 * T), c0 * T < radius
         weights, counts, witnesses, a0_parts, total = {}, {}, {}, [], 0
-        for x in half:
+        for x, m in orbits.items():
             if cut and x[0] * x[0] + x[1] * x[1] + x[2] * x[2] > r2:
                 continue
             w = _weight_radial(x, T, c0)  # T and c0 were checked above
             if w <= 0.0:
                 continue
-            total += 2
+            total += m
             n = _projection_value(x, projection)
             if n == 0:
-                a0_parts.append(w)
+                a0_parts.append(w * m)
             elif n in weights:
-                weights[n].append(w)
-                counts[n] += 2
+                weights[n].append(w * m)
+                counts[n] += m
             else:
-                weights[n], counts[n], witnesses[n] = [w], 2, x
+                weights[n], counts[n], witnesses[n] = [w * m], m, x
 
-        values = {n: 2.0 * math.fsum(ws) for n, ws in sorted(weights.items())}
+        values = {n: math.fsum(ws) for n, ws in sorted(weights.items())}
         seqs.append(WeightedSequence(form=f, t=t, T=T, c0=c0, projection=projection,
                                      values=values, counts=counts, witnesses=witnesses,
                                      X=math.fsum(values.values()),
-                                     a0=2.0 * math.fsum(a0_parts), point_total=total))
+                                     a0=math.fsum(a0_parts), point_total=total))
     return seqs
 
 
@@ -459,6 +522,9 @@ def find_automorphs(f: TernaryForm, H: int) -> tuple:
     """
     if H < 0:
         raise DomainError(f"H must be >= 0, got {H}")
+    if (2 * H + 1) ** 3 > _MAX_BOX:
+        raise ResourceError(f"height {H} needs a box of {(2 * H + 1) ** 3} vectors, "
+                            f"more than the limit of {_MAX_BOX}")
     diag = (f.a11, f.a22, f.a33)
     cross = {(0, 1): f.a12, (0, 2): f.a13, (1, 2): f.a23}
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sievelab import cli, lattice_points
-from sievelab.lattice_points import enumerate_points
+from sievelab.lattice_points import enumerate_orbits
 
 
 def run(capsys, *args):
@@ -118,9 +118,9 @@ class TestEquidist:
 
         def counted(f, t, R):
             radii.append(R)
-            return enumerate_points(f, t, R)
+            return enumerate_orbits(f, t, R)
 
-        monkeypatch.setattr(lattice_points, "enumerate_points", counted)
+        monkeypatch.setattr(lattice_points, "enumerate_orbits", counted)
         args = ("equidist", "--form", "1,1,-3,0,0,0", "--t", "1", "--T", "50",
                 "--dmax", "12")
         _, plain, _ = run(capsys, *args, "--output", "csv")
@@ -212,6 +212,16 @@ class TestAutomorphs:
                            "--H", "0")
         assert code == 0
         assert "count=1" in out
+
+    def test_height_beyond_the_box_limit_is_refused(self, capsys, monkeypatch):
+        # H = 63 needs a box of 127^3 vectors, H = 62 one of 125^3 = 1,953,125
+        calls = []
+        monkeypatch.setattr(lattice_points, "eval_form", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "automorphs", "--form", "1,1,-3,0,0,0", "--H", "63")
+        assert code == 2 and out == "" and calls == []
+        assert err == ("error: height 63 needs a box of 2048383 vectors, more than the "
+                       "limit of 2000000\n")
+        assert 125 ** 3 <= lattice_points._MAX_BOX
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "automorphs", "--form", "1,1,-3,0,0,0",

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from sievelab import arith, binary_forms, cli, lattice_points
 from sievelab.arith import factorint
 from sievelab.errors import DomainError, ResourceError, StructureError
-from sievelab.binary_forms import _factor_slices, _representations
+from sievelab.binary_forms import _factor_slices, _representations, _restored
 from sievelab.lattice_points import (PROJECTIONS, _MAX_CELLS, _MAX_POINTS, _MAX_SLICES,
                                      _projection_value, _slice_normal, build_sequence,
-                                     census, enumerate_points, find_automorphs,
-                                     level_statistic, residual_Rd, weight_FT)
+                                     census, enumerate_orbits, enumerate_points,
+                                     find_automorphs, level_statistic, residual_Rd,
+                                     weight_FT)
 from sievelab.localdata import BAD_SET, build_local_table
 from sievelab.quadforms import TernaryForm, det_form, eval_form, transform
 
@@ -78,11 +79,12 @@ def representations_oracle(a, b, c, n):
     return out
 
 
-def sequence_oracle(f, t, T, c0, projection):
+def sequence_oracle(points, T, c0, projection):
     """(values, counts, X, a0, point_total) of build_sequence, weighing every
-    point of enumerate_points one by one."""
+    point one by one; `points` come from `sweep_oracle` at radius c0 T, which
+    shares no code with the orbits build_sequence weighs."""
     weights, a0 = {}, []
-    for x in enumerate_points(f, t, c0 * T):
+    for x in points:
         w = weight_FT(x, T, c0)
         if w > 0.0:
             n = _projection_value(x, projection)
@@ -177,8 +179,9 @@ def forms(draw, kind):
 
     definite: positive or negative definite; no_plane: no coordinate plane
     is definite (4 a_ii a_jj <= a_ij^2 for all three); cross: random with
-    nonzero cross terms; large: 10^9-scale coefficients, off by a small
-    perturbation so the form is not a multiple of a small one.
+    nonzero cross terms; sparse: each cross term 0 or not, so that f keeps
+    the sign changes of 2, 4 or 8 elements; large: 10^9-scale coefficients,
+    off by a small perturbation so the form is not a multiple of a small one.
     """
     small = st.integers(-6, 6)
     if kind == "definite":
@@ -198,6 +201,9 @@ def forms(draw, kind):
     elif kind == "cross":
         c = ([draw(small) for _ in range(3)]
              + [draw(st.sampled_from([v for v in range(-6, 7) if v])) for _ in range(3)])
+    elif kind == "sparse":
+        c = [draw(small) for _ in range(3)] + [draw(st.sampled_from((0, 0, 1, -2, 3)))
+                                               for _ in range(3)]
     else:
         scale = draw(st.integers(10 ** 9, 2 * 10 ** 9))
         c = [scale * draw(small) + draw(small) for _ in range(6)]
@@ -301,9 +307,11 @@ class TestEnumeration:
     def test_pool_forms_against_sweep(self, form, t):
         f = TernaryForm.from_string(form)
         for tt in (t, -t, 3 * t, 7 * t):
-            assert enumerate_points(f, tt, 50) == sweep_oracle(f, tt, 50)
+            points = sweep_oracle(f, tt, 50)
+            assert enumerate_points(f, tt, 50) == points
+            assert sum(enumerate_orbits(f, tt, 50).values()) == len(points)
 
-    @pytest.mark.parametrize("kind", ["definite", "no_plane", "cross", "large"])
+    @pytest.mark.parametrize("kind", ["definite", "no_plane", "cross", "sparse", "large"])
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_property_against_sweep(self, kind, data):
@@ -321,7 +329,7 @@ class TestRepresentations:
     @staticmethod
     def solve(a, b, c, n, roots=None):
         return _representations(a, b, c, n, factorint(n), factorint(a),
-                                {} if roots is None else roots)
+                                {} if roots is None else roots, (0, 1, 2, 3))
 
     @pytest.mark.parametrize("a,b,c,ns", [
         (1, 1, 1, [1, 3, 7, 12, 49, 91, 2 * 7, 4 * 7, 9 * 13]),  # D = -3, a third pair
@@ -337,6 +345,24 @@ class TestRepresentations:
         roots = {}  # one memo per form, shared by its slices as in an enumeration
         for n in ns:
             assert self.solve(a, b, c, n, roots) == representations_oracle(a, b, c, n), n
+
+    @pytest.mark.parametrize("flips,restore", [
+        ({(1, 1)}, (0, 1, 2, 3)), ({(1, 1), (-1, -1)}, (0, 2)),
+        ({(1, 1), (1, -1)}, (0, 1)), ({(1, 1), (-1, 1)}, (0, 1)),
+        ({(1, 1), (-1, -1), (1, -1), (-1, 1)}, (0,))])
+    def test_one_z_per_orbit_of_the_flips(self, flips, restore):
+        # b = 0 takes every group of sign changes, b != 0 only +-1; the
+        # restored z, with their images under the flips, are every z
+        assert _restored(flips) == restore
+        for a, b, c, ns in ((1, 0, 1, (1, 25, 65, 5 * 13 * 17)), (2, 0, 3, (5, 35, 11 * 5)),
+                            (1, 1, 1, (1, 7, 91)), (2, 1, 3, (2, 6, 27))):
+            if b and not flips <= {(1, 1), (-1, -1)}:
+                continue
+            for n in ns:
+                found = _representations(a, b, c, n, factorint(n), factorint(a), {}, restore)
+                oracle = representations_oracle(a, b, c, n)
+                assert found <= oracle
+                assert {(s1 * z1, s2 * z2) for s1, s2 in flips for z1, z2 in found} == oracle
 
     def test_inert_primes_cut_the_work(self, monkeypatch):
         calls = []
@@ -521,6 +547,15 @@ class TestWorkGuard:
         densest = enumerate_points(TernaryForm.from_string("-2,-1,1,0,-2,2"), 1, radius)
         assert len(densest) // 2 == 43310 <= _MAX_POINTS / 5
 
+    def test_points_on_the_plane_y3_0_count_twice(self, monkeypatch):
+        # the count is of the points on slices k >= 0: R = 40 holds 78 pairs,
+        # and (+-1, 0, 0) and (0, +-1, 0) lie on the plane y3 = 0
+        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 80)
+        assert len(enumerate_points(DIAG113, 1, 40)) == 2 * 78
+        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 79)
+        with pytest.raises(ResourceError, match="more than 79 pairs"):
+            enumerate_points(DIAG113, 1, 40)
+
     def test_refuses_too_many_points(self, monkeypatch, capsys):
         monkeypatch.setattr(lattice_points, "_MAX_POINTS", 100)
         assert len(enumerate_points(DIAG113, 1, 40)) == 2 * 78
@@ -554,6 +589,74 @@ class TestContent:
             assert enumerate_points(f, t, 60) == sweep_oracle(f, t, 60)
 
 
+class TestOrbits:
+    def test_reference_ball(self):
+        assert enumerate_orbits(DIAG113, 1, 3) == {(0, 1, 0): 2, (0, 2, 1): 4,
+                                                   (1, 0, 0): 2, (2, 0, 1): 4}
+
+    def test_pairs_on_a_form_with_two_sign_changes(self):
+        # the drift form keeps only +-I: one orbit per pair +-x, under its
+        # lexicographically positive sign
+        f = TernaryForm.from_string("1,-2,-1,0,-2,2")
+        orbits = enumerate_orbits(f, -2, 300)
+        assert sorted(orbits) == [x for x in enumerate_points(f, -2, 300) if x > (0, 0, 0)]
+        assert set(orbits.values()) == {2}
+
+    @pytest.mark.parametrize("form,t,R,count,calls,emitted", [
+        ("1,1,-3,0,0,0", 1, 2000, 1088, 362, 1072),  # 8 sign changes: 4,272 z with +-I alone
+        ("1,-2,-1,0,-2,2", -2, 1000, 2573, 342, 5312),  # +-I only: as many z as before
+    ])
+    def test_work_count(self, form, t, R, count, calls, emitted, monkeypatch):
+        sizes = []
+        solve = lattice_points._representations
+        monkeypatch.setattr(lattice_points, "_representations",
+                            lambda *args: sizes.append(len(solve(*args))) or solve(*args))
+        assert len(enumerate_orbits(TernaryForm.from_string(form), t, R)) == count
+        assert len(sizes) == calls and sum(sizes) == emitted
+
+
+def signed_permutations():
+    """A strategy for 3 x 3 signed permutation matrices."""
+    return st.builds(lambda perm, signs: [[signs[i] * (perm[i] == j) for j in range(3)]
+                                          for i in range(3)],
+                     st.permutations(range(3)), st.tuples(*[st.sampled_from((1, -1))] * 3))
+
+
+class TestInvariance:
+    """Points and counts move with a change of variables; signed permutations
+    also move the slice normal and frame, and with them E_U."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), p=signed_permutations())
+    def test_signed_permutation(self, data, p):
+        f = data.draw(forms(data.draw(st.sampled_from(("sparse", "cross", "definite")))))
+        x0 = data.draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        t = eval_form(f, x0) or data.draw(st.integers(1, 40))
+        g = transform(f, p)  # g(y) = f(P y), so y = P^T x
+        moved = sorted(tuple(sum(p[i][j] * x[i] for i in range(3)) for j in range(3))
+                       for x in enumerate_points(f, t, 30))
+        assert enumerate_points(g, t, 30) == moved
+        [a], [b] = (build_sequence(h, t, [12.5], 2.0, "x1x2x3") for h in (f, g))
+        assert (a.values, a.counts, a.X, a.a0, a.point_total) == (
+            b.values, b.counts, b.X, b.a0, b.point_total)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), steps=st.lists(st.tuples(st.sampled_from(
+        [(i, j) for i in range(3) for j in range(3) if i != j]), st.integers(-3, 3)),
+        min_size=1, max_size=6))
+    def test_local_counts_under_a_unimodular_change(self, data, steps):
+        f = data.draw(forms(data.draw(st.sampled_from(("sparse", "cross", "definite")))))
+        t = data.draw(st.integers(-30, 30).filter(bool))
+        u = [[int(i == j) for j in range(3)] for i in range(3)]
+        for (i, j), q in steps:  # column j += q column i
+            for row in u:
+                row[j] += q * row[i]
+        before = build_local_table(f, t, "x1", 60)
+        after = build_local_table(transform(f, u), t, "x1", 60)
+        assert ({p: e.count_V for p, e in before.entries.items()}
+                == {p: e.count_V for p, e in after.entries.items()})
+
+
 class TestBuildSequence:
     def test_small_scale_values(self):
         [seq] = build_sequence(DIAG113, 1, [10.0], 2.0, "x1")
@@ -583,8 +686,8 @@ class TestBuildSequence:
 
     def test_budget_guard(self, monkeypatch):
         radii = []
-        monkeypatch.setattr(lattice_points, "enumerate_points",
-                            lambda f, t, R: radii.append(R) or [])
+        monkeypatch.setattr(lattice_points, "enumerate_orbits",
+                            lambda f, t, R: radii.append(R) or {})
         with pytest.raises(ResourceError, match="c0\\*T below 15811"):
             build_sequence(DIAG113, 1, [8000.0], 2.0, "x1")
         assert radii == []  # refused before any enumeration
@@ -605,16 +708,34 @@ class TestBuildSequence:
         assert a.values == b.values and a.X == b.X
 
 
+def assert_sequence_matches_sweep(f, t, T, c0=2.0):
+    """build_sequence in every projection equals `sequence_oracle` on the
+    sweep's points, bit for bit."""
+    points = sweep_oracle(f, t, c0 * T)
+    for projection in PROJECTIONS:
+        [seq] = build_sequence(f, t, [T], c0, projection)
+        assert (seq.values, seq.counts, seq.X, seq.a0, seq.point_total) == sequence_oracle(
+            points, T, c0, projection), (f, t, T, projection)
+
+
 class TestSequenceOracles:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(PROJECTIONS),
-           T=st.sampled_from((10.0, 23.5, 40.0, 61.0)))
-    def test_build_sequence_against_point_by_point(self, form, projection, T):
-        f = TernaryForm.from_string(form[0])
-        [seq] = build_sequence(f, form[1], [T], 2.0, projection)
-        values, counts, x_mass, a0, total = sequence_oracle(f, form[1], T, 2.0, projection)
-        assert seq.values == values and seq.counts == counts
-        assert seq.X == x_mass and seq.a0 == a0 and seq.point_total == total
+    def test_build_sequence_against_point_by_point(self):
+        # every pool form, each of its points weighed one by one; the
+        # reference form's orbits at (+-1, 0, 0) and (0, +-1, 0) hold 2 points
+        assert enumerate_orbits(DIAG113, 1, 20)[1, 0, 0] == 2
+        for form, t in POOL_FORMS:
+            for T in (10.0, 23.5):
+                assert_sequence_matches_sweep(TernaryForm.from_string(form), t, T)
+
+    @pytest.mark.parametrize("kind", ["definite", "no_plane", "cross", "sparse"])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_build_sequence_against_point_by_point_on_random_forms(self, kind, data):
+        f = data.draw(forms(kind))
+        x0 = data.draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        t = (eval_form(f, x0) or data.draw(st.integers(1, 40))) * data.draw(
+            st.sampled_from((1, -1)))
+        assert_sequence_matches_sweep(f, t, data.draw(st.sampled_from((10.0, 17.3, 26.0))))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(PROJECTIONS),
@@ -627,8 +748,8 @@ class TestSequenceOracles:
 
     def test_one_enumeration_for_both(self, monkeypatch):
         radii = []
-        monkeypatch.setattr(lattice_points, "enumerate_points",
-                            lambda f, t, R: radii.append(R) or enumerate_points(f, t, R))
+        monkeypatch.setattr(lattice_points, "enumerate_orbits",
+                            lambda f, t, R: radii.append(R) or enumerate_orbits(f, t, R))
         build_sequence(DIAG113, 1, [50.0, 100.0], 2.0, "x1")
         assert radii == [200.0]
 
