@@ -8,9 +8,8 @@ solves each slice that passed, in the norm form of the order of
 discriminant b^2 - 4ac (Cohen, A Course in Computational Algebraic Number
 Theory, 5.2): one Gauss reduction for each g^2 | a n_k and each root of
 the norm form modulo a n_k / g^2 (`_local_roots`, kept per prime power for
-the whole enumeration).  Of the sign images of each vector reduced, it
-restores one per orbit of the sign changes of z that keep the slice
-(`_restored`).
+the whole enumeration).  It restores one sign image of each vector
+reduced per orbit of the slice's sign changes (`_restored`).
 """
 
 import math
@@ -98,22 +97,17 @@ _IMAGES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
 def _restored(flips: set[tuple[int, int]]) -> tuple[int, ...]:
-    """The indices into _IMAGES of one image per orbit of `flips`, sign
-    changes of z that keep the binary form ((1, 1) among them; where b != 0
-    only (-1, -1) can be another)."""
-    out, covered = [], set()
-    for i, (s1, s2) in enumerate(_IMAGES):
-        if (s1, s2) not in covered:
-            out.append(i)
-            covered.update((s1 * f1, s2 * f2) for f1, f2 in flips)
-    return tuple(out)
+    """The index into _IMAGES of the first image in each orbit of `flips`,
+    sign changes of z that keep the binary form (if b != 0, only +-1)."""
+    return tuple(i for i, (s1, s2) in enumerate(_IMAGES)
+                 if i == min(_IMAGES.index((s1 * f1, s2 * f2)) for f1, f2 in flips))
 
 
 def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
                      inflation: dict[int, int], roots: dict,
                      restore: tuple[int, ...]) -> set[tuple[int, int]]:
     """The z with a z1^2 + b z1 z2 + c z2^2 = n >= 1 (a > 0, D = b^2 - 4ac < 0),
-    at least one of each orbit of the sign changes `_restored` was given.
+    at least one per orbit of the sign changes that gave `restore`.
 
     a q(z) = N(X, Y) = X^2 + beta X Y + gamma Y^2 for X = a z1 + ((b -
     beta)/2) z2, Y = z2; `n_factors` and `inflation` factor n and a, and
@@ -121,8 +115,7 @@ def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
     g (X', Y') with g^2 | m = a n and X' = r Y' modulo m / g^2 for a root r
     (a g leaving a prime power with no root is skipped); root -beta - r
     gives the mirror (X + beta Y, -Y), so only 2r + beta <= m / g^2 is
-    reduced, and the images of each vector that `restore` names are
-    restored.
+    reduced, and the images `restore` names are restored.
     """
     beta = b % 2
     disc = b * b - 4 * a * c

@@ -14,13 +14,11 @@ disc:
 * Slices.  On y3 = k the equation becomes q(z) = n_k for z = delta (y1, y2)
   + k H, where delta is the least denominator of the ellipse centre;
   |k| <= |n| R, and a slice whose ellipse stays outside the ball by a
-  float-safe margin is skipped.  The points are found up to E_U, the sign
-  changes eps of x with f(eps x) = f(x) that change only the signs of y:
-  -I takes slice k to slice -k, so only k >= 0 is solved; those that keep
-  y3 keep each slice, so its row scan takes y2 >= 0 or one root when they
-  flip y2 or y1 alone, and the solver restores one z per orbit.  Each point
-  is kept as the largest point of its orbit, with the orbit's size m; on
-  E_U = {+-I} that is its lexicographically positive sign.
+  float-safe margin is skipped.  Points are found up to E_U, the sign
+  changes of x that keep f and change only the signs of y: -I maps slice k
+  to -k, so only k >= 0 is solved, and those keeping y3 let a slice's row
+  scan take y2 >= 0 or one root and its solver one z per orbit.  An orbit
+  is kept as its largest point and its size m.
 * Representations.  A slice whose ellipse spans few rows (at most
   max(32, n_k^(1/4)), below the cost of a factorization) is scanned row by
   row.  The others go to `binary_forms`: one sieve over k factors them and
@@ -79,8 +77,8 @@ _MAX_CELLS = 10 ** 9
 _MAX_RADIUS = (math.isqrt(_MAX_CELLS) - 1) // 2 + 1
 _MAX_SLICES = 10 ** 6
 _MAX_POINTS = 250_000
-# find_automorphs builds its box of (2H+1)^3 vectors whole, at about 2 us and
-# 70 bytes a vector; _MAX_BOX admits H <= 62, about 4 s and 140 MB.
+# find_automorphs builds its box of (2H+1)^3 vectors, ~2 us and 70 bytes
+# each; _MAX_BOX admits H <= 62 (~4 s, 140 MB).
 _MAX_BOX = 2 * 10 ** 6
 
 
@@ -202,25 +200,18 @@ def _sign_flips(f: TernaryForm) -> list[tuple[int, int, int]]:
 
 
 def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
-    """All integer solutions of f(x) = t with Euclidean norm <= R, sorted.
-
-    Each point appears exactly once, in lexicographic order: the images of
-    the `enumerate_orbits` representatives under f's sign changes, which
-    carry the solutions to themselves.
-    """
+    """All integer solutions of f(x) = t with Euclidean norm <= R, sorted:
+    the images of the `enumerate_orbits` points under f's sign changes."""
     flips = _sign_flips(f)
     return sorted({(e1 * x1, e2 * x2, e3 * x3) for x1, x2, x3 in enumerate_orbits(f, t, R)
                    for e1, e2, e3 in flips})
 
 
 def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, int], int]:
-    """The orbits of the solutions of f(x) = t with Euclidean norm <= R under
-    E_U, as {x: m} in the order found: x is the lexicographically largest
-    point of the orbit and m = |E_U| / |Stab(x)| its number of points.
-
-    E_U holds the sign changes of f (`_sign_flips`) that act on the slice
-    frame's y by signs (U^-1 eps U diagonal); -I is always one, so E_U = {+-I}
-    gives the pairs +-x, each kept with its lexicographically positive sign.
+    """The orbits under E_U of the solutions of f(x) = t with Euclidean norm
+    <= R, as {x: m} in the order found: x is the orbit's lexicographically
+    largest point and m = |E_U| / |Stab(x)| its size.  E_U holds the
+    `_sign_flips` eps with U^-1 eps U diagonal, -I among them.
     """
     if t == 0:
         raise DomainError("t must be a nonzero integer")
@@ -250,9 +241,8 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     inflation = factorint(primitive[0])
 
     # E_U: the flips e constant on the support of each column u_j of U, so
-    # that e u_j = s_j u_j.  Those with s3 = +1 keep every slice, and a flipped
-    # y_i has H_i = 0 (and b = 0 if y_i is flipped alone), so they change the
-    # signs of z alike.
+    # e u_j = s_j u_j.  Those with s3 = 1 keep each slice; a flipped y_i has
+    # H_i = 0 (and b = 0 if flipped alone), so they flip z alike.
     supports = [[i for i in range(3) if u[i][j]] for j in range(3)]
     flips, in_slice = [], set()
     for e in _sign_flips(f):
@@ -265,11 +255,10 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     half_rows = any(s2 < 0 for _, s2 in in_slice)  # row -y2 mirrors row y2
     one_root = (-1, 1) in in_slice  # b = 0 and H1 = 0: root -s mirrors root s
     restore = _restored(in_slice)
-    # E_U is generated by -I and the e_i it flips alone, so an orbit's largest
-    # point takes |x_i| there and makes the other coordinates lexicographically
-    # positive.
-    alone1, alone2, alone3 = (-1, 1, 1) in flips, (1, -1, 1) in flips, (1, 1, -1) in flips
-    n1, n2, n3 = (1 if alone else -1 for alone in (alone1, alone2, alone3))
+    # E_U is generated by -I and the x_i it flips alone (n_i = 1), so an
+    # orbit's largest point takes |x_i| there and makes the other
+    # coordinates lexicographically positive.
+    n1, n2, n3 = (1 if e in flips else -1 for e in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
     full = len(flips)  # the size of every orbit without a zero coordinate
 
     nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
@@ -308,9 +297,9 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
         x2 = u21 * y1 + u22 * y2 + u23 * k
         x3 = u31 * y1 + u32 * y2 + u33 * k
         if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
-            c1 = abs(x1) if alone1 else x1
-            c2 = abs(x2) if alone2 else x2
-            c3 = abs(x3) if alone3 else x3
+            c1 = abs(x1) if n1 > 0 else x1
+            c2 = abs(x2) if n2 > 0 else x2
+            c3 = abs(x3) if n3 > 0 else x3
             x, y = (c1, c2, c3), (n1 * c1, n2 * c2, n3 * c3)
             x = x if x > y else y
             if x not in orbits:
