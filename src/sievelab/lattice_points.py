@@ -201,10 +201,17 @@ def _sign_flips(f: TernaryForm) -> list[tuple[int, int, int]]:
 
 def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
     """All integer solutions of f(x) = t with Euclidean norm <= R, sorted:
-    the images of the `enumerate_orbits` points under f's sign changes."""
-    flips = _sign_flips(f)
-    return sorted({(e1 * x1, e2 * x2, e3 * x3) for x1, x2, x3 in enumerate_orbits(f, t, R)
-                   for e1, e2, e3 in flips})
+    the images of the `enumerate_orbits` points under f's sign changes, the
+    lexicographically positive sign of each pair +-x first."""
+    orbits = enumerate_orbits(f, t, R)
+    half = set(orbits)  # -I is in E_U, so an orbit's largest point is > 0
+    for e1, e2, e3 in _sign_flips(f)[1:]:  # after (1, 1, 1)
+        if e1 == 1:  # one of each pair +-e
+            for x1, x2, x3 in orbits:
+                y = (x1, e2 * x2, e3 * x3)
+                half.add(y if y > (0, 0, 0) else (-x1, -y[1], -y[2]))
+    half = sorted(half)
+    return [(-x1, -x2, -x3) for x1, x2, x3 in reversed(half)] + half
 
 
 def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, int], int]:
@@ -255,10 +262,11 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     half_rows = any(s2 < 0 for _, s2 in in_slice)  # row -y2 mirrors row y2
     one_root = (-1, 1) in in_slice  # b = 0 and H1 = 0: root -s mirrors root s
     restore = _restored(in_slice)
-    # E_U is generated by -I and the x_i it flips alone (n_i = 1), so an
-    # orbit's largest point takes |x_i| there and makes the other
-    # coordinates lexicographically positive.
-    n1, n2, n3 = (1 if e in flips else -1 for e in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
+    # E_U is generated by -I and the x_i it flips alone, so an orbit's
+    # largest point takes |x_i| there and makes the other coordinates (n_i =
+    # -1) lexicographically positive.
+    alone1, alone2, alone3 = (-1, 1, 1) in flips, (1, -1, 1) in flips, (1, 1, -1) in flips
+    n1, n2, n3 = (1 if alone else -1 for alone in (alone1, alone2, alone3))
     full = len(flips)  # the size of every orbit without a zero coordinate
 
     nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
@@ -297,11 +305,11 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
         x2 = u21 * y1 + u22 * y2 + u23 * k
         x3 = u31 * y1 + u32 * y2 + u33 * k
         if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
-            c1 = abs(x1) if n1 > 0 else x1
-            c2 = abs(x2) if n2 > 0 else x2
-            c3 = abs(x3) if n3 > 0 else x3
-            x, y = (c1, c2, c3), (n1 * c1, n2 * c2, n3 * c3)
-            x = x if x > y else y
+            x = (abs(x1) if alone1 else x1, abs(x2) if alone2 else x2,
+                 abs(x3) if alone3 else x3)
+            y = (n1 * x[0], n2 * x[1], n3 * x[2])
+            if y > x:
+                x = y
             if x not in orbits:
                 m = orbits[x] = full if x1 and x2 and x3 else len(
                     {(e1 * x1, e2 * x2, e3 * x3) for e1, e2, e3 in flips})

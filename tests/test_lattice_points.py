@@ -724,7 +724,7 @@ class TestSequenceOracles:
         # reference form's orbits at (+-1, 0, 0) and (0, +-1, 0) hold 2 points
         assert enumerate_orbits(DIAG113, 1, 20)[1, 0, 0] == 2
         for form, t in POOL_FORMS:
-            for T in (10.0, 23.5):
+            for T in (10.0, 23.5, 40.0):
                 assert_sequence_matches_sweep(TernaryForm.from_string(form), t, T)
 
     @pytest.mark.parametrize("kind", ["definite", "no_plane", "cross", "sparse"])
