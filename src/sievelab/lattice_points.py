@@ -216,9 +216,9 @@ def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, i
 
 def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, int], int]:
     """The orbits under E_U of the solutions of f(x) = t with Euclidean norm
-    <= R, as {x: m} in the order found: x is the orbit's lexicographically
-    largest point and m = |E_U| / |Stab(x)| its size.  E_U holds the
-    `_sign_flips` eps with U^-1 eps U diagonal, -I among them.
+    <= R, as {x: m}: x is the orbit's lexicographically largest point and
+    m = |E_U| / |Stab(x)| its size.  E_U holds the `_sign_flips` eps with
+    U^-1 eps U diagonal, -I among them.
     """
     if t == 0:
         raise DomainError("t must be a nonzero integer")
@@ -262,11 +262,11 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     half_rows = any(s2 < 0 for _, s2 in in_slice)  # row -y2 mirrors row y2
     one_root = (-1, 1) in in_slice  # b = 0 and H1 = 0: root -s mirrors root s
     restore = _restored(in_slice)
-    # E_U is generated by -I and the x_i it flips alone, so an orbit's
-    # largest point takes |x_i| there and makes the other coordinates (n_i =
-    # -1) lexicographically positive.
-    alone1, alone2, alone3 = (-1, 1, 1) in flips, (1, -1, 1) in flips, (1, 1, -1) in flips
-    n1, n2, n3 = (1 if alone else -1 for alone in (alone1, alone2, alone3))
+    # E_U is generated by -I and the x_i it flips alone (n_i = 1), so an
+    # orbit's largest point takes |x_i| there and makes the other coordinates
+    # lexicographically positive; with none, it is x or -x.
+    n1, n2, n3 = (1 if e in flips else -1 for e in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
+    alone = max(n1, n2, n3) > 0
     full = len(flips)  # the size of every orbit without a zero coordinate
 
     nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
@@ -277,8 +277,8 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     r2 = R * R
     kmax = math.isqrt(int(r2 * nn)) + 1
     ymax = math.isqrt(int(r2 * sum(e * e for e in w[1]))) + 1
-    orbits = {}
-    kept = 0  # points on slices k >= 0: the pairs +-x, those on k = 0 twice
+    orbits, short = {}, {}  # orbits of |E_U| points, and the shorter ones: x -> m
+    counted = plane = 0  # the points of the orbits found, and of those on y3 = 0
 
     (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = u
     # On slice k, x = k v + U12 z / delta with v = u3 - U12 h, and v.n = 1, so
@@ -300,23 +300,30 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     limit = (1 + 1e-9) * r2 + 1e-9  # margin for float rounding
 
     def keep(y1, y2, k):  # the orbit of x, under its largest point
-        nonlocal kept
         x1 = u11 * y1 + u12 * y2 + u13 * k
         x2 = u21 * y1 + u22 * y2 + u23 * k
         x3 = u31 * y1 + u32 * y2 + u33 * k
         if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
-            x = (abs(x1) if alone1 else x1, abs(x2) if alone2 else x2,
-                 abs(x3) if alone3 else x3)
-            y = (n1 * x[0], n2 * x[1], n3 * x[2])
-            if y > x:
-                x = y
-            if x not in orbits:
-                m = orbits[x] = full if x1 and x2 and x3 else len(
-                    {(e1 * x1, e2 * x2, e3 * x3) for e1, e2, e3 in flips})
-                kept += m // 2 if k else m
+            if alone:
+                x = (abs(x1) if n1 > 0 else x1, abs(x2) if n2 > 0 else x2,
+                     abs(x3) if n3 > 0 else x3)
+                y = (n1 * x[0], n2 * x[1], n3 * x[2])
+                if y > x:
+                    x = y
+            else:
+                x = (x1, x2, x3) if (x1, x2, x3) > (0, 0, 0) else (-x1, -x2, -x3)
+            if x1 and x2 and x3:
+                orbits[x] = full
+            else:
+                short[x] = len({(e1 * x1, e2 * x2, e3 * x3) for e1, e2, e3 in flips})
 
-    def check_points():  # once per slice
-        if kept > _MAX_POINTS:
+    def check_points(k):  # once per slice; the pairs +-x, twice on y3 = 0
+        nonlocal counted, plane
+        total = full * len(orbits) + sum(short.values())
+        if k == 0:
+            plane = total - counted
+        counted = total
+        if (total + plane) // 2 > _MAX_POINTS:
             raise ResourceError(f"radius {R:g} holds more than {_MAX_POINTS} pairs "
                                 "of points, the limit of one enumeration")
 
@@ -349,7 +356,7 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
                 z1, rem = divmod(root - b * z2, 2 * a)
                 if rem == 0 and (z1 - k * H1) % delta == 0:
                     keep((z1 - k * H1) // delta, y2, k)
-        check_points()
+        check_points(k)
 
     roots: dict = {}
     for k, n_factors in _factor_slices(n0, m0, solved, a, b, c, roots).items():
@@ -358,8 +365,9 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
             y1, y2 = z1 - k * H1, z2 - k * H2
             if y1 % delta == 0 and y2 % delta == 0:
                 keep(y1 // delta, y2 // delta, k)
-        check_points()
+        check_points(k)
 
+    orbits.update(short)
     for x in orbits:  # each eps in E_U keeps f, so x checks its whole orbit
         if eval_form(f, x) != t:
             raise ArithmeticError(f"enumeration produced a non-solution {x}")
