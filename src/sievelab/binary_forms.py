@@ -99,8 +99,13 @@ _IMAGES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 def _restored(flips: set[tuple[int, int]]) -> tuple[int, ...]:
     """The index into _IMAGES of the first image in each orbit of `flips`,
     sign changes of z that keep the binary form (if b != 0, only +-1)."""
-    return tuple(i for i, (s1, s2) in enumerate(_IMAGES)
-                 if i == min(_IMAGES.index((s1 * f1, s2 * f2)) for f1, f2 in flips))
+    out, covered = [], set()
+    for i, (s1, s2) in enumerate(_IMAGES):
+        if (s1, s2) not in covered:
+            out.append(i)
+            for f1, f2 in flips:
+                covered.add((s1 * f1, s2 * f2))
+    return tuple(out)
 
 
 def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],

@@ -5,12 +5,12 @@ f(x) = t inside a Euclidean ball of radius R are enumerated exactly, in
 work that grows with the slices rather than with the ~pi R^2 cells of a
 disc:
 
-* Frame.  A unimodular U is chosen so that g(y) = f(Uy) is definite on the
-  (y1, y2) plane.  The plane n.x = 0 is definite exactly when the cofactor
-  form of 2G is positive at n; the coordinate normals are tried first
-  (every form of the benchmark pool has one), then shells of growing
-  height, which end because that set is a nonempty open cone.  The binary
-  part is Gauss-reduced, so |b| <= a <= c.
+* Frame.  A unimodular U (`quadforms._slice_frame`) is chosen so that g(y)
+  = f(Uy) is definite on the (y1, y2) plane.  The plane n.x = 0 is definite
+  exactly when the cofactor form of 2G is positive at n; the coordinate
+  normals are tried first (every form of the benchmark pool has one), then
+  shells of growing height, which end because that set is a nonempty open
+  cone.  The binary part is Gauss-reduced, so |b| <= a <= c.
 * Slices.  On y3 = k the equation becomes q(z) = n_k for z = delta (y1, y2)
   + k H, where delta is the least denominator of the ellipse centre;
   |k| <= |n| R, and a slice whose ellipse stays outside the ball by a
@@ -57,13 +57,14 @@ text, JSON or CSV.
 
 import math
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import product
 
 from .arith import factorint, smallest_prime_factors
 from .binary_forms import _factor_slices, _representations, _restored
 from .errors import DomainError, ResourceError, StructureError
 from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
-from .quadforms import TernaryForm, det_form, eval_form, transform
+from .quadforms import (TernaryForm, _det3, _mat_inverse_unimodular, _sign_flips, _slice_frame,
+                        det_form, eval_form, transform)
 
 PROJECTIONS = ("x1", "x1x2", "x1x2x3")
 
@@ -116,89 +117,6 @@ def _weight_radial(x, T: float, c0: float) -> float:
 _SCAN_ROWS = 32
 
 
-def _slice_normal(f: TernaryForm) -> tuple[int, int, int]:
-    """A short primitive n such that f is definite on the plane n.x = 0.
-
-    f restricted to that plane has discriminant -n^T adj(2G) n, so the plane
-    is definite exactly when the cofactor form of 2G is positive at n.  That
-    set is an open cone, nonempty for every nondegenerate ternary form, so
-    the search over shells of growing height ends; the coordinate normals
-    e3, e2, e1 are tried first.
-    """
-    cof = TernaryForm(4 * f.a22 * f.a33 - f.a23 * f.a23,
-                      4 * f.a11 * f.a33 - f.a13 * f.a13,
-                      4 * f.a11 * f.a22 - f.a12 * f.a12,
-                      2 * (f.a13 * f.a23 - 2 * f.a12 * f.a33),
-                      2 * (f.a12 * f.a23 - 2 * f.a22 * f.a13),
-                      2 * (f.a12 * f.a13 - 2 * f.a11 * f.a23))
-    for h in count(1):
-        shell = [(x, y, z) for x in range(0, h + 1) for y in range(-h, h + 1)
-                 for z in (range(-h, h + 1) if h in (x, abs(y)) else (-h, h))
-                 if (x, y, z) > (0, 0, 0) and math.gcd(x, y, z) == 1]
-        shell.sort(key=lambda n: (n[0] * n[0] + n[1] * n[1] + n[2] * n[2], n))
-        for n in shell:
-            if eval_form(cof, n) > 0:
-                return n
-
-
-def _frame_from_normal(n) -> list[list[int]]:
-    """U with det U = 1, n.u1 = n.u2 = 0 and n.u3 = 1 (u_j the columns of U).
-
-    Column operations reduce the row n U to (0, 0, 1) as in Euclid's
-    algorithm, so the last row of U^-1 is n.
-    """
-    r, cols = list(n), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    while sum(1 for v in r if v) > 1:
-        i = min((j for j in range(3) if r[j]), key=lambda j: abs(r[j]))
-        for j in range(3):
-            if j != i and r[j]:
-                q = r[j] // r[i]
-                r[j] -= q * r[i]
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
-    i = next(j for j in range(3) if r[j])
-    cols[i], cols[2], r[i], r[2] = cols[2], cols[i], r[2], r[i]
-    if r[2] < 0:
-        cols[2] = [-a for a in cols[2]]
-    u = [[cols[j][i] for j in range(3)] for i in range(3)]
-    if _det3(*cols) < 0:
-        for row in u:
-            row[0] = -row[0]
-    return u
-
-
-def _reduce_binary(a: int, b: int, c: int) -> list[list[int]]:
-    """V with det V = 1 taking a x^2 + b x y + c y^2 (a > 0, b^2 < 4ac) to a
-    Gauss-reduced form: |b| <= a <= c."""
-    v = [[1, 0], [0, 1]]
-    while True:
-        m = (a - b) // (2 * a)  # x -> x + m y leaves -a < b <= a
-        b, c = b + 2 * a * m, a * m * m + b * m + c
-        v = [[row[0], row[0] * m + row[1]] for row in v]
-        if a <= c:
-            return v
-        a, b, c = c, -b, a  # (x, y) -> (-y, x)
-        v = [[row[1], -row[0]] for row in v]
-
-
-def _slice_frame(f: TernaryForm) -> list[list[int]]:
-    """Unimodular U: f(Uy) is definite and Gauss-reduced in (y1, y2) and the
-    last row of U^-1 is a short slice normal."""
-    u = _frame_from_normal(_slice_normal(f))
-    g = transform(f, u)
-    sign = 1 if g.a11 > 0 else -1
-    v = _reduce_binary(sign * g.a11, sign * g.a12, sign * g.a22)
-    return [[row[0] * v[0][0] + row[1] * v[1][0], row[0] * v[0][1] + row[1] * v[1][1],
-             row[2]] for row in u]
-
-
-def _sign_flips(f: TernaryForm) -> list[tuple[int, int, int]]:
-    """The sign changes e with f(e1 x1, e2 x2, e3 x3) = f(x), (1, 1, 1) first:
-    each nonzero cross term a_ij asks e_i = e_j."""
-    return [e for e in product((1, -1), repeat=3)
-            if (not f.a12 or e[0] == e[1]) and (not f.a13 or e[0] == e[2])
-            and (not f.a23 or e[1] == e[2])]
-
-
 def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
     """All integer solutions of f(x) = t with Euclidean norm <= R, sorted:
     the images of the `enumerate_orbits` points under f's sign changes, the
@@ -247,25 +165,29 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     primitive = (a // content, b // content, c // content)
     inflation = factorint(primitive[0])
 
-    # E_U: the flips e constant on the support of each column u_j of U, so
-    # e u_j = s_j u_j.  Those with s3 = 1 keep each slice; a flipped y_i has
-    # H_i = 0 (and b = 0 if flipped alone), so they flip z alike.
-    supports = [[i for i in range(3) if u[i][j]] for j in range(3)]
+    # E_U: the flips e with e u_j = s_j u_j, s_j = +-1, for each column u_j
+    # of U.  Those with s3 = 1 keep each slice; a flipped y_i has H_i = 0
+    # (and b = 0 if flipped alone), so they flip z alike.
     flips, in_slice = [], set()
     for e in _sign_flips(f):
-        signs = [{e[i] for i in support} for support in supports]
-        if max(map(len, signs)) == 1:
+        s = []
+        for j in range(3):
+            col = (u[0][j], u[1][j], u[2][j])
+            image = (e[0] * col[0], e[1] * col[1], e[2] * col[2])
+            s.append(1 if image == col else -1 if image == (-col[0], -col[1], -col[2]) else 0)
+        if 0 not in s:
             flips.append(e)
-            (s1,), (s2,), (s3,) = signs
-            if s3 == 1:
-                in_slice.add((s1, s2))
-    half_rows = any(s2 < 0 for _, s2 in in_slice)  # row -y2 mirrors row y2
+            if s[2] == 1:
+                in_slice.add((s[0], s[1]))
+    half_rows = (1, -1) in in_slice or (-1, -1) in in_slice  # row -y2 mirrors row y2
     one_root = (-1, 1) in in_slice  # b = 0 and H1 = 0: root -s mirrors root s
     restore = _restored(in_slice)
     # E_U is generated by -I and the x_i it flips alone (n_i = 1), so an
     # orbit's largest point takes |x_i| there and makes the other coordinates
     # lexicographically positive; with none, it is x or -x.
-    n1, n2, n3 = (1 if e in flips else -1 for e in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
+    n1 = 1 if (-1, 1, 1) in flips else -1
+    n2 = 1 if (1, -1, 1) in flips else -1
+    n3 = 1 if (1, 1, -1) in flips else -1
     alone = max(n1, n2, n3) > 0
     full = len(flips)  # the size of every orbit without a zero coordinate
 
@@ -512,12 +434,6 @@ def _polar(f: TernaryForm, u, v) -> int:
             + f.a23 * (u[1] * v[2] + u[2] * v[1]))
 
 
-def _det3(c1, c2, c3) -> int:
-    return (c1[0] * (c2[1] * c3[2] - c2[2] * c3[1])
-            - c2[0] * (c1[1] * c3[2] - c1[2] * c3[1])
-            + c3[0] * (c1[1] * c2[2] - c1[2] * c2[1]))
-
-
 def find_automorphs(f: TernaryForm, H: int) -> tuple:
     """All M with entries in [-H, H], M^T G M = G and det M = +1, sorted.
 
@@ -550,13 +466,3 @@ def find_automorphs(f: TernaryForm, H: int) -> tuple:
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     found.add(identity)
     return tuple(sorted(found))
-
-
-def _mat_inverse_unimodular(m):
-    """Inverse of an integer matrix with det +1 (the adjugate)."""
-    a, b, c = m[0]
-    d, e, g = m[1]
-    h, i, j = m[2]
-    return ((e * j - g * i, c * i - b * j, b * g - c * e),
-            (g * h - d * j, a * j - c * h, c * d - a * g),
-            (d * i - e * h, b * h - a * i, a * e - b * d))

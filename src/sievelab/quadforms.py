@@ -16,12 +16,16 @@ where (.,.)_v is the Hilbert symbol, and it has a rational zero iff it has
 one at every place (only v in {infinity, 2} and odd primes dividing d can
 obstruct).  An isotropic verdict is always certified by an explicit integer
 witness found by bounded search.
+
+The slice frame of `lattice_points` is integer arithmetic on f too:
+`_slice_frame` finds a unimodular U with f(Uy) definite and Gauss-reduced
+in (y1, y2), and `_sign_flips` lists the sign changes of x that keep f.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 from .arith import factorint, is_prime, legendre_raw, squarefree_part
 from .errors import DomainError, StructureError
@@ -261,3 +265,102 @@ def is_isotropic_Q(f: TernaryForm, search_height: int = 50) -> IsotropyCertifica
     if witness is not None:
         return IsotropyCertificate("isotropic", witness, local_data)
     return IsotropyCertificate("inconclusive", None, local_data)
+
+
+def _slice_normal(f: TernaryForm) -> tuple[int, int, int]:
+    """A short primitive n such that f is definite on the plane n.x = 0.
+
+    f restricted to that plane has discriminant -n^T adj(2G) n, so the plane
+    is definite exactly when the cofactor form of 2G is positive at n.  That
+    set is an open cone, nonempty for every nondegenerate ternary form, so
+    the search over shells of growing height ends; the coordinate normals
+    e3, e2, e1 are tried first.
+    """
+    cof = TernaryForm(4 * f.a22 * f.a33 - f.a23 * f.a23,
+                      4 * f.a11 * f.a33 - f.a13 * f.a13,
+                      4 * f.a11 * f.a22 - f.a12 * f.a12,
+                      2 * (f.a13 * f.a23 - 2 * f.a12 * f.a33),
+                      2 * (f.a12 * f.a23 - 2 * f.a22 * f.a13),
+                      2 * (f.a12 * f.a13 - 2 * f.a11 * f.a23))
+    for h in count(1):
+        shell = [(x, y, z) for x in range(0, h + 1) for y in range(-h, h + 1)
+                 for z in (range(-h, h + 1) if h in (x, abs(y)) else (-h, h))
+                 if (x, y, z) > (0, 0, 0) and math.gcd(x, y, z) == 1]
+        shell.sort(key=lambda n: (n[0] * n[0] + n[1] * n[1] + n[2] * n[2], n))
+        for n in shell:
+            if eval_form(cof, n) > 0:
+                return n
+
+
+def _frame_from_normal(n) -> list[list[int]]:
+    """U with det U = 1, n.u1 = n.u2 = 0 and n.u3 = 1 (u_j the columns of U).
+
+    Column operations reduce the row n U to (0, 0, 1) as in Euclid's
+    algorithm, so the last row of U^-1 is n.
+    """
+    r, cols = list(n), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    while sum(1 for v in r if v) > 1:
+        i = min((j for j in range(3) if r[j]), key=lambda j: abs(r[j]))
+        for j in range(3):
+            if j != i and r[j]:
+                q = r[j] // r[i]
+                r[j] -= q * r[i]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+    i = next(j for j in range(3) if r[j])
+    cols[i], cols[2], r[i], r[2] = cols[2], cols[i], r[2], r[i]
+    if r[2] < 0:
+        cols[2] = [-a for a in cols[2]]
+    u = [[cols[j][i] for j in range(3)] for i in range(3)]
+    if _det3(*cols) < 0:
+        for row in u:
+            row[0] = -row[0]
+    return u
+
+
+def _reduce_binary(a: int, b: int, c: int) -> list[list[int]]:
+    """V with det V = 1 taking a x^2 + b x y + c y^2 (a > 0, b^2 < 4ac) to a
+    Gauss-reduced form: |b| <= a <= c."""
+    v = [[1, 0], [0, 1]]
+    while True:
+        m = (a - b) // (2 * a)  # x -> x + m y leaves -a < b <= a
+        b, c = b + 2 * a * m, a * m * m + b * m + c
+        v = [[row[0], row[0] * m + row[1]] for row in v]
+        if a <= c:
+            return v
+        a, b, c = c, -b, a  # (x, y) -> (-y, x)
+        v = [[row[1], -row[0]] for row in v]
+
+
+def _slice_frame(f: TernaryForm) -> list[list[int]]:
+    """Unimodular U: f(Uy) is definite and Gauss-reduced in (y1, y2) and the
+    last row of U^-1 is a short slice normal."""
+    u = _frame_from_normal(_slice_normal(f))
+    g = transform(f, u)
+    sign = 1 if g.a11 > 0 else -1
+    v = _reduce_binary(sign * g.a11, sign * g.a12, sign * g.a22)
+    return [[row[0] * v[0][0] + row[1] * v[1][0], row[0] * v[0][1] + row[1] * v[1][1],
+             row[2]] for row in u]
+
+
+def _sign_flips(f: TernaryForm) -> list[tuple[int, int, int]]:
+    """The sign changes e with f(e1 x1, e2 x2, e3 x3) = f(x), (1, 1, 1) first:
+    each nonzero cross term a_ij asks e_i = e_j."""
+    return [e for e in product((1, -1), repeat=3)
+            if (not f.a12 or e[0] == e[1]) and (not f.a13 or e[0] == e[2])
+            and (not f.a23 or e[1] == e[2])]
+
+
+def _det3(c1, c2, c3) -> int:
+    return (c1[0] * (c2[1] * c3[2] - c2[2] * c3[1])
+            - c2[0] * (c1[1] * c3[2] - c1[2] * c3[1])
+            + c3[0] * (c1[1] * c2[2] - c1[2] * c2[1]))
+
+
+def _mat_inverse_unimodular(m):
+    """Inverse of an integer matrix with det +1 (the adjugate)."""
+    a, b, c = m[0]
+    d, e, g = m[1]
+    h, i, j = m[2]
+    return ((e * j - g * i, c * i - b * j, b * g - c * e),
+            (g * h - d * j, a * j - c * h, c * d - a * g),
+            (d * i - e * h, b * h - a * i, a * e - b * d))

@@ -10,12 +10,11 @@ from sievelab.arith import factorint
 from sievelab.errors import DomainError, ResourceError, StructureError
 from sievelab.binary_forms import _factor_slices, _representations, _restored
 from sievelab.lattice_points import (PROJECTIONS, _MAX_CELLS, _MAX_POINTS, _MAX_SLICES,
-                                     _projection_value, _slice_normal, build_sequence,
-                                     census, enumerate_orbits, enumerate_points,
-                                     find_automorphs, level_statistic, residual_Rd,
-                                     weight_FT)
+                                     _projection_value, build_sequence, census,
+                                     enumerate_orbits, enumerate_points, find_automorphs,
+                                     level_statistic, residual_Rd, weight_FT)
 from sievelab.localdata import BAD_SET, build_local_table
-from sievelab.quadforms import TernaryForm, det_form, eval_form, transform
+from sievelab.quadforms import TernaryForm, _slice_normal, det_form, eval_form, transform
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
 
@@ -724,7 +723,7 @@ class TestSequenceOracles:
         # reference form's orbits at (+-1, 0, 0) and (0, +-1, 0) hold 2 points
         assert enumerate_orbits(DIAG113, 1, 20)[1, 0, 0] == 2
         for form, t in POOL_FORMS:
-            for T in (10.0, 23.5, 40.0):
+            for T in (10.0, 23.5, 40.0, 61.0):
                 assert_sequence_matches_sweep(TernaryForm.from_string(form), t, T)
 
     @pytest.mark.parametrize("kind", ["definite", "no_plane", "cross", "sparse"])
