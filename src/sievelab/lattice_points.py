@@ -119,8 +119,8 @@ _SCAN_ROWS = 32
 
 def enumerate_points(f: TernaryForm, t: int, R: float) -> list[tuple[int, int, int]]:
     """All integer solutions of f(x) = t with Euclidean norm <= R, sorted:
-    the images of the `enumerate_orbits` points under f's sign changes, the
-    lexicographically positive sign of each pair +-x first."""
+    the images of the `enumerate_orbits` points under f's sign changes, as
+    their lexicographically positive half and its mirrors -x."""
     orbits = enumerate_orbits(f, t, R)
     half = set(orbits)  # -I is in E_U, so an orbit's largest point is > 0
     for e1, e2, e3 in _sign_flips(f)[1:]:  # after (1, 1, 1)
