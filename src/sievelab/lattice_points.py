@@ -56,15 +56,15 @@ text, JSON or CSV.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .arith import factorint, smallest_prime_factors
 from .binary_forms import _factor_slices, _representations, _restored
 from .errors import DomainError, ResourceError, StructureError
 from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
-from .quadforms import (TernaryForm, _det3, _mat_inverse_unimodular, _sign_flips, _slice_frame,
-                        det_form, eval_form, transform)
+from .quadforms import (TernaryForm, _det3, _mat_inverse_unimodular, _polar, _sign_flips,
+                        _slice_frame, det_form, eval_form, transform)
 
 PROJECTIONS = ("x1", "x1x2", "x1x2x3")
 
@@ -304,8 +304,7 @@ def _projection_value(x, projection: str) -> int:
     return abs(x[0] * x[1] * x[2])
 
 
-@dataclass
-class WeightedSequence:
+class WeightedSequence(NamedTuple):
     """Smooth-weighted counts a_n of quadric points by projection value."""
 
     form: TernaryForm
@@ -423,15 +422,6 @@ def census(seq: WeightedSequence, r: int) -> tuple[float, int]:
     weighted = math.fsum(seq.values[n] for n in qualifying)
     raw = sum(seq.counts[n] for n in qualifying)
     return weighted, raw
-
-
-def _polar(f: TernaryForm, u, v) -> int:
-    """u^T (2G) v: the integer polar form of f."""
-    return (2 * f.a11 * u[0] * v[0] + 2 * f.a22 * u[1] * v[1]
-            + 2 * f.a33 * u[2] * v[2]
-            + f.a12 * (u[0] * v[1] + u[1] * v[0])
-            + f.a13 * (u[0] * v[2] + u[2] * v[0])
-            + f.a23 * (u[1] * v[2] + u[2] * v[1]))
 
 
 def find_automorphs(f: TernaryForm, H: int) -> tuple:

@@ -47,9 +47,9 @@ are aggregates over orbits; per-orbit ratios are not resolved by this
 module (see LocalDensityTable.caveat).
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .arith import factorint, is_prime, is_squarefree, legendre_raw, primes_up_to
 from .errors import DomainError, ResourceError
@@ -174,8 +174,7 @@ def bad_primes(f: TernaryForm, t: int, variant: str, p_max: int) -> set[int]:
     return build_local_table(f, t, variant, p_max).bad_primes
 
 
-@dataclass(frozen=True)
-class LocalEntry:
+class LocalEntry(NamedTuple):
     p: int
     count_V: int
     count_V0: int
@@ -184,17 +183,16 @@ class LocalEntry:
     cassels_agree: bool | None  # None where Cassels' hypotheses fail
 
 
-@dataclass
 class LocalDensityTable:
     """Per-prime local counts and densities for one (form, t, variant)."""
 
-    form: TernaryForm
-    t: int
-    variant: str
-    entries: dict[int, LocalEntry] = field(default_factory=dict)
-    findings: list[str] = field(default_factory=list)
-    caveat: str = ("densities are aggregates over the whole variety mod p; "
-                   "per-orbit ratios are not resolved")
+    caveat = ("densities are aggregates over the whole variety mod p; "
+              "per-orbit ratios are not resolved")
+
+    def __init__(self, form: TernaryForm, t: int, variant: str):
+        self.form, self.t, self.variant = form, t, variant
+        self.entries: dict[int, LocalEntry] = {}
+        self.findings: list[str] = []
 
     @property
     def bad_primes(self) -> set[int]:

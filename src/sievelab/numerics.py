@@ -15,8 +15,7 @@ All functions here are pure and hold no mutable state.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 
@@ -40,23 +39,27 @@ _WEIGHTS15 = [0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
               0.10715922046717141, 0.0703660474881084, 0.030753241996117203]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error control for `integrate`."""
-
+class _Tolerances(NamedTuple):
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_depth: int = 60
 
-    def __post_init__(self):
+
+class QuadratureSpec(_Tolerances):
+    """Error control for `integrate`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("quadrature tolerances must be positive")
         if self.max_depth < 1:
             raise DomainError("max_depth must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     argmin: float
     min_value: float
     iterations: int

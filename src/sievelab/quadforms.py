@@ -23,9 +23,9 @@ in (y1, y2), and `_sign_flips` lists the sign changes of x that keep f.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
+from typing import NamedTuple
 
 from .arith import factorint, is_prime, legendre_raw, squarefree_part
 from .errors import DomainError, StructureError
@@ -33,8 +33,7 @@ from .errors import DomainError, StructureError
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class TernaryForm:
+class _Coefficients(NamedTuple):
     a11: int
     a22: int
     a33: int
@@ -42,10 +41,16 @@ class TernaryForm:
     a13: int = 0
     a23: int = 0
 
-    def __post_init__(self):
-        for name in ("a11", "a22", "a33", "a12", "a13", "a23"):
-            if not isinstance(getattr(self, name), int):
+
+class TernaryForm(_Coefficients):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, c in zip(self._fields, self):
+            if not isinstance(c, int):
                 raise DomainError(f"coefficient {name} must be an integer")
+        return self
 
     @classmethod
     def diagonal(cls, d1: int, d2: int, d3: int) -> "TernaryForm":
@@ -63,8 +68,7 @@ class TernaryForm:
             raise DomainError(f"non-integer coefficient in {text!r}") from exc
 
     def to_string(self) -> str:
-        return ",".join(str(c) for c in
-                        (self.a11, self.a22, self.a33, self.a12, self.a13, self.a23))
+        return ",".join(map(str, self))
 
     def gram(self) -> list[list[Fraction]]:
         h = Fraction(1, 2)
@@ -75,17 +79,25 @@ class TernaryForm:
 
 def eval_form(f: TernaryForm, x) -> int:
     """f(x1, x2, x3) exactly, unbounded integer arithmetic."""
+    a11, a22, a33, a12, a13, a23 = f
     x1, x2, x3 = x
-    return (f.a11 * x1 * x1 + f.a22 * x2 * x2 + f.a33 * x3 * x3
-            + f.a12 * x1 * x2 + f.a13 * x1 * x3 + f.a23 * x2 * x3)
+    return (a11 * x1 * x1 + a22 * x2 * x2 + a33 * x3 * x3
+            + a12 * x1 * x2 + a13 * x1 * x3 + a23 * x2 * x3)
+
+
+def _polar(f: TernaryForm, u, v) -> int:
+    """u^T (2G) v: the integer polar form of f, so _polar(f, x, x) = 2 f(x)."""
+    a11, a22, a33, a12, a13, a23 = f
+    return (2 * a11 * u[0] * v[0] + 2 * a22 * u[1] * v[1] + 2 * a33 * u[2] * v[2]
+            + a12 * (u[0] * v[1] + u[1] * v[0])
+            + a13 * (u[0] * v[2] + u[2] * v[0])
+            + a23 * (u[1] * v[2] + u[2] * v[1]))
 
 
 def det_form(f: TernaryForm) -> Fraction:
-    """Determinant of the Gram matrix, as an exact rational."""
-    g = f.gram()
-    return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
+    """Determinant of the Gram matrix G, as an exact rational: det(2G) / 8."""
+    a11, a22, a33, a12, a13, a23 = f
+    return Fraction(_det3((2 * a11, a12, a13), (a12, 2 * a22, a23), (a13, a23, 2 * a33)), 8)
 
 
 def diagonalize(f: TernaryForm) -> tuple[tuple[Fraction, Fraction, Fraction],
@@ -148,17 +160,11 @@ def signature(f: TernaryForm) -> tuple[int, int]:
 
 
 def transform(f: TernaryForm, u: list[list[int]]) -> TernaryForm:
-    """The form f(Ux) for an integer change of variables U (columns = new basis)."""
-    g = f.gram()
-    gu = [[sum(g[i][k] * u[k][j] for k in range(3)) for j in range(3)]
-          for i in range(3)]
-    gp = [[sum(u[k][i] * gu[k][j] for k in range(3)) for j in range(3)]
-          for i in range(3)]
-    coeffs = [gp[0][0], gp[1][1], gp[2][2],
-              2 * gp[0][1], 2 * gp[0][2], 2 * gp[1][2]]
-    if any(c.denominator != 1 for c in map(Fraction, coeffs)):
-        raise StructureError("transform produced non-integral coefficients")
-    return TernaryForm(*(int(c) for c in coeffs))
+    """The form f(Ux) for an integer change of variables U (columns = new basis):
+    its Gram matrix is U^T G U, so a_jj = f(u_j) and a_ij = u_i^T (2G) u_j."""
+    u1, u2, u3 = zip(*u)
+    return TernaryForm(eval_form(f, u1), eval_form(f, u2), eval_form(f, u3),
+                       _polar(f, u1, u2), _polar(f, u1, u3), _polar(f, u2, u3))
 
 
 def _square_class(q) -> int:
@@ -206,8 +212,7 @@ def hilbert_symbol(a, b, place) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class IsotropyCertificate:
+class IsotropyCertificate(NamedTuple):
     """Outcome of the rational isotropy test.
 
     verdict is "isotropic" (with a nonzero integer witness), "anisotropic"

@@ -31,9 +31,9 @@ reports each constant next to its expected window.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .errors import DomainError
 from .numerics import MinimizeResult, QuadratureSpec, integrate, minimize_scalar
@@ -165,22 +165,19 @@ def admissible_r(threshold: float) -> tuple[int | None, bool]:
     return math.floor(threshold) + 1, False
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     name: str
     computed: str
     expected: str
     passed: bool
 
 
-@dataclass
 class ThresholdReport:
     """Computed constants side by side with their expected windows."""
 
-    mode: str
-    theta: Fraction
-    tau: Fraction
-    rows: list[ReportRow] = field(default_factory=list)
+    def __init__(self, mode: str, theta: Fraction, tau: Fraction):
+        self.mode, self.theta, self.tau = mode, theta, tau
+        self.rows: list[ReportRow] = []
 
     @property
     def all_pass(self) -> bool:

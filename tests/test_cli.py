@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -348,3 +352,17 @@ class TestConfigAndErrors:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["all_pass"] is True
+
+
+def test_import_loads_no_code_generation_modules():
+    # what the benchmark's set-up probe imports; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize at start-up
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "import sievelab.cli\n"
+            "from sievelab import arith, lattice_points, localdata, numerics, quadforms\n"
+            "print(*sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

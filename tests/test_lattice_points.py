@@ -580,6 +580,23 @@ class TestContent:
         assert enumerate_points(scaled, 3600, 500) == reference
         assert calls == reference_calls and len(calls) == 135
 
+    def test_solved_path_at_scale_1e9(self, monkeypatch):
+        # 10^9 (x^2 + y^2 - z^2) = 10^9 with no slice scanned: each solved
+        # slice n_k = 10^9 (1 + k^2) reduces to 1 + k^2 after the content
+        big = 10 ** 9
+        f = TernaryForm.diagonal(big, big, -big)
+        monkeypatch.setattr(lattice_points, "_SCAN_ROWS", 0)
+        solved, calls = [], []
+        factor, reduce = lattice_points._factor_slices, binary_forms._shortest_vectors
+        monkeypatch.setattr(lattice_points, "_factor_slices",
+                            lambda n0, m0, ks, *args: solved.extend(ks) or factor(n0, m0, ks, *args))
+        monkeypatch.setattr(binary_forms, "_shortest_vectors",
+                            lambda *args: calls.append(args) or reduce(*args))
+        points = enumerate_points(f, big, 4)
+        assert points == enumeration_oracle(f, big, 4)
+        assert solved == sorted({abs(x[2]) for x in points}) == [0, 1, 2]
+        assert len(calls) == 3
+
     def test_slices_the_content_does_not_divide_have_no_point(self):
         # 2 (x^2 + y^2) - z^2 = 1: n_k = 1 + k^2 is even only for odd k
         assert _factor_slices(1, -1, [0, 1, 2, 3], 2, 0, 2, {}) == {1: {}, 3: {5: 1}}

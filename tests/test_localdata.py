@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sievelab.arith import primes_up_to
 from sievelab.errors import DomainError, ResourceError
-from sievelab.localdata import (BAD_SET, VARIANTS, bad_primes,
+from sievelab.localdata import (BAD_SET, VARIANTS, LocalDensityTable, bad_primes,
                                 build_local_table, count_V0_mod_p,
                                 count_Vt_mod_p, legendre)
 from sievelab.quadforms import TernaryForm, eval_form
@@ -292,6 +292,13 @@ class TestLocalDensityTable:
         table = build_local_table(f, 1, "x1", 23)
         assert all(e.cassels_agree is None for e in table.entries.values())
         assert table.entries[23].count_V == _count_sweep(f, 1, 23)
+
+    def test_tables_share_no_containers(self):
+        one = LocalDensityTable(DIAG113, 1, "x1")
+        two = LocalDensityTable(DIAG113, 1, "x1")
+        one.entries[2] = None
+        one.findings.append("finding")
+        assert two.entries == {} and two.findings == []
 
     def test_caveat_present(self, ref_table):
         assert "orbit" in ref_table.caveat

@@ -62,6 +62,19 @@ class TestEvalAndGram:
             TernaryForm.from_string("1,2,3,x,5,6")
 
 
+class TestRecord:
+    def test_non_integer_coefficient_rejected(self):
+        with pytest.raises(DomainError, match="coefficient a11 must be an integer"):
+            TernaryForm(1.5, 1, 1)
+        with pytest.raises(DomainError, match="coefficient a23 must be an integer"):
+            TernaryForm(1, 1, 1, a23=Fraction(1, 2))
+
+    def test_equal_forms_are_equal_and_hash_equal(self):
+        f, g = TernaryForm(1, 1, -3), TernaryForm.from_string("1,1,-3,0,0,0")
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert len({f, g, TernaryForm(1, 1, 3)}) == 2
+
+
 class TestDeterminant:
     def test_examples(self):
         assert det_form(DIAG113) == -3

@@ -13,7 +13,7 @@ from sievelab import numerics, sieve_functions, thresholds
 from sievelab.errors import DomainError
 from sievelab.numerics import QuadratureSpec, integrate
 from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
-from sievelab.thresholds import (admissible_r, dh_threshold_linear,
+from sievelab.thresholds import (ThresholdReport, admissible_r, dh_threshold_linear,
                                  linear_threshold, m_zeta, minimize_m,
                                  reproduce_constants, tau_from_theta,
                                  threshold_components)
@@ -234,6 +234,12 @@ class TestReproduceConstants:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             reproduce_constants("hybrid")
+
+    def test_reports_share_no_rows(self):
+        one = ThresholdReport("selberg", Fraction(0), Fraction(1, 4))
+        two = ThresholdReport("selberg", Fraction(0), Fraction(1, 4))
+        one.add_exact("tau", Fraction(1, 4), Fraction(1, 4))
+        assert len(one.rows) == 1 and two.rows == []
 
 
 class TestQuadratureNesting:
