@@ -2,8 +2,9 @@
 
 A form f(x) = a11 x1^2 + a22 x2^2 + a33 x3^2 + a12 x1 x2 + a13 x1 x3
 + a23 x2 x3 is carried by its six integer coefficients; its Gram matrix G
-(half-integral off the diagonal) satisfies f(x) = x^T G x exactly.  All
-linear algebra here is over exact rationals - no floating point enters this
+(half-integral off the diagonal) satisfies f(x) = x^T G x exactly.  Changes
+of variables and the determinant use the integer polar matrix 2G;
+diagonalization is over exact rationals - no floating point enters this
 module.
 
 Rational isotropy (existence of a nontrivial zero) is decided locally: a
