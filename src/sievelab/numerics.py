@@ -58,6 +58,11 @@ class QuadratureSpec(_Tolerances):
             raise DomainError("max_depth must be >= 1")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checks; `_replace` calls this too."""
+        return cls(*iterable)
+
 
 class MinimizeResult(NamedTuple):
     argmin: float

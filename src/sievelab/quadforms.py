@@ -3,24 +3,26 @@
 A form f(x) = a11 x1^2 + a22 x2^2 + a33 x3^2 + a12 x1 x2 + a13 x1 x3
 + a23 x2 x3 is carried by its six integer coefficients; its Gram matrix G
 (half-integral off the diagonal) satisfies f(x) = x^T G x exactly.  Changes
-of variables and the determinant use the integer polar matrix 2G;
-diagonalization is over exact rationals - no floating point enters this
-module.
-
-Rational isotropy (existence of a nontrivial zero) is decided locally: a
-nondegenerate ternary form with diagonalization <c1, c2, c3> has a
-nontrivial zero over the v-adic field iff
-
-    (-1, -d)_v = (c1, c2)_v (c1, c3)_v (c2, c3)_v,     d = c1 c2 c3,
-
-where (.,.)_v is the Hilbert symbol, and it has a rational zero iff it has
-one at every place (only v in {infinity, 2} and odd primes dividing d can
-obstruct).  An isotropic verdict is always certified by an explicit integer
-witness found by bounded search.
+of variables and the determinant use the integer polar matrix 2G - no
+floating point enters this module.
 
 The slice frame of `lattice_points` is integer arithmetic on f too:
 `_slice_frame` finds a unimodular U with f(Uy) definite and Gauss-reduced
 in (y1, y2), and `_sign_flips` lists the sign changes of x that keep f.
+On that frame the leading minors of the Gram matrix are nonzero, so
+Jacobi's diagonalization gives the square classes <c1, c2, c3> of a
+diagonalization of f as three integers, with no pivot search.
+
+Rational isotropy (existence of a nontrivial zero) is decided locally: a
+nondegenerate ternary form <c1, c2, c3> has a nontrivial zero over the
+v-adic field iff
+
+    (-1, -d)_v = (c1, c2)_v (c1, c3)_v (c2, c3)_v,     d = c1 c2 c3,
+
+where (.,.)_v is the Hilbert symbol, and by Hasse-Minkowski it has a
+rational zero iff it has one at every place.  Only v in {infinity, 2} and
+odd primes dividing d can obstruct, so those flags decide the verdict and
+no search for a zero is made.
 """
 
 import math
@@ -29,7 +31,7 @@ from itertools import count, product
 from typing import NamedTuple
 
 from .arith import factorint, is_prime, legendre_raw, squarefree_part
-from .errors import DomainError, StructureError
+from .errors import DomainError
 
 INF = math.inf
 
@@ -54,6 +56,11 @@ class TernaryForm(_Coefficients):
         return self
 
     @classmethod
+    def _make(cls, iterable):
+        """Build through the checks; `_replace` calls this too."""
+        return cls(*iterable)
+
+    @classmethod
     def diagonal(cls, d1: int, d2: int, d3: int) -> "TernaryForm":
         return cls(d1, d2, d3)
 
@@ -70,12 +77,6 @@ class TernaryForm(_Coefficients):
 
     def to_string(self) -> str:
         return ",".join(map(str, self))
-
-    def gram(self) -> list[list[Fraction]]:
-        h = Fraction(1, 2)
-        return [[Fraction(self.a11), h * self.a12, h * self.a13],
-                [h * self.a12, Fraction(self.a22), h * self.a23],
-                [h * self.a13, h * self.a23, Fraction(self.a33)]]
 
 
 def eval_form(f: TernaryForm, x) -> int:
@@ -101,63 +102,24 @@ def det_form(f: TernaryForm) -> Fraction:
     return Fraction(_det3((2 * a11, a12, a13), (a12, 2 * a22, a23), (a13, a23, 2 * a33)), 8)
 
 
-def diagonalize(f: TernaryForm) -> tuple[tuple[Fraction, Fraction, Fraction],
-                                         list[list[Fraction]]]:
-    """Rational congruence diagonalization: basis^T G basis = diag(d1,d2,d3).
+def _square_classes(f: TernaryForm) -> tuple[int, int, int]:
+    """Integers in the square classes of a diagonalization <c1, c2, c3> of f.
 
-    Completion of squares with pivot search; exact throughout.  Raises on
-    degenerate forms.
+    On the slice frame g = f(Uy) the plane y3 = 0 is definite, so the leading
+    minors g11, disc/4 (disc = 4 g11 g22 - g12^2 > 0) and det G of g's Gram
+    matrix are nonzero, and Jacobi's diagonalization <D1, D2/D1, D3/D2> has
+    the classes of g11, g11 disc and 2 disc det(2G).  det U = 1 keeps det(2G).
     """
-    if det_form(f) == 0:
-        raise DomainError("form is degenerate")
-    m = f.gram()
-    basis = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        m[i], m[j] = m[j], m[i]
-        for row in basis:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, c):
-        # column operation x_dst stays, contribution c of column src folded in:
-        # col_dst += c * col_src applied congruently (columns then rows of m).
-        for row in m:
-            row[dst] += c * row[src]
-        for j in range(3):
-            m[dst][j] += c * m[src][j]
-        for row in basis:
-            row[dst] += c * row[src]
-
-    for k in range(3):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, 3) if m[i][i] != 0), None)
-            if pivot is not None:
-                swap_cols(k, pivot)
-            else:
-                pair = next(((i, j) for i in range(k, 3) for j in range(i + 1, 3)
-                             if m[i][j] != 0), None)
-                if pair is None:
-                    raise StructureError("no pivot available; form is degenerate")
-                i, j = pair
-                add_col(i, j, Fraction(1))
-                if i != k:
-                    swap_cols(k, i)
-        for i in range(k + 1, 3):
-            if m[k][i] != 0:
-                add_col(i, k, -m[k][i] / m[k][k])
-
-    diag = (m[0][0], m[1][1], m[2][2])
-    if any(d == 0 for d in diag):
-        raise DomainError("form is degenerate")
-    return diag, basis
+    g = transform(f, _slice_frame(f))
+    disc = 4 * g.a11 * g.a22 - g.a12 * g.a12
+    return g.a11, g.a11 * disc, 2 * disc * int(8 * det_form(f))
 
 
 def signature(f: TernaryForm) -> tuple[int, int]:
     """(number of positive, number of negative) squares after diagonalization."""
-    diag, _ = diagonalize(f)
-    return sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0)
+    c1, _, c3 = _square_classes(f)
+    positive = 2 * (c1 > 0) + (c3 > 0)
+    return positive, 3 - positive
 
 
 def transform(f: TernaryForm, u: list[list[int]]) -> TernaryForm:
@@ -216,15 +178,13 @@ def hilbert_symbol(a, b, place) -> int:
 class IsotropyCertificate(NamedTuple):
     """Outcome of the rational isotropy test.
 
-    verdict is "isotropic" (with a nonzero integer witness), "anisotropic"
-    (with at least one obstructed place), or "inconclusive" (all local tests
-    pass but the bounded witness search came back empty - never a guess).
+    verdict is "anisotropic" when at least one place is obstructed and
+    "isotropic" otherwise (Hasse-Minkowski: the local flags decide).
     local_data lists (place, flag) with flag +1 when the form has a
     nontrivial local zero at that place and -1 when obstructed.
     """
 
     verdict: str
-    witness: tuple[int, int, int] | None
     local_data: list
 
     def is_anisotropic(self) -> bool:
@@ -238,39 +198,15 @@ def _locally_isotropic(c1: int, c2: int, c3: int, place) -> bool:
     return hilbert_symbol(-1, -d, place) == eps
 
 
-def _witness_search(f: TernaryForm, height: int):
-    """First nonzero integer zero of f with max-norm <= height, by shells."""
-    for h in range(1, height + 1):
-        for x in product(range(-h, h + 1), repeat=3):
-            if max(abs(c) for c in x) != h:
-                continue
-            if eval_form(f, x) == 0:
-                return x
-    return None
-
-
-def is_isotropic_Q(f: TernaryForm, search_height: int = 50) -> IsotropyCertificate:
+def is_isotropic_Q(f: TernaryForm) -> IsotropyCertificate:
     """Certified isotropy/anisotropy of f over the rationals."""
-    diag, _ = diagonalize(f)
-    c = [_square_class(d) for d in diag]
+    c = [_square_class(q) for q in _square_classes(f)]
     d = c[0] * c[1] * c[2]
 
     places = [INF, 2] + [p for p in sorted(factorint(abs(d))) if p != 2]
-    local_data = []
-    obstructed = False
-    for v in places:
-        ok = _locally_isotropic(*c, v)
-        local_data.append((v, 1 if ok else -1))
-        if not ok:
-            obstructed = True
-
-    if obstructed:
-        return IsotropyCertificate("anisotropic", None, local_data)
-
-    witness = _witness_search(f, search_height)
-    if witness is not None:
-        return IsotropyCertificate("isotropic", witness, local_data)
-    return IsotropyCertificate("inconclusive", None, local_data)
+    local_data = [(v, 1 if _locally_isotropic(*c, v) else -1) for v in places]
+    obstructed = any(flag < 0 for _, flag in local_data)
+    return IsotropyCertificate("anisotropic" if obstructed else "isotropic", local_data)
 
 
 def _slice_normal(f: TernaryForm) -> tuple[int, int, int]:
@@ -339,7 +275,10 @@ def _reduce_binary(a: int, b: int, c: int) -> list[list[int]]:
 
 def _slice_frame(f: TernaryForm) -> list[list[int]]:
     """Unimodular U: f(Uy) is definite and Gauss-reduced in (y1, y2) and the
-    last row of U^-1 is a short slice normal."""
+    last row of U^-1 is a short slice normal.  Raises on degenerate forms,
+    whose cofactor form need not be positive anywhere."""
+    if det_form(f) == 0:
+        raise DomainError("form is degenerate")
     u = _frame_from_normal(_slice_normal(f))
     g = transform(f, u)
     sign = 1 if g.a11 > 0 else -1

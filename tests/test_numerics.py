@@ -109,6 +109,12 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             QuadratureSpec(max_depth=0)
 
+    def test_make_and_replace_go_through_the_checks(self):
+        with pytest.raises(DomainError, match="tolerances must be positive"):
+            QuadratureSpec._make([0.0, 1e-10, 60])
+        with pytest.raises(DomainError, match="max_depth"):
+            QuadratureSpec()._replace(max_depth=0)
+
 
 class TestMinimizeScalar:
     def test_shifted_quadratic(self):

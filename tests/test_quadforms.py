@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sievebench.arith import obstructed_places
 from sievelab.errors import DomainError
-from sievelab.quadforms import (INF, TernaryForm, det_form, diagonalize,
+from sievelab.quadforms import (INF, TernaryForm, _slice_frame, det_form,
                                 eval_form, hilbert_symbol, is_isotropic_Q,
                                 signature, transform)
+from test_lattice_points import POOL_FORMS
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
 
@@ -18,6 +20,14 @@ def random_form(rng, bound=5):
         f = TernaryForm(*(rng.randint(-bound, bound) for _ in range(6)))
         if det_form(f) != 0:
             return f
+
+
+def gram(f: TernaryForm) -> list[list[Fraction]]:
+    """The Gram matrix G of f, with f(x) = x^T G x."""
+    h = Fraction(1, 2)
+    return [[Fraction(f.a11), h * f.a12, h * f.a13],
+            [h * f.a12, Fraction(f.a22), h * f.a23],
+            [h * f.a13, h * f.a23, Fraction(f.a33)]]
 
 
 def random_sl3(rng, steps=6):
@@ -42,7 +52,7 @@ class TestEvalAndGram:
         for _ in range(1000):
             f = TernaryForm(*(rng.randint(-9, 9) for _ in range(6)))
             x = [rng.randint(-20, 20) for _ in range(3)]
-            g = f.gram()
+            g = gram(f)
             via_gram = sum(Fraction(x[i]) * g[i][j] * x[j]
                            for i in range(3) for j in range(3))
             assert via_gram == eval_form(f, x)
@@ -69,6 +79,13 @@ class TestRecord:
         with pytest.raises(DomainError, match="coefficient a23 must be an integer"):
             TernaryForm(1, 1, 1, a23=Fraction(1, 2))
 
+    def test_make_and_replace_go_through_the_checks(self):
+        with pytest.raises(DomainError, match="coefficient a11 must be an integer"):
+            TernaryForm._make([1.5, 1, 1, 0, 0, 0])
+        with pytest.raises(DomainError, match="coefficient a11 must be an integer"):
+            TernaryForm(1, 1, -3)._replace(a11=1.5)
+        assert TernaryForm(1, 1, -3)._replace(a12=1) == TernaryForm(1, 1, -3, 1, 0, 0)
+
     def test_equal_forms_are_equal_and_hash_equal(self):
         f, g = TernaryForm(1, 1, -3), TernaryForm.from_string("1,1,-3,0,0,0")
         assert f is not g and f == g and hash(f) == hash(g)
@@ -92,6 +109,20 @@ class TestDeterminant:
             assert det_form(transform(f, u)) == det_form(f)
 
 
+def eigen_signature(f: TernaryForm) -> tuple[int, int]:
+    """(positive, negative) eigenvalues of the Gram matrix, in floating point."""
+    eig = np.linalg.eigvalsh(np.array(gram(f), dtype=float))
+    return int((eig > 0).sum()), int((eig < 0).sum())
+
+
+CROSS_FORMS = [
+    TernaryForm(1, 2, 5, 2, 0, 0),
+    TernaryForm(0, 0, 1, 1, 0, 0),       # a11 = 0
+    TernaryForm(0, 0, 0, 1, 1, 1),       # a11 = 0
+    TernaryForm(2, -3, 7, 1, -4, 5),
+]
+
+
 class TestSignatureAndDiagonalize:
     def test_signature_examples(self):
         assert signature(DIAG113) == (2, 1)
@@ -102,33 +133,23 @@ class TestSignatureAndDiagonalize:
         with pytest.raises(DomainError):
             signature(TernaryForm.diagonal(1, 1, 0))
 
-    def test_diagonal_input_identity_basis(self):
-        diag, basis = diagonalize(DIAG113)
-        assert diag == (1, 1, -3)
-        assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    @pytest.mark.parametrize("f", [TernaryForm(1, -1, 0), TernaryForm(0, 0, 0, 1, 0, 0)])
+    def test_degenerate_frame_rejected(self, f):
+        # the cofactor form of either is nowhere positive, so the search for
+        # a definite plane would never end
+        for fn in (_slice_frame, signature, is_isotropic_Q):
+            with pytest.raises(DomainError, match="degenerate"):
+                fn(f)
 
-    @pytest.mark.parametrize("f", [
-        TernaryForm(1, 2, 5, 2, 0, 0),       # x1^2 + 2 x1 x2 + ...
-        TernaryForm(0, 0, 1, 1, 0, 0),
-        TernaryForm(0, 0, 0, 1, 1, 1),
-        TernaryForm(2, -3, 7, 1, -4, 5),
-    ])
-    def test_congruence_identity(self, f):
-        diag, basis = diagonalize(f)
-        g = f.gram()
-        gb = [[sum(g[i][k] * basis[k][j] for k in range(3)) for j in range(3)]
-              for i in range(3)]
-        btgb = [[sum(basis[k][i] * gb[k][j] for k in range(3)) for j in range(3)]
-                for i in range(3)]
-        for i in range(3):
-            for j in range(3):
-                expected = diag[i] if i == j else 0
-                assert btgb[i][j] == expected
-        assert all(d != 0 for d in diag)
+    @pytest.mark.parametrize("f", CROSS_FORMS)
+    def test_signature_against_eigenvalues(self, f):
+        assert signature(f) == eigen_signature(f)
 
-    def test_permuted_diagonal(self):
-        diag, _ = diagonalize(TernaryForm.diagonal(-3, 1, 1))
-        assert sorted(diag) == [-3, 1, 1]
+    def test_signature_against_eigenvalues_random(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            f = random_form(rng, bound=9)
+            assert signature(f) == eigen_signature(f), f
 
 
 def hilbert_oracle_3minus1_at_3() -> int:
@@ -193,8 +214,9 @@ class TestHilbertSymbol:
             hilbert_symbol(1, 1, 4)
 
 
-def isotropy_oracle(f: TernaryForm, height: int = 50) -> bool:
-    """Vectorized exhaustive search for a nontrivial zero of max-norm <= height."""
+def isotropy_oracle(f: TernaryForm, height: int = 50):
+    """Vectorized exhaustive search for a nontrivial zero of max-norm <= height:
+    the first one found, or None."""
     rng = np.arange(-height, height + 1, dtype=np.int64)
     x2, x3 = np.meshgrid(rng, rng, indexing="ij")
     for x1 in rng:
@@ -204,8 +226,9 @@ def isotropy_oracle(f: TernaryForm, height: int = 50) -> bool:
         if x1 == 0:
             zero &= (x2 != 0) | (x3 != 0)
         if zero.any():
-            return True
-    return False
+            i, j = np.argwhere(zero)[0]
+            return int(x1), int(x2[i, j]), int(x3[i, j])
+    return None
 
 
 BATTERY = [
@@ -227,35 +250,64 @@ BATTERY = [
 ]
 
 
+def leading_minors_nonzero(f: TernaryForm) -> bool:
+    return f.a11 != 0 and 4 * f.a11 * f.a22 != f.a12 * f.a12 and det_form(f) != 0
+
+
 class TestIsotropy:
     def test_reference_anisotropic(self):
         cert = is_isotropic_Q(DIAG113)
         assert cert.verdict == "anisotropic"
-        assert cert.witness is None
         assert (3, -1) in cert.local_data
 
     def test_pythagorean_isotropic(self):
-        cert = is_isotropic_Q(TernaryForm.diagonal(1, 1, -1))
-        assert cert.verdict == "isotropic"
-        assert eval_form(TernaryForm.diagonal(1, 1, -1), cert.witness) == 0
-        assert any(c != 0 for c in cert.witness)
+        f = TernaryForm.diagonal(1, 1, -1)
+        assert is_isotropic_Q(f).verdict == "isotropic"
+        zero = isotropy_oracle(f, height=5)
+        assert eval_form(f, zero) == 0
+        assert any(c != 0 for c in zero)
 
     def test_simple_witness(self):
-        cert = is_isotropic_Q(TernaryForm.diagonal(1, 1, -2))
+        f = TernaryForm.diagonal(1, 1, -2)
+        assert is_isotropic_Q(f).verdict == "isotropic"
+        assert eval_form(f, isotropy_oracle(f, height=5)) == 0
+
+    def test_isotropic_with_only_a_large_zero(self):
+        # 100049 is a prime = 1 mod 4, so a sum of two squares: 215^2 + 232^2
+        f = TernaryForm(1, 1, -100049, 0, 0, 0)
+        cert = is_isotropic_Q(f)
         assert cert.verdict == "isotropic"
-        assert eval_form(TernaryForm.diagonal(1, 1, -2), cert.witness) == 0
+        assert cert.local_data == [(INF, 1), (2, 1), (100049, 1)]
+        assert eval_form(f, (215, 232, 1)) == 0
 
     def test_battery_against_exhaustive_search(self):
         assert len(BATTERY) == 30
         for f in BATTERY:
-            cert = is_isotropic_Q(f, search_height=50)
-            oracle = isotropy_oracle(f, height=50)
+            cert = is_isotropic_Q(f)
+            zero = isotropy_oracle(f, height=50)
             assert cert.verdict in ("isotropic", "anisotropic"), f
-            assert (cert.verdict == "isotropic") == oracle, f
-            if cert.witness is not None:
-                assert eval_form(f, cert.witness) == 0
+            assert (cert.verdict == "isotropic") == (zero is not None), f
+            if zero is not None:
+                assert eval_form(f, zero) == 0
 
     def test_definite_forms_anisotropic(self):
         cert = is_isotropic_Q(TernaryForm.diagonal(1, 1, 1))
         assert cert.verdict == "anisotropic"
         assert (INF, -1) in cert.local_data
+
+    def test_pool_against_obstructed_places(self):
+        for text, _ in POOL_FORMS:
+            f = TernaryForm.from_string(text)
+            assert is_isotropic_Q(f).is_anisotropic() == bool(obstructed_places(f)), f
+
+    def test_random_forms_against_obstructed_places(self):
+        rng = random.Random(1709)
+        checked = 0
+        while checked < 600:
+            f = TernaryForm(*(rng.randint(-40, 40) for _ in range(6)))
+            if not leading_minors_nonzero(f):
+                continue
+            cert = is_isotropic_Q(f)
+            assert cert.verdict in ("isotropic", "anisotropic"), f
+            assert cert.is_anisotropic() == bool(obstructed_places(f)), f
+            checked += 1
