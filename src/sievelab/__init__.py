@@ -6,6 +6,7 @@ Layout:
     sieve_functions linear-sieve F(s), f(s), Halberstam-Richert bound
     thresholds      almost-prime thresholds and constant reproduction
     quadforms       exact ternary quadratic form arithmetic and isotropy
+    binary_forms    binary quadratic representations behind the slices
     localdata       counts and densities mod p, bad primes
     lattice_points  ball enumeration, weighted sequences, census, automorphs
     cli             `sievelab` command-line front end

@@ -35,9 +35,5 @@ class ResourceError(SieveLabError):
     """A computation would exceed its configured work budget."""
 
 
-class StructureError(SieveLabError):
-    """An input object lacks the structure an algorithm requires."""
-
-
 class UnsupportedKappaError(DomainError):
     """No tabulated sifting-limit constant exists for the requested dimension."""

@@ -61,10 +61,10 @@ from typing import NamedTuple
 
 from .arith import factorint, smallest_prime_factors
 from .binary_forms import _factor_slices, _representations, _restored
-from .errors import DomainError, ResourceError, StructureError
+from .errors import DomainError, ResourceError
 from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
 from .quadforms import (TernaryForm, _det3, _mat_inverse_unimodular, _polar, _sign_flips,
-                        _slice_frame, det_form, eval_form, transform)
+                        _slice_frame, eval_form, transform)
 
 PROJECTIONS = ("x1", "x1x2", "x1x2x3")
 
@@ -140,8 +140,6 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     """
     if t == 0:
         raise DomainError("t must be a nonzero integer")
-    if det_form(f) == 0:
-        raise StructureError("form is degenerate; the solution set is not a quadric")
     if not math.isfinite(R):
         raise DomainError(f"radius must be finite, got {R}")
     if R < 0:

@@ -47,7 +47,8 @@ J2 is a primitive of log(u-1) log(u+1)/u on [4, 6].  Psi is a primitive
 itself, split at t = 5.  Each primitive is a Chebyshev series on its
 fixed interval (L. N. Trefethen, Approximation Theory and Approximation
 Practice, 2013, ch. 3 and 19), built on first use from 32 samples of its
-integrand; no evaluation of F or f calls `integrate`.
+integrand: J2 first, as P2 samples it, then the rest in one pass that
+computes each DCT cosine once.  No evaluation of F or f calls `integrate`.
 
 `_li2` evaluates Li2 on [-1/2, 1/2] by the Bernoulli series
 Li2(z) = w - w^2/4 + sum_{k>=1} B_2k w^(2k+1)/(2k+1)! in w = -log(1-z),
@@ -65,6 +66,7 @@ windows would not change any downstream constant.
 
 import functools
 import math
+import operator
 
 from .errors import DomainError, UnsupportedKappaError
 from .numerics import EULER_GAMMA
@@ -118,18 +120,28 @@ def _phi(x: float) -> float:
     return _G(x) - _PI2_12
 
 
-def _chebyshev_primitive(fn, lo: float, hi: float):
-    """x -> int_lo^x fn on [lo, hi], as a Chebyshev series.
+def _chebyshev_primitives(*integrands):
+    """x -> int_lo^x fn on [lo, hi] as a Chebyshev series, for each (fn, lo, hi).
 
     fn's coefficients come from a DCT of its values at the _CHEB_N
-    Chebyshev points, the primitive's from int T_k = T_(k+1)/(2(k+1)) -
-    T_(k-1)/(2(k-1)), and the returned function sums them by Clenshaw.
+    Chebyshev points, each cosine row cos(k a_j) computed once for all the
+    integrands; the primitive's from int T_k = T_(k+1)/(2(k+1)) -
+    T_(k-1)/(2(k-1)), and the returned functions sum them by Clenshaw.
     """
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     angles = [math.pi * (j + 0.5) / _CHEB_N for j in range(_CHEB_N)]
-    values = [fn(mid + half * math.cos(a)) for a in angles]
-    c = [2.0 / _CHEB_N * sum(v * math.cos(k * a) for v, a in zip(values, angles))
-         for k in range(_CHEB_N)] + [0.0, 0.0]
+    samples = [[fn(0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(a)) for a in angles]
+               for fn, lo, hi in integrands]
+    coeffs = [[] for _ in integrands]
+    for k in range(_CHEB_N):
+        row = [math.cos(k * a) for a in angles]
+        for c, values in zip(coeffs, samples):
+            c.append(2.0 / _CHEB_N * sum(map(operator.mul, values, row)))
+    return [_primitive(c + [0.0, 0.0], lo, hi) for c, (_, lo, hi) in zip(coeffs, integrands)]
+
+
+def _primitive(c: list, lo: float, hi: float):
+    """The Chebyshev primitive on [lo, hi] of the series with coefficients c."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     b = [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(_CHEB_N, 0, -1)]
     b0 = sum(bk if k % 2 else -bk for k, bk in zip(range(_CHEB_N, 0, -1), b))
 
@@ -152,25 +164,22 @@ def _primitives() -> dict:
     def k(t):
         return math.log(t - 1.0) / t
 
-    j2 = _chebyshev_primitive(lambda u: math.log(u - 1.0) * math.log(u + 1.0) / u,
-                              4.0, 6.0)
-    prims = {
-        "J": lambda t: k(t) * math.log(t + 1.0),
-        "P1": lambda t: k(t) * _G(t + 2.0),
-        "P2": lambda t: k(t) * j2(t + 2.0),
-        "P3": lambda t: k(t) * math.log(t + 1.0) * math.log(t + 2.0),
-        "P4": lambda t: k(t) * math.log(t + 1.0) * _H(t + 2.0),
-    }
-    table = {name: _chebyshev_primitive(fn, 2.0, 4.0) for name, fn in prims.items()}
-    table["J2"] = j2
-    # Psi's integrand has its nearest singularity at t = 2: one series on
-    # [3, 7] would converge too slowly
+    # Psi's integrand is singular at t = 2: one series on [3, 7] would converge slowly
     def psi(t):
         return _phi(t - 1.0) / t
 
-    table["psi_lo"] = _chebyshev_primitive(psi, 3.0, 5.0)
-    table["psi_hi"] = _chebyshev_primitive(psi, 5.0, 7.0)
-    return table
+    j2, = _chebyshev_primitives(
+        (lambda u: math.log(u - 1.0) * math.log(u + 1.0) / u, 4.0, 6.0))
+    integrands = {
+        "J": (lambda t: k(t) * math.log(t + 1.0), 2.0, 4.0),
+        "P1": (lambda t: k(t) * _G(t + 2.0), 2.0, 4.0),
+        "P2": (lambda t: k(t) * j2(t + 2.0), 2.0, 4.0),
+        "P3": (lambda t: k(t) * math.log(t + 1.0) * math.log(t + 2.0), 2.0, 4.0),
+        "P4": (lambda t: k(t) * math.log(t + 1.0) * _H(t + 2.0), 2.0, 4.0),
+        "psi_lo": (psi, 3.0, 5.0),
+        "psi_hi": (psi, 5.0, 7.0),
+    }
+    return dict(zip(integrands, _chebyshev_primitives(*integrands.values())), J2=j2)
 
 
 def _W(s: float) -> float:

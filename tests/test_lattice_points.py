@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sievelab import arith, binary_forms, cli, lattice_points
 from sievelab.arith import factorint
-from sievelab.errors import DomainError, ResourceError, StructureError
+from sievelab.errors import DomainError, ResourceError
 from sievelab.binary_forms import _factor_slices, _representations, _restored
 from sievelab.lattice_points import (PROJECTIONS, _MAX_CELLS, _MAX_POINTS, _MAX_SLICES,
                                      _projection_value, build_sequence, census,
@@ -286,7 +286,7 @@ class TestEnumeration:
             enumerate_points(DIAG113, 1, R)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="degenerate"):
             enumerate_points(TernaryForm.diagonal(1, 1, 0), 1, 5)
 
     def test_python_and_vector_paths_agree(self):

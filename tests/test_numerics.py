@@ -24,12 +24,30 @@ LOG_INTEGRAL_2_3 = 0.14722067695924124
 
 
 def test_gauss_literals_match_numpy():
-    # the inlined nodes and weights are numpy's, bit for bit
-    for n, nodes, weights in ((7, numerics._NODES7, numerics._WEIGHTS7),
-                              (15, numerics._NODES15, numerics._WEIGHTS15)):
-        x, w = np.polynomial.legendre.leggauss(n)
-        assert [v.hex() for v in nodes] == [v.hex() for v in x.tolist()]
-        assert [v.hex() for v in weights] == [v.hex() for v in w.tolist()]
+    # the 10-point Gauss nodes and weights nested in the Kronrod rule are
+    # numpy's, bit for bit
+    gauss = [(x, wg) for x, _, wg in numerics._GK21 if wg != 0.0]
+    nodes = sorted([-x for x, _ in gauss] + [x for x, _ in gauss])
+    weights = [w for _, w in gauss] + [w for _, w in reversed(gauss)]
+    x, w = np.polynomial.legendre.leggauss(10)
+    assert [v.hex() for v in nodes] == [v.hex() for v in x.tolist()]
+    assert [v.hex() for v in weights] == [v.hex() for v in w.tolist()]
+
+
+@pytest.mark.parametrize("rule, degree", [("K21", 31), ("G10", 19)])
+def test_rule_degree(rule, degree):
+    # x^k on [-1, 1] to rounding level up to the rule's degree, not beyond
+    column = 1 if rule == "K21" else 2
+    centre = numerics._K21_CENTRE if rule == "K21" else 0.0
+
+    def error(k):
+        total = centre * 0.0 ** k
+        for row in numerics._GK21:
+            total += row[column] * (row[0] ** k + (-row[0]) ** k)
+        return abs(total - (1.0 + (-1.0) ** k) / (k + 1))
+
+    assert max(error(k) for k in range(degree + 1)) <= 1e-15
+    assert error(degree + 1) > 1e-13  # 4e-12 for K21
 
 
 class TestIntegrate:
@@ -43,10 +61,10 @@ class TestIntegrate:
         assert value == pytest.approx(oracle, abs=1e-6)
 
     def test_single_panel_evaluates_once(self):
-        # one 15-point and one 7-point rule on the root panel, nothing more
+        # the 21 Kronrod nodes of the root panel, nothing more
         calls = []
         integrate(lambda x: calls.append(x) or x, 0.0, 1.0)
-        assert len(calls) == 22
+        assert len(calls) == len(set(calls)) == 21
 
     def test_each_panel_evaluated_once(self, monkeypatch):
         panels = []

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from sievelab import sieve_functions, thresholds
 from sievelab.errors import DomainError, UnsupportedKappaError
 from sievelab.numerics import EULER_GAMMA, derivative_central, integrate
-from sievelab.sieve_functions import (BETA, TWO_E_GAMMA, F_lin, _E, _G, _li2,
-                                      _phi, _psi, _W, f_lin, hr_upper)
+from sievelab.sieve_functions import (_CHEB_N, BETA, TWO_E_GAMMA, F_lin, _E, _G, _H,
+                                      _li2, _phi, _psi, _W, f_lin, hr_upper)
 from sievelab.numerics import QuadratureSpec
 
 from test_numerics import LOG_INTEGRAL_2_3
@@ -71,6 +71,50 @@ def use_oracle(monkeypatch):
 
 
 CLOSED_FORM_TOL = 1e-13
+
+
+def per_primitive_dct(fn, lo, hi):
+    """A primitive built on its own, every cosine computed anew: the build
+    `sieve_functions._primitives` replaced with one pass over shared rows."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    angles = [math.pi * (j + 0.5) / _CHEB_N for j in range(_CHEB_N)]
+    values = [fn(mid + half * math.cos(a)) for a in angles]
+    c = [2.0 / _CHEB_N * sum(v * math.cos(k * a) for v, a in zip(values, angles))
+         for k in range(_CHEB_N)] + [0.0, 0.0]
+    b = [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(_CHEB_N, 0, -1)]
+    b0 = sum(bk if k % 2 else -bk for k, bk in zip(range(_CHEB_N, 0, -1), b))
+
+    def primitive(x):
+        y = (x - mid) / half
+        b1 = b2 = 0.0
+        for bk in b:
+            b1, b2 = bk + 2.0 * y * b1 - b2, b1
+        return b0 + y * b1 - b2
+
+    return primitive
+
+
+def test_one_pass_build_matches_per_primitive_dct():
+    k = lambda t: math.log(t - 1.0) / t
+    psi = lambda t: _phi(t - 1.0) / t
+    j2 = per_primitive_dct(lambda u: math.log(u - 1.0) * math.log(u + 1.0) / u, 4.0, 6.0)
+    oracles = {
+        "J": (lambda t: k(t) * math.log(t + 1.0), 2.0, 4.0),
+        "P1": (lambda t: k(t) * _G(t + 2.0), 2.0, 4.0),
+        "P2": (lambda t: k(t) * j2(t + 2.0), 2.0, 4.0),
+        "P3": (lambda t: k(t) * math.log(t + 1.0) * math.log(t + 2.0), 2.0, 4.0),
+        "P4": (lambda t: k(t) * math.log(t + 1.0) * _H(t + 2.0), 2.0, 4.0),
+        "psi_lo": (psi, 3.0, 5.0),
+        "psi_hi": (psi, 5.0, 7.0),
+    }
+    built = sieve_functions._primitives()
+    assert set(built) == set(oracles) | {"J2"}
+    for name, (fn, lo, hi) in oracles.items():
+        oracle = per_primitive_dct(fn, lo, hi)
+        grid = [lo + (hi - lo) * i / 64 for i in range(65)]
+        assert [built[name](x).hex() for x in grid] == [oracle(x).hex() for x in grid], name
+    grid = [4.0 + i / 32 for i in range(65)]
+    assert [built["J2"](x).hex() for x in grid] == [j2(x).hex() for x in grid]
 
 
 class TestDilogarithm:

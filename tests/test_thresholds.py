@@ -7,8 +7,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sievebench.jobs import job_list
 from sievelab import numerics, sieve_functions, thresholds
 from sievelab.errors import DomainError
 from sievelab.numerics import QuadratureSpec, integrate
@@ -240,6 +242,41 @@ class TestReproduceConstants:
         two = ThresholdReport("selberg", Fraction(0), Fraction(1, 4))
         one.add_exact("tau", Fraction(1, 4), Fraction(1, 4))
         assert len(one.rows) == 1 and two.rows == []
+
+
+GAUSS = {n: tuple(map(np.ndarray.tolist, np.polynomial.legendre.leggauss(n)))
+         for n in (7, 15)}
+
+
+def gauss_7_15_panel(fn, lo, hi):
+    """The former `numerics._panel`: a 15-point Gauss-Legendre estimate and
+    its distance from an unnested 7-point one, 22 evaluations."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    sums = []
+    for n in (15, 7):
+        total = 0.0
+        for x, w in zip(*GAUSS[n]):
+            total += w * fn(mid + half * x)
+        sums.append(total)
+    return half * sums[0], half * abs(sums[0] - sums[1])
+
+
+def test_kronrod_panel_against_gauss_7_15_oracle(monkeypatch):
+    # the `constants` pair grid of seeds 1-40, by both threshold routes
+    grid = [(job["a"], job["b"], Fraction(job["tau"])) for seed in range(1, 41)
+            for job in job_list("constants", seed) if job["kind"] == "pair"]
+
+    def values():
+        return [(*threshold_components(a, b), linear_threshold(a, b, tau),
+                 dh_threshold_linear(tau, b / ((b - a) * float(tau)), b / float(tau)))
+                for a, b, tau in grid]
+
+    kronrod = values()
+    monkeypatch.setattr(numerics, "_panel", gauss_7_15_panel)
+    gauss = values()
+    assert len(grid) == 240
+    assert max(abs(x - y) for row, old in zip(kronrod, gauss)
+               for x, y in zip(row, old)) <= 1e-13
 
 
 class TestQuadratureNesting:
