@@ -47,8 +47,8 @@ J2 is a primitive of log(u-1) log(u+1)/u on [4, 6].  Psi is a primitive
 itself, split at t = 5.  Each primitive is a Chebyshev series on its
 fixed interval (L. N. Trefethen, Approximation Theory and Approximation
 Practice, 2013, ch. 3 and 19), built on first use from 32 samples of its
-integrand: J2 first, as P2 samples it, then the rest in one pass that
-computes each DCT cosine once.  No evaluation of F or f calls `integrate`.
+integrand: J2 first, as P2 samples it, then the other seven in one pass
+that shares each DCT cosine row.  No evaluation of F or f calls `integrate`.
 
 `_li2` evaluates Li2 on [-1/2, 1/2] by the Bernoulli series
 Li2(z) = w - w^2/4 + sum_{k>=1} B_2k w^(2k+1)/(2k+1)! in w = -log(1-z),
