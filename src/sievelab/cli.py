@@ -30,7 +30,7 @@ import sys
 from .errors import SieveLabError
 from .lattice_points import (PROJECTIONS, build_sequence, census, enumerate_points,
                              find_automorphs, level_statistic, residual_Rd, weight_FT)
-from .localdata import build_local_table
+from .localdata import SIEVED, build_local_table
 from .quadforms import TernaryForm, det_form
 from .thresholds import reproduce_constants
 
@@ -40,7 +40,6 @@ _PUBLISHED_R = {
     "x1x2": {"unconditional": 16, "selberg": 14},
     "x1x2x3": {"unconditional": 26, "selberg": 22},
 }
-_KAPPA = {"x1": 1, "x1x2": 2, "x1x2x3": 3}
 
 # Config-file values accepted for an on/off flag such as --trend.
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
@@ -65,6 +64,8 @@ def _parse_inputs(args) -> None:
         raise SieveLabError("form is degenerate (zero determinant)")
     if getattr(args, "dmax", 2) < 2:
         raise SieveLabError(f"--dmax must be >= 2, got {args.dmax}")
+    if getattr(args, "dmax", 2) > 10 ** 4:
+        raise SieveLabError(f"--dmax must be <= 10^4, got {args.dmax}")
     if getattr(args, "r", 0) < 0:
         raise SieveLabError(f"--r must be >= 0, got {args.r}")
     for name in ("T", "c0", "R"):
@@ -182,7 +183,7 @@ def cmd_equidist(args) -> tuple[int, dict]:
 
     rows = residual_Rd(seq, table, args.dmax)
     stat = level_statistic(rows, float(args.dmax))
-    kappa = _KAPPA[args.projection]
+    kappa = len(SIEVED[args.projection])
     ref = seq.X / math.log(seq.X) ** (kappa + 1)
 
     trend = []

@@ -62,11 +62,11 @@ from typing import NamedTuple
 from .arith import factorint, smallest_prime_factors
 from .binary_forms import _factor_slices, _representations, _restored
 from .errors import DomainError, ResourceError
-from .localdata import BAD_SET, LocalDensityTable, squarefree_primes
+from .localdata import BAD_SET, SIEVED, VARIANTS, LocalDensityTable, squarefree_primes
 from .quadforms import (TernaryForm, _det3, _mat_inverse_unimodular, _polar, _sign_flips,
                         _slice_frame, eval_form, transform)
 
-PROJECTIONS = ("x1", "x1x2", "x1x2x3")
+PROJECTIONS = VARIANTS
 
 # build_sequence refuses a ball whose (x1, x2) disc spans more than
 # _MAX_CELLS cells, that is c0*T >= _MAX_RADIUS = 15,811.  _MAX_SLICES, the
@@ -409,7 +409,7 @@ def census(seq: WeightedSequence, r: int) -> tuple[float, int]:
     """
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    width = PROJECTIONS.index(seq.projection) + 1  # coordinates multiplied
+    width = len(SIEVED[seq.projection])  # coordinates multiplied
     top = max((abs(v) for x in seq.witnesses.values() for v in x[:width]), default=1)
     spf = smallest_prime_factors(top)
     omega = [0] * (top + 1)  # omega[m]: prime factors of m outside B

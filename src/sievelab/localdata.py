@@ -57,10 +57,10 @@ from .quadforms import TernaryForm, det_form, eval_form
 
 BAD_SET = frozenset({2, 3, 5, 7})
 
-VARIANTS = ("x1", "x1x2", "x1x2x3")
-
-# Indices of the coordinates whose product each variant sieves.
-_SIEVED = {"x1": (0,), "x1x2": (0, 1), "x1x2x3": (0, 1, 2)}
+# Indices of the coordinates whose product each variant (projection)
+# sieves; their number is the sieve dimension kappa.
+SIEVED = {"x1": (0,), "x1x2": (0, 1), "x1x2x3": (0, 1, 2)}
+VARIANTS = tuple(SIEVED)
 
 
 def legendre(n: int, p: int) -> int:
@@ -151,7 +151,7 @@ def count_V0_mod_p(f: TernaryForm, t: int, p: int, variant: str) -> int:
     """Count of points of f = t mod p whose sieved coordinate product is 0 mod p."""
     _check_variant(variant)
     _check_prime(p)
-    return _count(f, _principal_minors(f), t, p, _SIEVED[variant])
+    return _count(f, _principal_minors(f), t, p, SIEVED[variant])
 
 
 def _density(p: int, n: int, n0: int) -> Fraction:
@@ -226,7 +226,7 @@ def build_local_table(f: TernaryForm, t: int, variant: str,
     dt_squarefree = is_squarefree(dt)
 
     minors = _principal_minors(f)
-    sieved = _SIEVED[variant]
+    sieved = SIEVED[variant]
     table = LocalDensityTable(form=f, t=t, variant=variant)
     for p in primes_up_to(p_max):
         n = _count(f, minors, t, p)

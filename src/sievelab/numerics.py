@@ -36,30 +36,8 @@ _GK21 = ((0.9956571630258081, 0.011694638867371874, 0.0),
          (0.14887433898163122, 0.14773910490133849, 0.2955242247147528))
 _K21_CENTRE = 0.1494455540029169  # Kronrod weight of the node 0
 
-
-class _Tolerances(NamedTuple):
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 60
-
-
-class QuadratureSpec(_Tolerances):
-    """Error control for `integrate`."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be >= 1")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through the checks; `_replace` calls this too."""
-        return cls(*iterable)
+# Most bisections on the way from [lo, hi] down to an accepted panel.
+_MAX_DEPTH = 60
 
 
 class MinimizeResult(NamedTuple):
@@ -88,25 +66,26 @@ def _value(fn, t: float) -> float:
 
 
 def integrate(fn: Callable[[float], float], lo: float, hi: float,
-              spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of `fn` over [lo, hi] to the tolerances in `spec`.
+              tol: float = 1e-10) -> float:
+    """Integral of `fn` over [lo, hi] to within tol * max(1, |integral|).
 
     Empty intervals return 0.0 exactly.  Raises `EvaluationError` if the
     integrand produces a non-finite value, `ConvergenceError` (carrying the
-    best estimate) if bisection exhausts ``spec.max_depth``.
+    best estimate) if a panel needs more than _MAX_DEPTH bisections.
     """
+    if not tol > 0:
+        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
     if lo > hi:
         raise DomainError(f"integration bounds out of order: {lo} > {hi}")
     if lo == hi:
         return 0.0
 
     est, err = _panel(fn, lo, hi)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(est))
 
     # The root panel is judged first; then (lo, hi, local tolerance,
     # remaining depth) work items, whose children split the parent's
-    # tolerance so the accepted panels sum within `tol`.
-    a, b, t, depth = lo, hi, tol, spec.max_depth
+    # tolerance so the accepted panels sum within it.
+    a, b, t, depth = lo, hi, tol * max(1.0, abs(est)), _MAX_DEPTH
     stack = []
     total = 0.0
     while True:

@@ -22,39 +22,38 @@ window's term vanishes at its left end, so one formula covers all three:
 
 where
 
-    Phi(x) = int_2^x log(t-1)/t dt
-    W(s)   = int_2^{s-3} (log(t-1)/t) int_{t+2}^{s-1} (1/u) log((u-1)/(t+1)) du dt
-    Psi(s) = int_3^{s-1} (1/t) Phi(t-1) dt
-    E(s)   = int_2^{s-4} (log(t-1)/t)
-                 int_{t+2}^{s-2} (1/u) log((u-1)/(t+1)) log((s-1)/(u+1)) du dt.
+    Phi(x) = int_2^x log(t-1)/t dt,
+    Psi(s) = int_4^s Phi(t-2)/(t-1) dt,
+    W(s)   = int_5^s Psi(t-1)/(t-1) dt,
+    E(s)   = int_6^s W(t-1)/(t-1) dt.
 
-Each of these is a closed form in the dilogarithm Li2 (L. Lewin,
-Polylogarithms and Associated Functions, 1981, ch. 1) and a few
-one-variable primitives.  With k(t) = log(t-1)/t and
+Each later window term is the primitive of the one before it: the
+recursion (s F(s))' = f(s-1), applied to F on [5, 7], gives W'(s) =
+Psi(s-1)/(s-1), and (s f(s))' = F(s-1) gives Psi'(s) = Phi(s-2)/(s-1) on
+[4, 6] and E'(s) = W(s-1)/(s-1) on [6, 8].
 
-    G(x) = (1/2) log^2 x + Li2(1/x),     G' = k   for x >= 2,   G(2) = pi^2/12,
-    H(u) = (1/2) log^2 u + Li2(-1/u),    H'(u) = log(u+1)/u,
-
-Phi(x) = G(x) - pi^2/12, and the variables of W and E separate:
-
-    W(s) = G(s-1) Phi(x) - L J(x) - P1(x) + P3(x)        x = s-3, L = log(s-1),
-    E(s) = L [G(S) Phi(x) - P1(x)] - [J2(S) Phi(x) - P2(x)]
-           - L [log S J(x) - P3(x)] + H(S) J(x) - P4(x)   x = s-4, S = s-2,
-
-where J, P1, P2, P3 and P4 are the primitives over [2, x] of k(t) times
-log(t+1), G(t+2), J2(t+2), log(t+1) log(t+2) and log(t+1) H(t+2), and
-J2 is a primitive of log(u-1) log(u+1)/u on [4, 6].  Psi is a primitive
-itself, split at t = 5.  Each primitive is a Chebyshev series on its
-fixed interval (L. N. Trefethen, Approximation Theory and Approximation
-Practice, 2013, ch. 3 and 19), built on first use from 32 samples of its
-integrand: J2 first, as P2 samples it, then the other seven in one pass
-that shares each DCT cosine row.  No evaluation of F or f calls `integrate`.
+Phi is a closed form in the dilogarithm Li2 (L. Lewin, Polylogarithms and
+Associated Functions, 1981, ch. 1): G(x) = (1/2) log^2 x + Li2(1/x) has G'
+= log(x-1)/x for x >= 2 and G(2) = pi^2/12, so Phi(x) = G(x) - pi^2/12.
+Psi, W and E are Chebyshev series (L. N. Trefethen, Approximation Theory
+and Approximation Practice, 2013, ch. 3 and 19), built on first use from
+32 samples of their integrands, in chain order: Psi on [4, 6] and on
+[6, 8], W on [5, 7] from the first, E on [6, 8] from W.  Phi continues
+analytically to x > 1, so each integrand's nearest singularity lies one
+unit left of its length-2 interval: the integrand is analytic in the
+Bernstein ellipse of parameter 2 + sqrt(3) about it, and its coefficients
+fall to rounding level (~1e-16) before the 28th.  No evaluation of F or f
+calls `integrate`.
 
 `_li2` evaluates Li2 on [-1/2, 1/2] by the Bernoulli series
 Li2(z) = w - w^2/4 + sum_{k>=1} B_2k w^(2k+1)/(2k+1)! in w = -log(1-z),
 |w| <= log 2, summed to k = 8 (the terms left out add up to under 5e-19).
 
-The E kernel log((s-1)/(u+1)) is the one forced by (s f(s))' = F(s-1); a
+Written out as a double integral over 2 <= t, t + 2 <= u <= s - 2,
+
+    E(s) = int int (log(t-1)/t) (1/u) log((u-1)/(t+1)) log((s-1)/(u+1)) du dt,
+
+E has the kernel log((s-1)/(u+1)) that (s f(s))' = F(s-1) forces; a
 variant with log(s/(u+2)) appears in some tabulations and is a strict
 pointwise lower bound of it (harmless for lower-bound sieving, but it leaves
 a ~2e-4 residual in the recursion, so it is not used here).
@@ -66,7 +65,6 @@ windows would not change any downstream constant.
 
 import functools
 import math
-import operator
 
 from .errors import DomainError, UnsupportedKappaError
 from .numerics import EULER_GAMMA
@@ -83,9 +81,7 @@ _LI2_SERIES = (0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-0
                8.921691020456452e-13, -1.9939295860721074e-14)
 _PI2_12 = math.pi ** 2 / 12.0
 
-# Chebyshev samples per primitive.  Every integrand is analytic in a
-# Bernstein ellipse of parameter >= 2 + sqrt(3) about its interval, so its
-# coefficients fall to rounding level (~1e-16) before the 28th.
+# Chebyshev samples per primitive (see the module docstring).
 _CHEB_N = 32
 
 
@@ -107,12 +103,6 @@ def _G(x: float) -> float:
     return 0.5 * lx * lx + _li2(1.0 / x)
 
 
-def _H(u: float) -> float:
-    """(1/2) log^2 u + Li2(-1/u), an antiderivative of log(u+1)/u on u >= 2."""
-    lu = math.log(u)
-    return 0.5 * lu * lu + _li2(-1.0 / u)
-
-
 def _phi(x: float) -> float:
     """int_2^x log(t-1)/t dt, zero for x <= 2."""
     if x <= 2.0:
@@ -120,28 +110,18 @@ def _phi(x: float) -> float:
     return _G(x) - _PI2_12
 
 
-def _chebyshev_primitives(*integrands):
-    """x -> int_lo^x fn on [lo, hi] as a Chebyshev series, for each (fn, lo, hi).
+def _chebyshev_primitive(fn, lo: float, hi: float):
+    """x -> int_lo^x fn on [lo, hi], as a Chebyshev series.
 
     fn's coefficients come from a DCT of its values at the _CHEB_N
-    Chebyshev points, each cosine row cos(k a_j) computed once for all the
-    integrands; the primitive's from int T_k = T_(k+1)/(2(k+1)) -
-    T_(k-1)/(2(k-1)), and the returned functions sum them by Clenshaw.
+    Chebyshev points; the primitive's from int T_k = T_(k+1)/(2(k+1)) -
+    T_(k-1)/(2(k-1)), and the returned function sums them by Clenshaw.
     """
-    angles = [math.pi * (j + 0.5) / _CHEB_N for j in range(_CHEB_N)]
-    samples = [[fn(0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(a)) for a in angles]
-               for fn, lo, hi in integrands]
-    coeffs = [[] for _ in integrands]
-    for k in range(_CHEB_N):
-        row = [math.cos(k * a) for a in angles]
-        for c, values in zip(coeffs, samples):
-            c.append(2.0 / _CHEB_N * sum(map(operator.mul, values, row)))
-    return [_primitive(c + [0.0, 0.0], lo, hi) for c, (_, lo, hi) in zip(coeffs, integrands)]
-
-
-def _primitive(c: list, lo: float, hi: float):
-    """The Chebyshev primitive on [lo, hi] of the series with coefficients c."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    angles = [math.pi * (j + 0.5) / _CHEB_N for j in range(_CHEB_N)]
+    values = [fn(mid + half * math.cos(a)) for a in angles]
+    c = [2.0 / _CHEB_N * sum(v * math.cos(k * a) for v, a in zip(values, angles))
+         for k in range(_CHEB_N)] + [0.0, 0.0]
     b = [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(_CHEB_N, 0, -1)]
     b0 = sum(bk if k % 2 else -bk for k, bk in zip(range(_CHEB_N, 0, -1), b))
 
@@ -156,61 +136,38 @@ def _primitive(c: list, lo: float, hi: float):
 
 
 @functools.cache
-def _primitives() -> dict:
-    """The primitives of the module docstring, built once on first use.
+def _primitives() -> tuple:
+    """(Psi on [4, 6], Psi - Psi(6) on [6, 8], W, E), built once on first use,
+    each series from the one before it (module docstring).
 
     They depend on no input: a table like _LI2_SERIES, not a memo.
     """
-    def k(t):
-        return math.log(t - 1.0) / t
+    def psi_rate(t):
+        return _phi(t - 2.0) / (t - 1.0)
 
-    # Psi's integrand is singular at t = 2: one series on [3, 7] would converge slowly
-    def psi(t):
-        return _phi(t - 1.0) / t
-
-    j2, = _chebyshev_primitives(
-        (lambda u: math.log(u - 1.0) * math.log(u + 1.0) / u, 4.0, 6.0))
-    integrands = {
-        "J": (lambda t: k(t) * math.log(t + 1.0), 2.0, 4.0),
-        "P1": (lambda t: k(t) * _G(t + 2.0), 2.0, 4.0),
-        "P2": (lambda t: k(t) * j2(t + 2.0), 2.0, 4.0),
-        "P3": (lambda t: k(t) * math.log(t + 1.0) * math.log(t + 2.0), 2.0, 4.0),
-        "P4": (lambda t: k(t) * math.log(t + 1.0) * _H(t + 2.0), 2.0, 4.0),
-        "psi_lo": (psi, 3.0, 5.0),
-        "psi_hi": (psi, 5.0, 7.0),
-    }
-    return dict(zip(integrands, _chebyshev_primitives(*integrands.values())), J2=j2)
+    psi_lo = _chebyshev_primitive(psi_rate, 4.0, 6.0)
+    psi_hi = _chebyshev_primitive(psi_rate, 6.0, 8.0)
+    w = _chebyshev_primitive(lambda t: psi_lo(t - 1.0) / (t - 1.0), 5.0, 7.0)
+    e = _chebyshev_primitive(lambda t: w(t - 1.0) / (t - 1.0), 6.0, 8.0)
+    return psi_lo, psi_hi, w, e
 
 
 def _W(s: float) -> float:
-    """The ring integral W(s) of F's third window, zero for s <= 5."""
-    if s <= 5.0:
-        return 0.0
-    p = _primitives()
-    x = s - 3.0
-    return (_G(s - 1.0) * _phi(x) - math.log(s - 1.0) * p["J"](x)
-            - p["P1"](x) + p["P3"](x))
+    """int_5^s Psi(t-1)/(t-1) dt, the term of F's third window; zero for s <= 5."""
+    return _primitives()[2](s) if s > 5.0 else 0.0
 
 
 def _psi(s: float) -> float:
-    """int_3^{s-1} Phi(t-1)/t dt, zero for s <= 4."""
+    """int_4^s Phi(t-2)/(t-1) dt, the term of f's second window; zero for s <= 4."""
     if s <= 4.0:
         return 0.0
-    p = _primitives()
-    if s <= 6.0:
-        return p["psi_lo"](s - 1.0)
-    return p["psi_lo"](5.0) + p["psi_hi"](s - 1.0)
+    psi_lo, psi_hi, _, _ = _primitives()
+    return psi_lo(s) if s <= 6.0 else psi_lo(6.0) + psi_hi(s)
 
 
 def _E(s: float) -> float:
-    """The double integral E(s) of f's third window, zero for s <= 6."""
-    if s <= 6.0:
-        return 0.0
-    p = _primitives()
-    x, S, L = s - 4.0, s - 2.0, math.log(s - 1.0)
-    phi, J = _phi(x), p["J"](x)
-    return (L * (_G(S) * phi - p["P1"](x)) - (p["J2"](S) * phi - p["P2"](x))
-            - L * (math.log(S) * J - p["P3"](x)) + _H(S) * J - p["P4"](x))
+    """int_6^s W(t-1)/(t-1) dt, the term of f's third window; zero for s <= 6."""
+    return _primitives()[3](s) if s > 6.0 else 0.0
 
 
 def F_lin(s: float) -> float:

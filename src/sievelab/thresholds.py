@@ -36,10 +36,11 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .errors import DomainError
-from .numerics import MinimizeResult, QuadratureSpec, integrate, minimize_scalar
+from .numerics import MinimizeResult, integrate, minimize_scalar
 from .sieve_functions import BETA, TWO_E_GAMMA, F_lin, _phi, _W, f_lin, hr_upper
 
-_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+# Tolerance of every threshold integral.
+_TOL = 1e-11
 
 # Spectral-gap exponent admissible without hypotheses, and the conjectural one.
 THETA_UNCONDITIONAL = Fraction(7, 64)
@@ -78,8 +79,8 @@ def threshold_components(a: float, b: float) -> tuple[float, float, float]:
     def weight(t):
         return (1.0 / t) * (1.0 / (b - t) - 1.0 / (b - a))
 
-    i2 = integrate(lambda t: weight(t) * _phi(t - 1.0), 3.0, b - 1.0, _SPEC)
-    i3 = integrate(lambda t: weight(t) * _W(t), 5.0, b - 1.0, _SPEC)
+    i2 = integrate(lambda t: weight(t) * _phi(t - 1.0), 3.0, b - 1.0, _TOL)
+    i3 = integrate(lambda t: weight(t) * _W(t), 5.0, b - 1.0, _TOL)
     return i1, i2, i3
 
 
@@ -125,7 +126,7 @@ def dh_threshold_linear(tau, u: float, v: float) -> float:
     def integrand(s):
         return F_lin(tv - s) * (1.0 - (u / v) * s) / s
 
-    total = sum(integrate(integrand, lo, hi_, _SPEC)
+    total = sum(integrate(integrand, lo, hi_, _TOL)
                 for lo, hi_ in zip(cuts, cuts[1:]))
     return u - 1.0 + total / f_lin(tv)
 

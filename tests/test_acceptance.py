@@ -14,7 +14,7 @@ from sievelab.lattice_points import (census, enumerate_points, find_automorphs,
                                      residual_Rd)
 from sievelab.localdata import (BAD_SET, bad_primes, count_V0_mod_p,
                                 count_Vt_mod_p, legendre)
-from sievelab.numerics import QuadratureSpec, derivative_central, integrate
+from sievelab.numerics import derivative_central, integrate
 from sievelab.quadforms import TernaryForm, transform
 from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
 from sievelab.thresholds import (admissible_r, dh_threshold_linear,
@@ -103,7 +103,6 @@ def test_criterion_05_two_dimensional_minimization():
 
 def test_criterion_06_proof_identities():
     with criterion(6, "component split and general-route cross-checks to 1e-6"):
-        spec = QuadratureSpec(1e-11, 1e-11)
         for a, b, tau in ((1.0, 6.6, Fraction(25, 128)), (1.0, 7.0, Fraction(1, 4))):
             i1, i2, i3 = threshold_components(a, b)
 
@@ -112,7 +111,7 @@ def test_criterion_06_proof_identities():
 
             cuts = sorted({1.0, b - a}
                           | {b - c for c in (3.0, 5.0) if 1.0 < b - c < b - a})
-            direct = sum(integrate(integrand, lo, hi, spec)
+            direct = sum(integrate(integrand, lo, hi, 1e-11)
                          for lo, hi in zip(cuts, cuts[1:]))
             assert abs(TWO_E_GAMMA * (i1 + i2 + i3) - direct) <= 1e-6
 

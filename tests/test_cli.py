@@ -301,6 +301,7 @@ class TestConfigAndErrors:
         (["equidist", "--dmax", "1"], "--dmax must be >= 2, got 1"),
         (["equidist", "--dmax", "-5"], "--dmax must be >= 2, got -5"),
         (["census", "--r", "-1"], "--r must be >= 0, got -1"),
+        (["equidist", "--dmax", "10001"], "--dmax must be <= 10^4, got 10001"),
     ])
     def test_bad_flag_is_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         def refused(*args):

@@ -6,8 +6,7 @@ import pytest
 
 from sievelab import numerics
 from sievelab.errors import ConvergenceError, DomainError, EvaluationError
-from sievelab.numerics import (QuadratureSpec, derivative_central, integrate,
-                               minimize_scalar)
+from sievelab.numerics import derivative_central, integrate, minimize_scalar
 
 
 def simpson_oracle(fn, lo, hi, panels=10 ** 6):
@@ -88,50 +87,42 @@ class TestIntegrate:
 
     def test_linearity_on_random_polynomials(self):
         rng = random.Random(20240811)
-        spec = QuadratureSpec()
         for _ in range(10):
             cf = [rng.uniform(-3, 3) for _ in range(5)]
             cg = [rng.uniform(-3, 3) for _ in range(5)]
             a, b = rng.uniform(1, 2), rng.uniform(-2, 0)
             f = lambda x, cf=cf: sum(c * x ** i for i, c in enumerate(cf))
             g = lambda x, cg=cg: sum(c * x ** i for i, c in enumerate(cg))
-            lhs = integrate(lambda x: a * f(x) + b * g(x), -1.0, 2.0, spec)
-            rhs = a * integrate(f, -1.0, 2.0, spec) + b * integrate(g, -1.0, 2.0, spec)
-            assert abs(lhs - rhs) <= 10 * spec.abs_tol
+            lhs = integrate(lambda x: a * f(x) + b * g(x), -1.0, 2.0)
+            rhs = a * integrate(f, -1.0, 2.0) + b * integrate(g, -1.0, 2.0)
+            assert abs(lhs - rhs) <= 10 * 1e-10
 
     def test_interval_additivity(self):
-        spec = QuadratureSpec()
         fn = lambda x: math.exp(-x) * math.sin(3 * x)
-        whole = integrate(fn, 0.0, 2.0, spec)
-        split = integrate(fn, 0.0, 0.7, spec) + integrate(fn, 0.7, 2.0, spec)
-        assert abs(whole - split) <= 10 * spec.abs_tol
+        whole = integrate(fn, 0.0, 2.0)
+        split = integrate(fn, 0.0, 0.7) + integrate(fn, 0.7, 2.0)
+        assert abs(whole - split) <= 10 * 1e-10
 
     def test_non_finite_integrand_reports_abscissa(self):
         with pytest.raises(EvaluationError) as err:
             integrate(lambda x: float("nan"), 0.0, 1.0)
         assert 0.0 <= err.value.abscissa <= 1.0
 
-    def test_depth_exhaustion_carries_best_estimate(self):
+    def test_depth_exhaustion_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", 8)
         step = lambda x: 1.0 if x > 1.0 / math.pi else 0.0
         with pytest.raises(ConvergenceError) as err:
-            integrate(step, 0.0, 1.0, QuadratureSpec(1e-14, 1e-14, max_depth=8))
+            integrate(step, 0.0, 1.0, 1e-14)
         assert math.isfinite(err.value.best_estimate)
 
     def test_determinism(self):
         fn = lambda x: math.sin(x) / (1.0 + x * x)
         assert integrate(fn, 0.0, 3.0) == integrate(fn, 0.0, 3.0)
 
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_depth=0)
-
-    def test_make_and_replace_go_through_the_checks(self):
-        with pytest.raises(DomainError, match="tolerances must be positive"):
-            QuadratureSpec._make([0.0, 1e-10, 60])
-        with pytest.raises(DomainError, match="max_depth"):
-            QuadratureSpec()._replace(max_depth=0)
+    def test_tolerance_validation(self):
+        for tol in (0.0, -1e-10, float("nan")):
+            with pytest.raises(DomainError, match="tolerance must be positive"):
+                integrate(lambda x: x, 0.0, 1.0, tol)
 
 
 class TestMinimizeScalar:

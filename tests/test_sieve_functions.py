@@ -7,39 +7,38 @@ from hypothesis import strategies as st
 from sievelab import sieve_functions, thresholds
 from sievelab.errors import DomainError, UnsupportedKappaError
 from sievelab.numerics import EULER_GAMMA, derivative_central, integrate
-from sievelab.sieve_functions import (_CHEB_N, BETA, TWO_E_GAMMA, F_lin, _E, _G, _H,
-                                      _li2, _phi, _psi, _W, f_lin, hr_upper)
-from sievelab.numerics import QuadratureSpec
+from sievelab.sieve_functions import (BETA, TWO_E_GAMMA, F_lin, _E, _G, _li2, _phi, _psi,
+                                      _W, f_lin, hr_upper)
 
 from test_numerics import LOG_INTEGRAL_2_3
 
-# Oracles for the closed forms: Phi, Psi and the W ring by direct
+# Oracles for the closed forms and the series: Phi and Psi by direct
 # quadrature, W and E by quadrature nested in quadrature.
-ORACLE_SPEC = QuadratureSpec(1e-14, 1e-14)
+ORACLE_TOL = 1e-14
 
 
 def phi_oracle(x):
     if x <= 2.0:
         return 0.0
-    return integrate(lambda t: math.log(t - 1.0) / t, 2.0, x, ORACLE_SPEC)
+    return integrate(lambda t: math.log(t - 1.0) / t, 2.0, x, ORACLE_TOL)
 
 
 def ring_oracle(t, s):
     return integrate(lambda u: math.log((u - 1.0) / (t + 1.0)) / u,
-                     t + 2.0, s - 1.0, ORACLE_SPEC)
+                     t + 2.0, s - 1.0, ORACLE_TOL)
 
 
 def W_oracle(s):
     if s <= 5.0:
         return 0.0
     return integrate(lambda t: math.log(t - 1.0) / t * ring_oracle(t, s),
-                     2.0, s - 3.0, ORACLE_SPEC)
+                     2.0, s - 3.0, ORACLE_TOL)
 
 
 def psi_oracle(s):
     if s <= 4.0:
         return 0.0
-    return integrate(lambda t: _phi(t - 1.0) / t, 3.0, s - 1.0, ORACLE_SPEC)
+    return integrate(lambda t: _phi(t - 1.0) / t, 3.0, s - 1.0, ORACLE_TOL)
 
 
 def E_oracle(s):
@@ -51,14 +50,9 @@ def E_oracle(s):
             return (math.log((u - 1.0) / (t + 1.0)) / u
                     * math.log((s - 1.0) / (u + 1.0)))
 
-        return math.log(t - 1.0) / t * integrate(inner, t + 2.0, s - 2.0, ORACLE_SPEC)
+        return math.log(t - 1.0) / t * integrate(inner, t + 2.0, s - 2.0, ORACLE_TOL)
 
-    return integrate(outer, 2.0, s - 4.0, ORACLE_SPEC)
-
-
-def ring_closed(t, s):
-    return (_G(s - 1.0) - _G(t + 2.0)
-            - math.log(t + 1.0) * math.log((s - 1.0) / (t + 2.0)))
+    return integrate(outer, 2.0, s - 4.0, ORACLE_TOL)
 
 
 def use_oracle(monkeypatch):
@@ -71,50 +65,6 @@ def use_oracle(monkeypatch):
 
 
 CLOSED_FORM_TOL = 1e-13
-
-
-def per_primitive_dct(fn, lo, hi):
-    """A primitive built on its own, every cosine computed anew: the build
-    `sieve_functions._primitives` replaced with one pass over shared rows."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    angles = [math.pi * (j + 0.5) / _CHEB_N for j in range(_CHEB_N)]
-    values = [fn(mid + half * math.cos(a)) for a in angles]
-    c = [2.0 / _CHEB_N * sum(v * math.cos(k * a) for v, a in zip(values, angles))
-         for k in range(_CHEB_N)] + [0.0, 0.0]
-    b = [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(_CHEB_N, 0, -1)]
-    b0 = sum(bk if k % 2 else -bk for k, bk in zip(range(_CHEB_N, 0, -1), b))
-
-    def primitive(x):
-        y = (x - mid) / half
-        b1 = b2 = 0.0
-        for bk in b:
-            b1, b2 = bk + 2.0 * y * b1 - b2, b1
-        return b0 + y * b1 - b2
-
-    return primitive
-
-
-def test_one_pass_build_matches_per_primitive_dct():
-    k = lambda t: math.log(t - 1.0) / t
-    psi = lambda t: _phi(t - 1.0) / t
-    j2 = per_primitive_dct(lambda u: math.log(u - 1.0) * math.log(u + 1.0) / u, 4.0, 6.0)
-    oracles = {
-        "J": (lambda t: k(t) * math.log(t + 1.0), 2.0, 4.0),
-        "P1": (lambda t: k(t) * _G(t + 2.0), 2.0, 4.0),
-        "P2": (lambda t: k(t) * j2(t + 2.0), 2.0, 4.0),
-        "P3": (lambda t: k(t) * math.log(t + 1.0) * math.log(t + 2.0), 2.0, 4.0),
-        "P4": (lambda t: k(t) * math.log(t + 1.0) * _H(t + 2.0), 2.0, 4.0),
-        "psi_lo": (psi, 3.0, 5.0),
-        "psi_hi": (psi, 5.0, 7.0),
-    }
-    built = sieve_functions._primitives()
-    assert set(built) == set(oracles) | {"J2"}
-    for name, (fn, lo, hi) in oracles.items():
-        oracle = per_primitive_dct(fn, lo, hi)
-        grid = [lo + (hi - lo) * i / 64 for i in range(65)]
-        assert [built[name](x).hex() for x in grid] == [oracle(x).hex() for x in grid], name
-    grid = [4.0 + i / 32 for i in range(65)]
-    assert [built["J2"](x).hex() for x in grid] == [j2(x).hex() for x in grid]
 
 
 class TestDilogarithm:
@@ -151,12 +101,6 @@ class TestClosedForms:
             x = 2.0 + 0.1 * k
             assert abs(_phi(x) - phi_oracle(x)) <= CLOSED_FORM_TOL
 
-    def test_ring_on_grid(self):
-        for s in (5.25, 6.0, 6.5, 7.0):
-            for j in range(9):
-                t = 2.0 + (s - 5.0) * j / 8.0
-                assert abs(ring_closed(t, s) - ring_oracle(t, s)) <= CLOSED_FORM_TOL
-
     def test_W_against_nested_quadrature(self):
         for s in (5.0, 5.3, 6.0, 6.6, 7.0):
             assert abs(_W(s) - W_oracle(s)) <= CLOSED_FORM_TOL
@@ -172,11 +116,19 @@ class TestClosedForms:
         assert abs(_phi(x) - phi_oracle(x)) <= CLOSED_FORM_TOL
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.floats(min_value=5.0, max_value=7.0, exclude_min=True),
-           st.floats(min_value=0.0, max_value=1.0))
-    def test_property_ring(self, s, frac):
-        t = 2.0 + (s - 5.0) * frac  # 2 <= t <= s - 3
-        assert abs(ring_closed(t, s) - ring_oracle(t, s)) <= CLOSED_FORM_TOL
+    @given(st.floats(min_value=5.0, max_value=7.0, exclude_min=True))
+    def test_property_W(self, s):
+        assert abs(_W(s) - W_oracle(s)) <= CLOSED_FORM_TOL
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=4.0, max_value=8.0, exclude_min=True))
+    def test_property_psi(self, s):
+        assert abs(_psi(s) - psi_oracle(s)) <= CLOSED_FORM_TOL
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=6.0, max_value=8.0, exclude_min=True))
+    def test_property_E(self, s):
+        assert abs(_E(s) - E_oracle(s)) <= CLOSED_FORM_TOL
 
     def test_F_and_f_against_nested_quadrature(self, monkeypatch):
         grid_F = [0.05 * k for k in range(1, 141)]  # (0, 7]

@@ -13,7 +13,7 @@ import pytest
 from sievebench.jobs import job_list
 from sievelab import numerics, sieve_functions, thresholds
 from sievelab.errors import DomainError
-from sievelab.numerics import QuadratureSpec, integrate
+from sievelab.numerics import integrate
 from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
 from sievelab.thresholds import (ThresholdReport, admissible_r, dh_threshold_linear,
                                  linear_threshold, m_zeta, minimize_m,
@@ -127,13 +127,12 @@ class TestProofIdentities:
     @pytest.mark.parametrize("a,b", [(1.0, 6.6), (1.0, 7.0), (1.5, 7.2)])
     def test_component_split_equals_direct_integral(self, a, b):
         i1, i2, i3 = threshold_components(a, b)
-        spec = QuadratureSpec(1e-11, 1e-11)
 
         def integrand(s):
             return F_lin(b - s) * (1.0 / s - 1.0 / (b - a))
 
         cuts = sorted({1.0, b - a} | {b - c for c in (3.0, 5.0) if 1.0 < b - c < b - a})
-        direct = sum(integrate(integrand, lo, hi, spec)
+        direct = sum(integrate(integrand, lo, hi, 1e-11)
                      for lo, hi in zip(cuts, cuts[1:]))
         assert TWO_E_GAMMA * (i1 + i2 + i3) == pytest.approx(direct, abs=1e-6)
 
@@ -144,7 +143,7 @@ class TestProofIdentities:
             b = rng.uniform(a + 5.0 + 0.01, 8.0)
             direct = integrate(
                 lambda s: (1.0 / (b - s)) * (1.0 / s - 1.0 / (b - a)),
-                1.0, b - a, QuadratureSpec(1e-12, 1e-12))
+                1.0, b - a, 1e-12)
             closed = (math.log((b - 1.0) * (b - a) / a) / b
                       - math.log((b - 1.0) / a) / (b - a))
             assert direct == pytest.approx(closed, abs=1e-8)
