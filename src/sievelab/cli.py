@@ -28,9 +28,9 @@ import math
 import sys
 
 from .errors import SieveLabError
-from .lattice_points import (PROJECTIONS, build_sequence, census, enumerate_points,
-                             find_automorphs, level_statistic, residual_Rd, weight_FT)
-from .localdata import SIEVED, build_local_table
+from .lattice_points import (build_sequence, census, enumerate_points, find_automorphs,
+                             level_statistic, residual_Rd, weight_FT)
+from .localdata import SIEVED, VARIANTS, build_local_table
 from .quadforms import TernaryForm, det_form
 from .thresholds import reproduce_constants
 
@@ -307,7 +307,7 @@ def cmd_automorphs(args) -> tuple[int, dict]:
 _FLAGS = {
     "form": {"help": "a11,a22,a33,a12,a13,a23"},
     "t": {"type": int}, "T": {"type": float}, "c0": {"type": float, "default": 2.0},
-    "projection": {"choices": PROJECTIONS, "default": "x1"},
+    "projection": {"choices": VARIANTS, "default": "x1"},
     "mode": {"choices": ("unconditional", "selberg"), "default": "unconditional"},
     "output": {"choices": ("text", "json", "csv")},
     "out": {"help": "write output to FILE instead of stdout"},

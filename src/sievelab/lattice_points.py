@@ -66,18 +66,16 @@ from .localdata import BAD_SET, SIEVED, VARIANTS, LocalDensityTable, squarefree_
 from .quadforms import (TernaryForm, _det3, _mat_inverse_unimodular, _polar, _sign_flips,
                         _slice_frame, eval_form, transform)
 
-PROJECTIONS = VARIANTS
-
-# build_sequence refuses a ball whose (x1, x2) disc spans more than
-# _MAX_CELLS cells, that is c0*T >= _MAX_RADIUS = 15,811.  _MAX_SLICES, the
-# most slices one enumeration may solve or scan, admits every radius below
-# that for every slice normal of length up to 63 (coordinate normals have
-# length 1).  _MAX_POINTS, the most pairs +-x one enumeration keeps (~0.4
-# KB each in `enumerate`), is over 5 times what any pool form keeps below it.
-_MAX_CELLS = 10 ** 9
-_MAX_RADIUS = (math.isqrt(_MAX_CELLS) - 1) // 2 + 1
-_MAX_SLICES = 10 ** 6
-_MAX_POINTS = 250_000
+# enumerate_orbits pays time per slice and memory per point it keeps, and
+# guards each in its own unit.  _MAX_SLICES is checked before any slice is
+# solved: at the largest radius it admits on a coordinate normal, 149,998,
+# the slowest pool form takes 7.5 s and 83 MB (2-vCPU VM).  It admits R =
+# 32,000 on every form with coefficients in [-3, 3], whose slice normals
+# have length at most 4.6.  _MAX_POINTS, the points of the orbits kept, is
+# checked once per slice: just inside it, the pool forms take at most 7.5 s
+# and 116 MB.
+_MAX_SLICES = 150_000
+_MAX_POINTS = 500_000
 # find_automorphs builds its box of (2H+1)^3 vectors, ~2 us and 70 bytes
 # each; _MAX_BOX admits H <= 62 (~4 s, 140 MB).
 _MAX_BOX = 2 * 10 ** 6
@@ -198,7 +196,6 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     kmax = math.isqrt(int(r2 * nn)) + 1
     ymax = math.isqrt(int(r2 * sum(e * e for e in w[1]))) + 1
     orbits, short = {}, {}  # orbits of |E_U| points, and the shorter ones: x -> m
-    counted = plane = 0  # the points of the orbits found, and of those on y3 = 0
 
     (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = u
     # On slice k, x = k v + U12 z / delta with v = u3 - U12 h, and v.n = 1, so
@@ -237,15 +234,10 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
             else:
                 short[x] = len({(e1 * x1, e2 * x2, e3 * x3) for e1, e2, e3 in flips})
 
-    def check_points(k):  # once per slice; the pairs +-x, twice on y3 = 0
-        nonlocal counted, plane
-        total = full * len(orbits) + sum(short.values())
-        if k == 0:
-            plane = total - counted
-        counted = total
-        if (total + plane) // 2 > _MAX_POINTS:
-            raise ResourceError(f"radius {R:g} holds more than {_MAX_POINTS} pairs "
-                                "of points, the limit of one enumeration")
+    def check_points():  # once per slice
+        if full * len(orbits) + sum(short.values()) > _MAX_POINTS:
+            raise ResourceError(f"radius {R:g} holds more than {_MAX_POINTS} points, "
+                                "the limit of one enumeration")
 
     solved = []
     for k in range(kmax + 1):
@@ -276,7 +268,7 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
                 z1, rem = divmod(root - b * z2, 2 * a)
                 if rem == 0 and (z1 - k * H1) % delta == 0:
                     keep((z1 - k * H1) // delta, y2, k)
-        check_points(k)
+        check_points()
 
     roots: dict = {}
     for k, n_factors in _factor_slices(n0, m0, solved, a, b, c, roots).items():
@@ -285,7 +277,7 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
             y1, y2 = z1 - k * H1, z2 - k * H2
             if y1 % delta == 0 and y2 % delta == 0:
                 keep(y1 // delta, y2 // delta, k)
-        check_points(k)
+        check_points()
 
     orbits.update(short)
     for x in orbits:  # each eps in E_U keeps f, so x checks its whole orbit
@@ -325,15 +317,13 @@ def build_sequence(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
 
     Sign changes keep |x| and |proj(x)|, so each orbit of `enumerate_orbits`
     is weighed once at its representative x and counts m: its weight w
-    enters as w m, exactly, since m is a power of 2.
+    enters as w m, exactly, since m is a power of 2.  The radius c0 max(Ts)
+    is bounded only by `enumerate_orbits`'s guards on slices and points.
     """
-    if projection not in PROJECTIONS:
-        raise DomainError(f"projection must be one of {PROJECTIONS}, got {projection!r}")
+    if projection not in VARIANTS:
+        raise DomainError(f"projection must be one of {VARIANTS}, got {projection!r}")
     for T in Ts:
         _check_weight(T, c0)
-        if (2 * math.floor(c0 * T) + 1) ** 2 > _MAX_CELLS:
-            raise ResourceError(f"c0*T = {c0 * T:g} is too large: the enumeration "
-                                f"needs c0*T below {_MAX_RADIUS}")
 
     radius = max(c0 * T for T in Ts)
     orbits = enumerate_orbits(f, t, radius)

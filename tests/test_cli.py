@@ -168,13 +168,19 @@ class TestCensus:
         assert code == 0
         assert json.loads(out)["published_r"] == 14
 
-    def test_radius_beyond_the_cell_limit_is_refused(self, capsys):
+    def test_radius_past_the_former_cell_limit_runs(self, capsys):
+        code, out, _ = run(capsys, "census", "--form=1,1,-3,0,0,0", "--t=1",
+                           "--T", "8000")
+        assert code == 0
+        assert out
+
+    def test_radius_beyond_the_slice_limit_is_refused(self, capsys):
         code, out, err = run(capsys, "census", "--form=1,1,-3,0,0,0", "--t=1",
-                             "--T", "8000")
+                             "--T", "80000")
         assert code == 2
         assert out == ""
-        assert err == ("error: c0*T = 16000 is too large: the enumeration "
-                       "needs c0*T below 15811\n")
+        assert err == ("error: radius 160000 needs about 1.6e+05 slices, "
+                       "more than the limit of 150000\n")
 
 
 class TestEnumerate:
@@ -194,7 +200,7 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
         assert err == (f"error: radius {count} needs about {count} slices, "
-                       "more than the limit of 1000000\n")
+                       "more than the limit of 150000\n")
 
     def test_radius_from_T(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--form", "1,1,-3,0,0,0",

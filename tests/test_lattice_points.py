@@ -9,12 +9,11 @@ from sievelab import arith, binary_forms, cli, lattice_points
 from sievelab.arith import factorint
 from sievelab.errors import DomainError, ResourceError
 from sievelab.binary_forms import _factor_slices, _representations, _restored
-from sievelab.lattice_points import (PROJECTIONS, _MAX_CELLS, _MAX_POINTS, _MAX_SLICES,
-                                     _projection_value, build_sequence, census,
+from sievelab.lattice_points import (_MAX_SLICES, _projection_value, build_sequence, census,
                                      enumerate_orbits, enumerate_points, find_automorphs,
                                      level_statistic, residual_Rd, weight_FT)
-from sievelab.localdata import BAD_SET, build_local_table
-from sievelab.quadforms import TernaryForm, _slice_normal, det_form, eval_form, transform
+from sievelab.localdata import BAD_SET, VARIANTS, build_local_table
+from sievelab.quadforms import TernaryForm, det_form, eval_form, transform
 
 DIAG113 = TernaryForm.diagonal(1, 1, -3)
 
@@ -527,43 +526,23 @@ class TestWorkGuard:
         with pytest.raises(ResourceError, match="slices"):
             enumerate_points(DIAG113, 1, 1e200)  # R^2 overflows a float
 
-    def test_admits_the_default_cell_budget(self):
-        # the largest radius build_sequence admits, on every pool form
-        radius = (math.isqrt(_MAX_CELLS) - 1) // 2 + 0.999
-        for form, _ in POOL_FORMS:
-            normal = _slice_normal(TernaryForm.from_string(form))
-            assert radius * math.sqrt(sum(e * e for e in normal)) + 2 <= _MAX_SLICES
-
-    def test_points_limit_admits_the_default_cell_budget(self):
-        # points grow linearly with R (each pool form holds 1.9-2.1 times as
-        # many at R = 2000 as at 1000), so twice the linear extrapolation
-        # from R = 1000 bounds every pool form at the largest radius
-        # build_sequence admits; the densest form is counted there too
-        radius = (math.isqrt(_MAX_CELLS) - 1) // 2 + 0.999
-        for form, t in POOL_FORMS:
-            pairs = len(enumerate_points(TernaryForm.from_string(form), t, 1000)) // 2
-            assert 2 * pairs * radius / 1000 <= _MAX_POINTS, form
-        densest = enumerate_points(TernaryForm.from_string("-2,-1,1,0,-2,2"), 1, radius)
-        assert len(densest) // 2 == 43310 <= _MAX_POINTS / 5
-
-    def test_points_on_the_plane_y3_0_count_twice(self, monkeypatch):
-        # the count is of the points on slices k >= 0: R = 40 holds 78 pairs,
-        # and (+-1, 0, 0) and (0, +-1, 0) lie on the plane y3 = 0
-        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 80)
-        assert len(enumerate_points(DIAG113, 1, 40)) == 2 * 78
-        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 79)
-        with pytest.raises(ResourceError, match="more than 79 pairs"):
-            enumerate_points(DIAG113, 1, 40)
-
     def test_refuses_too_many_points(self, monkeypatch, capsys):
-        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 100)
-        assert len(enumerate_points(DIAG113, 1, 40)) == 2 * 78
-        with pytest.raises(ResourceError, match="more than 100 pairs of points"):
-            enumerate_points(DIAG113, 1, 300)  # 618 pairs
+        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 200)
+        assert len(enumerate_points(DIAG113, 1, 40)) == 156
+        with pytest.raises(ResourceError, match="more than 200 points"):
+            enumerate_points(DIAG113, 1, 300)  # 1236 points
         assert cli.main(["enumerate", "--form", "1,1,-3,0,0,0", "--t", "1",
                          "--R", "300"]) == 2
         out = capsys.readouterr()
-        assert out.out == "" and out.err.startswith("error: radius 300 holds more than 100")
+        assert out.out == "" and out.err.startswith("error: radius 300 holds more than 200")
+
+    def test_points_limit_counts_the_points_kept(self, monkeypatch):
+        # R = 40 holds 156 points, (+-1, 0, 0) and (0, +-1, 0) on y3 = 0 among them
+        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 156)
+        assert len(enumerate_points(DIAG113, 1, 40)) == 156
+        monkeypatch.setattr(lattice_points, "_MAX_POINTS", 155)
+        with pytest.raises(ResourceError, match="more than 155 points"):
+            enumerate_points(DIAG113, 1, 40)
 
 
 class TestContent:
@@ -701,14 +680,15 @@ class TestBuildSequence:
         assert sum(seq.counts.values()) <= seq.point_total
 
     def test_budget_guard(self, monkeypatch):
-        radii = []
-        monkeypatch.setattr(lattice_points, "enumerate_orbits",
-                            lambda f, t, R: radii.append(R) or {})
-        with pytest.raises(ResourceError, match="c0\\*T below 15811"):
-            build_sequence(DIAG113, 1, [8000.0], 2.0, "x1")
-        assert radii == []  # refused before any enumeration
-        build_sequence(DIAG113, 1, [7905.4], 2.0, "x1")  # c0*T = 15810.8
-        assert radii == [15810.8]
+        [seq] = build_sequence(DIAG113, 1, [8000.0], 2.0, "x1")  # c0*T = 16,000
+        assert seq.point_total > 0
+        # DIAG113 slices along a coordinate normal: c0*T + 2 slices
+        sieved = []
+        monkeypatch.setattr(lattice_points, "_factor_slices",
+                            lambda *args: sieved.append(args) or {})
+        with pytest.raises(ResourceError, match="slices"):
+            build_sequence(DIAG113, 1, [_MAX_SLICES / 2], 2.0, "x1")
+        assert sieved == []  # refused before any slice is solved
 
     def test_guards(self):
         with pytest.raises(DomainError):
@@ -728,7 +708,7 @@ def assert_sequence_matches_sweep(f, t, T, c0=2.0):
     """build_sequence in every projection equals `sequence_oracle` on the
     sweep's points, bit for bit."""
     points = sweep_oracle(f, t, c0 * T)
-    for projection in PROJECTIONS:
+    for projection in VARIANTS:
         [seq] = build_sequence(f, t, [T], c0, projection)
         assert (seq.values, seq.counts, seq.X, seq.a0, seq.point_total) == sequence_oracle(
             points, T, c0, projection), (f, t, T, projection)
@@ -754,7 +734,7 @@ class TestSequenceOracles:
         assert_sequence_matches_sweep(f, t, data.draw(st.sampled_from((10.0, 17.3, 26.0))))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(PROJECTIONS),
+    @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(VARIANTS),
            T=st.sampled_from((10.0, 17.3, 30.0, 45.5)), c0=st.sampled_from((1.5, 2.0, 3.0)))
     def test_T_cut_from_the_2T_enumeration(self, form, projection, T, c0):
         f = TernaryForm.from_string(form[0])
@@ -788,7 +768,7 @@ class TestResiduals:
         with pytest.raises(DomainError):
             residual_Rd(seq_cache(1000), other, 11)
 
-    @pytest.mark.parametrize("projection", PROJECTIONS)
+    @pytest.mark.parametrize("projection", VARIANTS)
     def test_rows_against_sorted_mass_oracle(self, projection):
         # every row, bit for bit, over the square-free moduli prime to B
         for form, t in POOL_FORMS:
@@ -839,7 +819,7 @@ class TestAlmostPrimeCounting:
             omega_B_count(0)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(PROJECTIONS),
+    @given(form=st.sampled_from(POOL_FORMS), projection=st.sampled_from(VARIANTS),
            r=st.integers(0, 8))
     def test_census_against_per_value_oracle(self, form, projection, r):
         [seq] = build_sequence(TernaryForm.from_string(form[0]), form[1], [40.0], 2.0,
