@@ -160,6 +160,9 @@ def _local_roots(p: int, e: int, beta: int, disc: int, memo: dict) -> list[int]:
         q = p ** e
         if p == 2:
             local = [(s - beta) // 2 for s in sqrt_mod(disc, {2: e + 2}) if s < 2 * q]
+        elif e == 1 and disc % p:
+            s = _sqrt_mod_p(disc % p, p)
+            local = [] if s is None else [(t - beta) * (p + 1) // 2 % p for t in (s, p - s)]
         else:
             local = [(s - beta) * (q + 1) // 2 % q for s in sqrt_mod(disc, {p: e})]
         memo[p, e] = local
