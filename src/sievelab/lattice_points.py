@@ -69,11 +69,11 @@ from .quadforms import (TernaryForm, _det3, _mat_inverse_unimodular, _polar, _si
 # enumerate_orbits pays time per slice and memory per point it keeps, and
 # guards each in its own unit.  _MAX_SLICES is checked before any slice is
 # solved: at the largest radius it admits on a coordinate normal, 149,998,
-# the slowest pool form takes 7.5 s and 83 MB (2-vCPU VM).  It admits R =
-# 32,000 on every form with coefficients in [-3, 3], whose slice normals
-# have length at most 4.6.  _MAX_POINTS, the points of the orbits kept, is
-# checked once per slice: just inside it, the pool forms take at most 7.5 s
-# and 116 MB.
+# the slowest pool forms take 7-11 s and under 90 MB (single runs on a
+# shared 2-vCPU VM).  It admits R = 32,000 on every form with coefficients
+# in [-3, 3], whose slice normals have length at most 4.6.  _MAX_POINTS,
+# the points of the orbits kept, is checked once per slice: just inside
+# it, the pool forms take at most 12 s and 116 MB.
 _MAX_SLICES = 150_000
 _MAX_POINTS = 500_000
 # find_automorphs builds its box of (2H+1)^3 vectors, ~2 us and 70 bytes
