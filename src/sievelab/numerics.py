@@ -1,4 +1,4 @@
-"""Deterministic real-analysis engine: quadrature, minimization, derivatives.
+"""Deterministic real-analysis engine: quadrature and derivatives.
 
 Quadrature is adaptive Gauss-Kronrod quadrature with interval bisection:
 each panel costs the 21 evaluations of QUADPACK's Kronrod rule (Piessens
@@ -15,7 +15,7 @@ All functions here are pure and hold no mutable state.
 """
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 
@@ -38,12 +38,6 @@ _K21_CENTRE = 0.1494455540029169  # Kronrod weight of the node 0
 
 # Most bisections on the way from [lo, hi] down to an accepted panel.
 _MAX_DEPTH = 60
-
-
-class MinimizeResult(NamedTuple):
-    argmin: float
-    min_value: float
-    iterations: int
 
 
 def _panel(fn, lo: float, hi: float):
@@ -102,47 +96,6 @@ def integrate(fn: Callable[[float], float], lo: float, hi: float,
             return total
         a, b, t, depth = stack.pop()
         est, err = _panel(fn, a, b)
-
-
-def minimize_scalar(fn: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-8) -> MinimizeResult:
-    """Golden-section minimum of a unimodal `fn` on [lo, hi].
-
-    Unimodality is the caller's responsibility; on a unimodal objective the
-    returned argmin is within `tol` of the true minimizer.
-    """
-    if lo >= hi:
-        raise DomainError(f"empty search bracket: [{lo}, {hi}]")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-
-    def _eval(x):
-        v = fn(x)
-        if not math.isfinite(v):
-            raise EvaluationError("objective returned a non-finite value", x)
-        return v
-
-    fc, fd = _eval(c), _eval(d)
-    iterations = 0
-    while b - a > tol:
-        iterations += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _eval(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _eval(d)
-        if iterations > 500:  # bracket shrinks by ~0.618/step; 500 is unreachable
-            break
-    x = 0.5 * (a + b)
-    return MinimizeResult(argmin=x, min_value=_eval(x), iterations=iterations)
 
 
 def derivative_central(fn: Callable[[float], float], x: float, h: float) -> float:

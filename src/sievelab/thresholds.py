@@ -24,7 +24,7 @@ equidistribution level they both consume:
       m(zeta) = (1+zeta) mu - 1 + (2+zeta) log(beta_2/zeta) - 2
                 + zeta (2-mu)/beta_2,      0 < zeta < beta_2,
 
-  with mu = 2/tau, minimized numerically over zeta.
+  with mu = 2/tau, minimized at the one root zeta* of m'(zeta) in (0, 2).
 
 `reproduce_constants` evaluates the whole chain for either theta mode and
 reports each constant next to its expected window.
@@ -36,7 +36,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .errors import DomainError
-from .numerics import MinimizeResult, integrate, minimize_scalar
+from .numerics import integrate
 from .sieve_functions import BETA, TWO_E_GAMMA, F_lin, _phi, _W, f_lin, hr_upper
 
 # Tolerance of every threshold integral.
@@ -145,12 +145,26 @@ def m_zeta(mu: float, zeta: float) -> float:
     return mu * (1.0 + zeta) - mu * zeta / beta2 - 1.0 + hr_upper(2, zeta)
 
 
-def minimize_m(mu: float) -> MinimizeResult:
-    """Minimum of m(zeta) over (0, beta_2) for mu > 2 (unique interior min)."""
+def minimize_m(mu: float) -> tuple[float, float]:
+    """(zeta*, m(zeta*)): the minimum of m(zeta) over (0, beta_2), for mu > 2.
+
+    m'(zeta) = mu (1 - 1/beta_2) + 2/beta_2 - 1 + log(beta_2/zeta) - 2/zeta
+    rises on (0, 2), since m''(zeta) = (2 - zeta)/zeta^2, from -inf to more
+    than log(beta_2/2) > 0 when mu > 2, and it stays above mu (1 - 1/beta_2)
+    - 1 > 0 on [2, beta_2).  So zeta* is its one root, found by bisection on
+    (0, 2) down to adjacent doubles.
+    """
     if mu <= 2:
         raise DomainError(f"mu must exceed 2 for an interior minimum, got {mu}")
-    eps = 1e-6
-    return minimize_scalar(lambda z: m_zeta(mu, z), eps, BETA[2] - eps, tol=1e-6)
+    beta2 = BETA[2]
+    slope = mu * (1.0 - 1.0 / beta2) + 2.0 / beta2 - 1.0
+    lo, hi = 0.0, 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if slope + math.log(beta2 / mid) - 2.0 / mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid, m_zeta(mu, mid)
 
 
 def admissible_r(threshold: float) -> tuple[int | None, bool]:
@@ -262,11 +276,11 @@ def reproduce_constants(mode: str = "unconditional") -> ThresholdReport:
                      exp["r_linear"])
 
     mu = 2.0 / float(tau)
-    result = minimize_m(mu)
-    report.add_interval(f"zeta* (mu={mu:.10g})", result.argmin, *exp["zeta_star"])
-    report.add_interval("m(zeta*)", result.min_value, *exp["m_star"])
+    zeta, m_star = minimize_m(mu)
+    report.add_interval(f"zeta* (mu={mu:.10g})", zeta, *exp["zeta_star"])
+    report.add_interval("m(zeta*)", m_star, *exp["m_star"])
 
-    r_quad, flagged = admissible_r(result.min_value)
+    r_quad, flagged = admissible_r(m_star)
     report.add_exact("r (coordinate product)", "ambiguous" if flagged else r_quad,
                      exp["r_quadratic"])
     return report

@@ -91,14 +91,14 @@ def test_criterion_04_linear_thresholds():
 def test_criterion_05_two_dimensional_minimization():
     with criterion(5, "m(zeta) minima give r = 16 and r = 14"):
         assert BETA[2] == 4.266450
-        res = minimize_m(10.24)
-        assert abs(res.argmin - 0.19214) <= 0.001
-        assert abs(res.min_value - 15.6327) <= 0.002
-        assert admissible_r(res.min_value) == (16, False)
-        res = minimize_m(8.0)
-        assert abs(res.argmin - 0.23556) <= 0.001
-        assert abs(res.min_value - 13.0287) <= 0.002
-        assert admissible_r(res.min_value) == (14, False)
+        zeta, m_star = minimize_m(10.24)
+        assert abs(zeta - 0.19214) <= 0.001
+        assert abs(m_star - 15.6327) <= 0.002
+        assert admissible_r(m_star) == (16, False)
+        zeta, m_star = minimize_m(8.0)
+        assert abs(zeta - 0.23556) <= 0.001
+        assert abs(m_star - 13.0287) <= 0.002
+        assert admissible_r(m_star) == (14, False)
 
 
 def test_criterion_06_proof_identities():

@@ -6,7 +6,7 @@ import pytest
 
 from sievelab import numerics
 from sievelab.errors import ConvergenceError, DomainError, EvaluationError
-from sievelab.numerics import derivative_central, integrate, minimize_scalar
+from sievelab.numerics import derivative_central, integrate
 
 
 def simpson_oracle(fn, lo, hi, panels=10 ** 6):
@@ -123,35 +123,6 @@ class TestIntegrate:
         for tol in (0.0, -1e-10, float("nan")):
             with pytest.raises(DomainError, match="tolerance must be positive"):
                 integrate(lambda x: x, 0.0, 1.0, tol)
-
-
-class TestMinimizeScalar:
-    def test_shifted_quadratic(self):
-        res = minimize_scalar(lambda x: (x - 0.2) ** 2 + 1.0, 0.0, 1.0, tol=1e-6)
-        assert res.argmin == pytest.approx(0.2, abs=1e-6)
-        assert res.min_value == pytest.approx(1.0, abs=1e-10)
-        assert 0.0 <= res.argmin <= 1.0
-        assert res.iterations > 0
-
-    def test_kink_at_zero(self):
-        res = minimize_scalar(abs, -1.0, 2.0, tol=1e-7)
-        assert res.argmin == pytest.approx(0.0, abs=1e-6)
-
-    def test_random_convex_quadratics_hit_vertex(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            v = rng.uniform(-0.9, 0.9)
-            a = rng.uniform(0.5, 4.0)
-            res = minimize_scalar(lambda x: a * (x - v) ** 2, -1.0, 1.0, tol=1e-7)
-            assert abs(res.argmin - v) <= 1e-6
-
-    def test_empty_bracket(self):
-        with pytest.raises(DomainError):
-            minimize_scalar(lambda x: x, 1.0, 1.0)
-
-    def test_non_finite_objective(self):
-        with pytest.raises(EvaluationError):
-            minimize_scalar(lambda x: float("inf"), 0.0, 1.0)
 
 
 class TestDerivativeCentral:

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,8 @@ from sievelab import numerics, sieve_functions, thresholds
 from sievelab.errors import DomainError
 from sievelab.numerics import integrate
 from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
-from sievelab.thresholds import (ThresholdReport, admissible_r, dh_threshold_linear,
+from sievelab.thresholds import (THETA_SELBERG, THETA_UNCONDITIONAL, ThresholdReport,
+                                 admissible_r, dh_threshold_linear,
                                  linear_threshold, m_zeta, minimize_m,
                                  reproduce_constants, tau_from_theta,
                                  threshold_components)
@@ -151,20 +153,33 @@ class TestProofIdentities:
 
 class TestTwoDimensionalRoute:
     def test_minima(self):
-        res = minimize_m(10.24)
-        assert res.argmin == pytest.approx(0.19214, abs=0.001)
-        assert res.min_value == pytest.approx(15.6327, abs=0.002)
-        res = minimize_m(8.0)
-        assert res.argmin == pytest.approx(0.23556, abs=0.001)
-        assert res.min_value == pytest.approx(13.0287, abs=0.002)
+        zeta, m_star = minimize_m(10.24)
+        assert zeta == pytest.approx(0.19214, abs=0.001)
+        assert m_star == pytest.approx(15.6327, abs=0.002)
+        zeta, m_star = minimize_m(8.0)
+        assert zeta == pytest.approx(0.23556, abs=0.001)
+        assert m_star == pytest.approx(13.0287, abs=0.002)
+
+    @pytest.mark.parametrize("theta", [THETA_UNCONDITIONAL, THETA_SELBERG])
+    def test_root_against_lambert_w(self, theta):
+        # m'(zeta) = 0 solves as zeta* = 2 / (-W_{-1}(-(2/beta_2) e^C)),
+        # C = 1 - 2/beta_2 - mu (1 - 1/beta_2)
+        mu = 2.0 / float(tau_from_theta(theta))
+        with mpmath.workdps(30):
+            beta2 = mpmath.mpf(BETA[2])
+            c = 1 - 2 / beta2 - mu * (1 - 1 / beta2)
+            oracle = 2 / -mpmath.lambertw(-(2 / beta2) * mpmath.exp(c), -1)
+        zeta, m_star = minimize_m(mu)
+        assert abs(zeta - oracle) <= 1e-12
+        assert m_star == m_zeta(mu, zeta)
 
     def test_exponent_from_level(self):
         assert 2.0 / float(tau_from_theta(Fraction(7, 64))) == 10.24
 
     def test_stationarity(self):
-        res = minimize_m(10.24)
+        zeta, _ = minimize_m(10.24)
         h = 1e-4
-        slope = (m_zeta(10.24, res.argmin + h) - m_zeta(10.24, res.argmin - h)) / (2 * h)
+        slope = (m_zeta(10.24, zeta + h) - m_zeta(10.24, zeta - h)) / (2 * h)
         assert abs(slope) <= 1e-3
 
     def test_log_term_vanishes_at_sifting_limit(self):
