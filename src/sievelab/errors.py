@@ -10,7 +10,7 @@ class DomainError(SieveLabError, ValueError):
 
 
 class EvaluationError(SieveLabError):
-    """An integrand or objective returned a non-finite value.
+    """An integrand or differenced function returned a non-finite value.
 
     Carries the offending abscissa in ``.abscissa``.
     """
@@ -18,17 +18,6 @@ class EvaluationError(SieveLabError):
     def __init__(self, message, abscissa):
         super().__init__(f"{message} (at x={abscissa!r})")
         self.abscissa = abscissa
-
-
-class ConvergenceError(SieveLabError):
-    """Adaptive refinement exhausted its depth budget.
-
-    Carries the best estimate obtained so far in ``.best_estimate``.
-    """
-
-    def __init__(self, message, best_estimate):
-        super().__init__(f"{message} (best estimate {best_estimate!r})")
-        self.best_estimate = best_estimate
 
 
 class ResourceError(SieveLabError):

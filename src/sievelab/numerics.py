@@ -1,101 +1,81 @@
-"""Deterministic real-analysis engine: quadrature and derivatives.
+"""Deterministic real-analysis engine: two Chebyshev rules and derivatives.
 
-Quadrature is adaptive Gauss-Kronrod quadrature with interval bisection:
-each panel costs the 21 evaluations of QUADPACK's Kronrod rule (Piessens
-et al., 1983), whose nested 10-point Gauss rule reuses every other node,
-and |K21 - G10| is its error estimate.  The nodes and weights are float
-literals, so every run evaluates the same abscissae in the same order and
-results are bit-identical across runs.
+Both rules sample a function at the _CHEB_N first-kind Chebyshev points
+mid + half cos(_ANGLES[j]) of an interval (L. N. Trefethen, Approximation
+Theory and Approximation Practice, 2013, ch. 3 and 19):
 
-Closed forms in the dilogarithm and Chebyshev primitives (see
-`sieve_functions`) make F and f quadrature-free, so no caller nests one
-`integrate` call inside another.
+* `integrate` is Fejer's first rule (L. Fejer, 1933; J. Waldvogel, BIT 46
+  (2006) 195-202), the integral of the interpolant through those points:
+  a fixed weighted sum of 32 values, exact for polynomials of degree up
+  to 31.  On a function analytic in the Bernstein ellipse of parameter
+  rho about the interval, its error falls like rho^(-32).  Every integral
+  of `thresholds` has rho of about 3 or more, so the rule is exact to
+  rounding there: the I2 and I3 integrands are singular one unit outside
+  their intervals (at t = 2 and t = b), and the pieces of the general
+  route are cut at the joints of F.
+* `_chebyshev_primitive` is the interpolant's primitive, a Chebyshev
+  series that `sieve_functions` evaluates anywhere on the interval.
 
-All functions here are pure and hold no mutable state.
+The weights are computed once, at import, so every run evaluates the same
+abscissae in the same order and results are bit-identical across runs.
+No caller nests one `integrate` call inside another.
 """
 
 import math
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 
-# Euler-Mascheroni constant, full double precision.
-EULER_GAMMA = 0.5772156649015329
-
-# (x, Kronrod weight, Gauss weight) for the nodes +-x > 0 of the 21-point
-# rule; every other row's x is a 10-point Gauss node, with numpy's weight.
-_GK21 = ((0.9956571630258081, 0.011694638867371874, 0.0),
-         (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
-         (0.9301574913557082, 0.054755896574351995, 0.0),
-         (0.8650633666889845, 0.07503967481091996, 0.1494513491505804),
-         (0.7808177265864169, 0.0931254545836976, 0.0),
-         (0.6794095682990244, 0.10938715880229764, 0.219086362515982),
-         (0.5627571346686047, 0.12349197626206584, 0.0),
-         (0.4333953941292472, 0.13470921731147334, 0.2692667193099965),
-         (0.2943928627014602, 0.14277593857706009, 0.0),
-         (0.14887433898163122, 0.14773910490133849, 0.2955242247147528))
-_K21_CENTRE = 0.1494455540029169  # Kronrod weight of the node 0
-
-# Most bisections on the way from [lo, hi] down to an accepted panel.
-_MAX_DEPTH = 60
+# Chebyshev samples per rule.
+_CHEB_N = 32
+_ANGLES = [math.pi * (j + 0.5) / _CHEB_N for j in range(_CHEB_N)]
+_NODES = [math.cos(a) for a in _ANGLES]
+# Fejer's weights on [-1, 1]: int T_k = 2/(1 - k^2) for even k, 0 for odd k.
+_WEIGHTS = [2.0 / _CHEB_N * (1.0 - 2.0 * sum(math.cos(2 * k * a) / (4 * k * k - 1)
+                                            for k in range(1, _CHEB_N // 2)))
+            for a in _ANGLES]
 
 
-def _panel(fn, lo: float, hi: float):
-    """(21-point Kronrod estimate, error estimate vs nested 10-point Gauss)."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    k21 = _K21_CENTRE * _value(fn, mid)
-    g10 = 0.0
-    for x, wk, wg in _GK21:
-        pair = _value(fn, mid - half * x) + _value(fn, mid + half * x)
-        k21 += wk * pair
-        g10 += wg * pair
-    return half * k21, half * abs(k21 - g10)
+def integrate(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Integral of `fn` over [lo, hi] by Fejer's first rule on 32 points.
 
-
-def _value(fn, t: float) -> float:
-    v = fn(t)
-    if not math.isfinite(v):
-        raise EvaluationError("integrand returned a non-finite value", t)
-    return v
-
-
-def integrate(fn: Callable[[float], float], lo: float, hi: float,
-              tol: float = 1e-10) -> float:
-    """Integral of `fn` over [lo, hi] to within tol * max(1, |integral|).
-
-    Empty intervals return 0.0 exactly.  Raises `EvaluationError` if the
-    integrand produces a non-finite value, `ConvergenceError` (carrying the
-    best estimate) if a panel needs more than _MAX_DEPTH bisections.
+    Raises `EvaluationError` if the integrand produces a non-finite value.
     """
-    if not tol > 0:
-        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
     if lo > hi:
         raise DomainError(f"integration bounds out of order: {lo} > {hi}")
-    if lo == hi:
-        return 0.0
-
-    est, err = _panel(fn, lo, hi)
-
-    # The root panel is judged first; then (lo, hi, local tolerance,
-    # remaining depth) work items, whose children split the parent's
-    # tolerance so the accepted panels sum within it.
-    a, b, t, depth = lo, hi, tol * max(1.0, abs(est)), _MAX_DEPTH
-    stack = []
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     total = 0.0
-    while True:
-        if err <= t or b - a <= abs(a) * 1e-15 + 1e-300:
-            total += est
-        elif depth <= 0:
-            raise ConvergenceError(
-                f"quadrature depth exhausted on [{a}, {b}]", total + est)
-        else:
-            m = 0.5 * (a + b)
-            stack.append((a, m, 0.5 * t, depth - 1))
-            stack.append((m, b, 0.5 * t, depth - 1))
-        if not stack:
-            return total
-        a, b, t, depth = stack.pop()
-        est, err = _panel(fn, a, b)
+    for x, w in zip(_NODES, _WEIGHTS):
+        t = mid + half * x
+        v = fn(t)
+        if not math.isfinite(v):
+            raise EvaluationError("integrand returned a non-finite value", t)
+        total += w * v
+    return half * total
+
+
+def _chebyshev_primitive(fn, lo: float, hi: float):
+    """x -> int_lo^x fn on [lo, hi], as a Chebyshev series.
+
+    fn's coefficients come from a DCT of its values at the _CHEB_N
+    Chebyshev points; the primitive's from int T_k = T_(k+1)/(2(k+1)) -
+    T_(k-1)/(2(k-1)), and the returned function sums them by Clenshaw.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = [fn(mid + half * x) for x in _NODES]
+    c = [2.0 / _CHEB_N * sum(v * math.cos(k * a) for v, a in zip(values, _ANGLES))
+         for k in range(_CHEB_N)] + [0.0, 0.0]
+    b = [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(_CHEB_N, 0, -1)]
+    b0 = sum(bk if k % 2 else -bk for k, bk in zip(range(_CHEB_N, 0, -1), b))
+
+    def primitive(x: float) -> float:
+        y = (x - mid) / half
+        b1 = b2 = 0.0
+        for bk in b:
+            b1, b2 = bk + 2.0 * y * b1 - b2, b1
+        return b0 + y * b1 - b2
+
+    return primitive
 
 
 def derivative_central(fn: Callable[[float], float], x: float, h: float) -> float:

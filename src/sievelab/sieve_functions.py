@@ -35,15 +35,14 @@ Psi(s-1)/(s-1), and (s f(s))' = F(s-1) gives Psi'(s) = Phi(s-2)/(s-1) on
 Phi is a closed form in the dilogarithm Li2 (L. Lewin, Polylogarithms and
 Associated Functions, 1981, ch. 1): G(x) = (1/2) log^2 x + Li2(1/x) has G'
 = log(x-1)/x for x >= 2 and G(2) = pi^2/12, so Phi(x) = G(x) - pi^2/12.
-Psi, W and E are Chebyshev series (L. N. Trefethen, Approximation Theory
-and Approximation Practice, 2013, ch. 3 and 19), built on first use from
-32 samples of their integrands, in chain order: Psi on [4, 6] and on
-[6, 8], W on [5, 7] from the first, E on [6, 8] from W.  Phi continues
-analytically to x > 1, so each integrand's nearest singularity lies one
-unit left of its length-2 interval: the integrand is analytic in the
-Bernstein ellipse of parameter 2 + sqrt(3) about it, and its coefficients
-fall to rounding level (~1e-16) before the 28th.  No evaluation of F or f
-calls `integrate`.
+Psi, W and E are Chebyshev series (`numerics._chebyshev_primitive`),
+built on first use from 32 samples of their integrands, in chain order:
+Psi on [4, 6] and on [6, 8], W on [5, 7] from the first, E on [6, 8] from
+W.  Phi continues analytically to x > 1, so each integrand's nearest
+singularity lies one unit left of its length-2 interval: the integrand is
+analytic in the Bernstein ellipse of parameter 2 + sqrt(3) about it, and
+its coefficients fall to rounding level (~1e-16) before the 28th.  No
+evaluation of F or f calls `integrate`.
 
 `_li2` evaluates Li2 on [-1/2, 1/2] by the Bernoulli series
 Li2(z) = w - w^2/4 + sum_{k>=1} B_2k w^(2k+1)/(2k+1)! in w = -log(1-z),
@@ -67,8 +66,10 @@ import functools
 import math
 
 from .errors import DomainError, UnsupportedKappaError
-from .numerics import EULER_GAMMA
+from .numerics import _chebyshev_primitive
 
+# Euler-Mascheroni constant, full double precision.
+EULER_GAMMA = 0.5772156649015329
 TWO_E_GAMMA = 2.0 * math.exp(EULER_GAMMA)
 
 # Sifting limits: below beta_kappa the lower function vanishes.  beta_1 = 2
@@ -80,9 +81,6 @@ _LI2_SERIES = (0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-0
                -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
                8.921691020456452e-13, -1.9939295860721074e-14)
 _PI2_12 = math.pi ** 2 / 12.0
-
-# Chebyshev samples per primitive (see the module docstring).
-_CHEB_N = 32
 
 
 def _li2(z: float) -> float:
@@ -108,31 +106,6 @@ def _phi(x: float) -> float:
     if x <= 2.0:
         return 0.0
     return _G(x) - _PI2_12
-
-
-def _chebyshev_primitive(fn, lo: float, hi: float):
-    """x -> int_lo^x fn on [lo, hi], as a Chebyshev series.
-
-    fn's coefficients come from a DCT of its values at the _CHEB_N
-    Chebyshev points; the primitive's from int T_k = T_(k+1)/(2(k+1)) -
-    T_(k-1)/(2(k-1)), and the returned function sums them by Clenshaw.
-    """
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    angles = [math.pi * (j + 0.5) / _CHEB_N for j in range(_CHEB_N)]
-    values = [fn(mid + half * math.cos(a)) for a in angles]
-    c = [2.0 / _CHEB_N * sum(v * math.cos(k * a) for v, a in zip(values, angles))
-         for k in range(_CHEB_N)] + [0.0, 0.0]
-    b = [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(_CHEB_N, 0, -1)]
-    b0 = sum(bk if k % 2 else -bk for k, bk in zip(range(_CHEB_N, 0, -1), b))
-
-    def primitive(x: float) -> float:
-        y = (x - mid) / half
-        b1 = b2 = 0.0
-        for bk in b:
-            b1, b2 = bk + 2.0 * y * b1 - b2, b1
-        return b0 + y * b1 - b2
-
-    return primitive
 
 
 @functools.cache

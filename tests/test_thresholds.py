@@ -8,13 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 
 from sievebench.jobs import job_list
 from sievelab import numerics, sieve_functions, thresholds
 from sievelab.errors import DomainError
-from sievelab.numerics import integrate
 from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
 from sievelab.thresholds import (THETA_SELBERG, THETA_UNCONDITIONAL, ThresholdReport,
                                  admissible_r, dh_threshold_linear,
@@ -22,7 +20,7 @@ from sievelab.thresholds import (THETA_SELBERG, THETA_UNCONDITIONAL, ThresholdRe
                                  reproduce_constants, tau_from_theta,
                                  threshold_components)
 
-from test_sieve_functions import CLOSED_FORM_TOL, use_oracle
+from test_sieve_functions import CLOSED_FORM_TOL, oracle_quad, use_oracle
 
 
 class TestTau:
@@ -134,8 +132,7 @@ class TestProofIdentities:
             return F_lin(b - s) * (1.0 / s - 1.0 / (b - a))
 
         cuts = sorted({1.0, b - a} | {b - c for c in (3.0, 5.0) if 1.0 < b - c < b - a})
-        direct = sum(integrate(integrand, lo, hi, 1e-11)
-                     for lo, hi in zip(cuts, cuts[1:]))
+        direct = sum(oracle_quad(integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
         assert TWO_E_GAMMA * (i1 + i2 + i3) == pytest.approx(direct, abs=1e-6)
 
     def test_elementary_integral_closed_form(self):
@@ -143,9 +140,8 @@ class TestProofIdentities:
         for _ in range(5):
             a = rng.uniform(1.0, 2.9)
             b = rng.uniform(a + 5.0 + 0.01, 8.0)
-            direct = integrate(
-                lambda s: (1.0 / (b - s)) * (1.0 / s - 1.0 / (b - a)),
-                1.0, b - a, 1e-12)
+            direct = oracle_quad(
+                lambda s: (1.0 / (b - s)) * (1.0 / s - 1.0 / (b - a)), 1.0, b - a)
             closed = (math.log((b - 1.0) * (b - a) / a) / b
                       - math.log((b - 1.0) / a) / (b - a))
             assert direct == pytest.approx(closed, abs=1e-8)
@@ -236,16 +232,21 @@ class TestReproduceConstants:
 
     @pytest.mark.parametrize("mode", ["unconditional", "selberg"])
     def test_quadrature_work(self, mode, monkeypatch):
-        panels = []
-        panel = numerics._panel
+        # integrand evaluations per `integrate` call: I2 and I3, 32 each
+        calls = []
 
-        def counted(*args):
-            panels.append(args[1:])
-            return panel(*args)
+        def counted(fn, lo, hi):
+            calls.append(0)
 
-        monkeypatch.setattr(numerics, "_panel", counted)
+            def evaluated(t):
+                calls[-1] += 1
+                return fn(t)
+
+            return numerics.integrate(evaluated, lo, hi)
+
+        monkeypatch.setattr(thresholds, "integrate", counted)
         reproduce_constants(mode)
-        assert 0 < len(panels) <= 100
+        assert calls == [32, 32]
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
@@ -258,24 +259,7 @@ class TestReproduceConstants:
         assert len(one.rows) == 1 and two.rows == []
 
 
-GAUSS = {n: tuple(map(np.ndarray.tolist, np.polynomial.legendre.leggauss(n)))
-         for n in (7, 15)}
-
-
-def gauss_7_15_panel(fn, lo, hi):
-    """The former `numerics._panel`: a 15-point Gauss-Legendre estimate and
-    its distance from an unnested 7-point one, 22 evaluations."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    sums = []
-    for n in (15, 7):
-        total = 0.0
-        for x, w in zip(*GAUSS[n]):
-            total += w * fn(mid + half * x)
-        sums.append(total)
-    return half * sums[0], half * abs(sums[0] - sums[1])
-
-
-def test_kronrod_panel_against_gauss_7_15_oracle(monkeypatch):
+def test_fixed_rule_against_quad_oracle(monkeypatch):
     # the `constants` pair grid of seeds 1-40, by both threshold routes
     grid = [(job["a"], job["b"], Fraction(job["tau"])) for seed in range(1, 41)
             for job in job_list("constants", seed) if job["kind"] == "pair"]
@@ -285,12 +269,12 @@ def test_kronrod_panel_against_gauss_7_15_oracle(monkeypatch):
                  dh_threshold_linear(tau, b / ((b - a) * float(tau)), b / float(tau)))
                 for a, b, tau in grid]
 
-    kronrod = values()
-    monkeypatch.setattr(numerics, "_panel", gauss_7_15_panel)
-    gauss = values()
+    fixed = values()
+    monkeypatch.setattr(thresholds, "integrate", oracle_quad)
+    quadpack = values()
     assert len(grid) == 240
-    assert max(abs(x - y) for row, old in zip(kronrod, gauss)
-               for x, y in zip(row, old)) <= 1e-13
+    assert max(abs(x - y) for row, old in zip(fixed, quadpack)
+               for x, y in zip(row, old)) <= 1e-14
 
 
 class TestQuadratureNesting:
