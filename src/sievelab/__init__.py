@@ -2,7 +2,7 @@
 
 Layout:
 
-    numerics        the 32-point Chebyshev rules (Fejer quadrature, primitives), derivatives
+    numerics        Fejer quadrature and Chebyshev primitives, derivatives
     sieve_functions linear-sieve F(s), f(s), Halberstam-Richert bound
     thresholds      almost-prime thresholds and constant reproduction
     quadforms       exact ternary quadratic form arithmetic and isotropy
