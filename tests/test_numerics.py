@@ -28,7 +28,7 @@ def test_nodes_match_numpy():
     assert [v.hex() for v in sorted(numerics._NODES)] == [v.hex() for v in sorted(x.tolist())]
 
 
-def test_rule_degree():
+def test_fejer_rule_degree():
     # x^k on [-1, 1] to rounding level up to degree 31, not beyond; 32
     # nodes and 32 exact moments determine the weights
     def error(k):
