@@ -7,11 +7,12 @@ parameter schedule for the composite residue.  It serves single integers of
 any size (moduli, discriminants); numbers that come in bulk are factored by
 sieves instead: `primes_up_to` feeds the slice sieve of `binary_forms`,
 and `smallest_prime_factors` tabulates every integer up to a bound for the
-census.  Square roots modulo n are taken from the factorization of n: one
-power, Atkin's formula or Tonelli-Shanks modulo p, Newton lifting to p^e,
-and the Chinese remainder theorem across prime powers (`crt_roots`, which
-also combines the prime-power roots of the quadratic norm forms that
-`binary_forms` memoizes per enumeration).
+census.  Square roots modulo a prime power p^e have one source,
+`_sqrt_mod_prime_power`, which serves both the slice sieve and the norm-form
+solver of `binary_forms`: one power, Atkin's formula or Tonelli-Shanks
+modulo p, and Newton lifting to p^e.  `crt_roots` combines roots modulo
+pairwise coprime prime powers by the Chinese remainder theorem (the roots
+of the quadratic norm forms that `binary_forms` memoizes per enumeration).
 """
 
 import math
@@ -131,14 +132,6 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def is_squarefree(n: int) -> bool:
-    """True iff |n| >= 1 has no repeated prime factor."""
-    n = abs(n)
-    if n == 0:
-        return False
-    return all(e == 1 for e in factorint(n).values())
-
-
 def squarefree_part(n: int) -> int:
     """The square-free integer equal to n modulo nonzero rational squares."""
     if n == 0:
@@ -159,15 +152,6 @@ def legendre_raw(n: int, p: int) -> int:
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
 
-def sqrt_mod(a: int, factors: dict[int, int]) -> list[int]:
-    """All x in [0, n) with x*x = a (mod n), sorted, where n = prod p**e.
-
-    `factors` is the factorization {p: e} of n (empty for n = 1).
-    """
-    return sorted(crt_roots([(p ** e, _sqrt_mod_prime_power(a % p ** e, p, e))
-                             for p, e in factors.items()]))
-
-
 def crt_roots(local: list[tuple[int, list[int]]]) -> list[int]:
     """Every x in [0, prod q) with x mod q in `residues` for each (q, residues)
     of `local`, whose moduli q are pairwise coprime (none at all gives [0])."""
@@ -182,9 +166,13 @@ def crt_roots(local: list[tuple[int, list[int]]]) -> list[int]:
 
 
 def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
-    """Roots of x^2 = a modulo p^e for 0 <= a < p^e."""
+    """The roots in [0, p^e) of x^2 = a modulo p^e, in no fixed order."""
+    q = p ** e
+    a %= q
+    if a % p:
+        return _sqrt_unit(a, p, e)
     if a == 0:
-        return list(range(0, p ** e, p ** ((e + 1) // 2)))
+        return list(range(0, q, p ** ((e + 1) // 2)))
     v = 0
     while a % p == 0:
         a //= p

@@ -15,7 +15,7 @@ reduced per orbit of the slice's sign changes (`_restored`).
 import math
 from itertools import product
 
-from .arith import _sqrt_mod_p, crt_roots, factorint, legendre_raw, primes_up_to, sqrt_mod
+from .arith import _sqrt_mod_prime_power, crt_roots, factorint, legendre_raw, primes_up_to
 
 # The slice sieve's primes stop at this many times its slice count, about as
 # many primes as slices; more would cost more than the factorizations saved.
@@ -29,8 +29,8 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
     test; g = gcd(a, b, c).
 
     One sieve over k: p | n_k exactly when k^2 m0 = n0 (mod p), which for
-    odd p prime to m0 is the two classes k = +-r of the roots of r^2 =
-    n0/m0 and for p | m0 is every k or none; p = 2 is tried on k = 0, 1.
+    p prime to m0 (2 included) is the classes k = r of the roots r of r^2 =
+    n0/m0 modulo p and for p | m0 is every k or none.
     Each prime up to B = min(sqrt(max n_k / g), _SIEVE_PER_SLICE |slices|)
     is divided out in full wherever it hits.  A cofactor left <= B^2 is 1 or
     a prime; a larger one goes to factorint.
@@ -64,12 +64,8 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
                 del rest[k], factors[k]
         if m0 % p == 0:
             classes, step = [0] if n0 % p == 0 else [], 1
-        elif p == 2:
-            classes, step = [r for r in (0, 1) if (n0 - r * r * m0) % 2 == 0], 2
         else:
-            x = n0 * pow(m0, -1, p) % p
-            r = _sqrt_mod_p(x, p) if x else 0
-            classes, step = () if r is None else {r, -r % p}, p
+            classes, step = _sqrt_mod_prime_power(n0 * pow(m0, -1, p), p, 1), p
         for r in classes:
             for k in range(r, top + 1, step):
                 v = rest.get(k)
@@ -159,12 +155,9 @@ def _local_roots(p: int, e: int, beta: int, disc: int, memo: dict) -> list[int]:
     if local is None:
         q = p ** e
         if p == 2:
-            local = [(s - beta) // 2 for s in sqrt_mod(disc, {2: e + 2}) if s < 2 * q]
-        elif e == 1 and disc % p:
-            s = _sqrt_mod_p(disc % p, p)
-            local = [] if s is None else [(t - beta) * (p + 1) // 2 % p for t in (s, p - s)]
+            local = [(s - beta) // 2 for s in _sqrt_mod_prime_power(disc, 2, e + 2) if s < 2 * q]
         else:
-            local = [(s - beta) * (q + 1) // 2 % q for s in sqrt_mod(disc, {p: e})]
+            local = [(s - beta) * (q + 1) // 2 % q for s in _sqrt_mod_prime_power(disc, p, e)]
         memo[p, e] = local
     return local
 

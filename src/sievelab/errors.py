@@ -22,7 +22,3 @@ class EvaluationError(SieveLabError):
 
 class ResourceError(SieveLabError):
     """A computation would exceed its configured work budget."""
-
-
-class UnsupportedKappaError(DomainError):
-    """No tabulated sifting-limit constant exists for the requested dimension."""

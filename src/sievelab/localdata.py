@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .arith import factorint, is_prime, is_squarefree, legendre_raw, primes_up_to
+from .arith import factorint, is_prime, legendre_raw, primes_up_to, squarefree_part
 from .errors import DomainError, ResourceError
 from .quadforms import TernaryForm, det_form, eval_form
 
@@ -223,7 +223,7 @@ def build_local_table(f: TernaryForm, t: int, variant: str,
     # Cassels' hypotheses on d(f) t, checked once for the whole table.
     d = det_form(f)
     dt = int(d) * t if d.denominator == 1 else 0  # 0: no Cassels column
-    dt_squarefree = is_squarefree(dt)
+    dt_squarefree = dt != 0 and squarefree_part(dt) == dt
 
     minors = _principal_minors(f)
     sieved = SIEVED[variant]

@@ -65,7 +65,7 @@ windows would not change any downstream constant.
 import functools
 import math
 
-from .errors import DomainError, UnsupportedKappaError
+from .errors import DomainError
 from .numerics import _chebyshev_primitive
 
 # Euler-Mascheroni constant, full double precision.
@@ -164,16 +164,12 @@ def f_lin(s: float) -> float:
     return TWO_E_GAMMA / s * (math.log(s - 1.0) + _psi(s) + _E(s))
 
 
-def hr_upper(kappa: float, zeta: float) -> float:
-    """Halberstam-Richert closed upper bound for the weighted-sieve integral.
-
-    Returns (kappa + zeta) log(beta_kappa / zeta) - kappa + zeta kappa / beta_kappa,
-    valid for tabulated nonlinear dimensions (kappa = 2) and 0 < zeta < beta_kappa.
+def hr_upper(zeta: float) -> float:
+    """Halberstam-Richert closed upper bound for the weighted-sieve integral
+    in dimension 2: (2 + zeta) log(beta_2 / zeta) - 2 + 2 zeta / beta_2 for
+    0 < zeta < beta_2.
     """
-    beta = BETA.get(kappa)
-    if beta is None or kappa <= 1:
-        raise UnsupportedKappaError(
-            f"no tabulated sifting limit for dimension kappa={kappa}")
+    beta = BETA[2]
     if not 0.0 < zeta < beta:
         raise DomainError(f"zeta must lie in (0, {beta}), got {zeta}")
-    return (kappa + zeta) * math.log(beta / zeta) - kappa + zeta * kappa / beta
+    return (2 + zeta) * math.log(beta / zeta) - 2 + zeta * 2 / beta

@@ -32,7 +32,6 @@ reports each constant next to its expected window.
 
 import math
 from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -46,10 +45,7 @@ THETA_SELBERG = Fraction(0)
 
 def tau_from_theta(theta) -> Fraction:
     """Equidistribution level 1/4 - theta/2, exactly, for 0 <= theta < 1/2."""
-    if isinstance(theta, float):
-        theta = Fraction(theta)  # exact: floats are dyadic rationals
-    elif not isinstance(theta, Rational):
-        theta = Fraction(theta)
+    theta = Fraction(theta)  # exact for ints, strings, floats and Rationals
     if not 0 <= theta < Fraction(1, 2):
         raise DomainError(f"theta must lie in [0, 1/2), got {theta}")
     return Fraction(1, 4) - theta / 2
@@ -138,7 +134,7 @@ def m_zeta(mu: float, zeta: float) -> float:
     beta2 = BETA[2]
     if not 0.0 < zeta < beta2:
         raise DomainError(f"zeta must lie in (0, {beta2}), got {zeta}")
-    return mu * (1.0 + zeta) - mu * zeta / beta2 - 1.0 + hr_upper(2, zeta)
+    return mu * (1.0 + zeta) - mu * zeta / beta2 - 1.0 + hr_upper(zeta)
 
 
 def minimize_m(mu: float) -> tuple[float, float]:

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from sievelab.arith import (crt_roots, factorint, is_prime, is_squarefree,
+from sievelab.arith import (_sqrt_mod_prime_power, crt_roots, factorint, is_prime,
                             legendre_raw, primes_up_to, smallest_prime_factors,
-                            sqrt_mod, squarefree_part)
+                            squarefree_part)
 
 
 def test_is_prime_small():
@@ -67,8 +67,9 @@ def test_factorint_domain():
 
 
 def test_squarefree_tools():
-    assert is_squarefree(30)
-    assert not is_squarefree(12)
+    assert squarefree_part(30) == 30
+    assert squarefree_part(-30) == -30
+    assert squarefree_part(1) == 1
     assert squarefree_part(12) == 3
     assert squarefree_part(-18) == -2
     assert squarefree_part(7) == 7
@@ -92,13 +93,18 @@ def test_crt_roots():
     assert crt_roots([(9, [2]), (7, [])]) == []
 
 
-def test_sqrt_mod_against_brute_force():
-    for n in [*range(1, 120), 2 ** 9, 3 ** 6, 8 * 5 ** 3, 4 * 17 ** 2]:
-        factors = factorint(n)
-        for a in range(n):
-            assert sqrt_mod(a, factors) == [x for x in range(n) if x * x % n == a]
+def test_sqrt_mod_prime_power_against_brute_force():
+    for p in primes_up_to(23):
+        e, q = 1, p
+        while q <= 3000:
+            roots = {}  # x^2 mod q -> every x in [0, q)
+            for x in range(q):
+                roots.setdefault(x * x % q, []).append(x)
+            for a in range(-q, 2 * q):  # a is reduced modulo q first
+                assert sorted(_sqrt_mod_prime_power(a, p, e)) == roots.get(a % q, []), (a, q)
+            e, q = e + 1, q * p
     p = 7681  # p - 1 = 2^9 * 15 takes Tonelli-Shanks through nine squarings
     for a in range(1, 400):
-        roots = sqrt_mod(a, {p: 2})
+        roots = _sqrt_mod_prime_power(a, p, 2)
         assert len(roots) == (2 if legendre_raw(a, p) == 1 else 0)
         assert all(x * x % p ** 2 == a for x in roots)

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sievelab import arith, binary_forms, cli, lattice_points
-from sievelab.arith import factorint
+from sievelab.arith import factorint, primes_up_to
 from sievelab.errors import DomainError, ResourceError
-from sievelab.binary_forms import _factor_slices, _representations, _restored
+from sievelab.binary_forms import _factor_slices, _local_roots, _representations, _restored
 from sievelab.lattice_points import (_MAX_SLICES, _projection_value, build_sequence, census,
                                      enumerate_orbits, enumerate_points, find_automorphs,
                                      level_statistic, residual_Rd, weight_FT)
@@ -374,6 +374,23 @@ class TestRepresentations:
         # an even power goes to g whole: one choice of g, not two
         assert self.solve(1, 0, 1, 9 * 5) == representations_oracle(1, 0, 1, 9 * 5)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta", [0, 1])
+    def test_local_roots_against_brute_force(self, beta):
+        # D = p^k u = beta (mod 4) for k <= e + 1: D prime to p (k = 0, u prime
+        # to p), divisible by p to an odd or even power below e, and D = 0 mod p^e
+        for p in primes_up_to(11):
+            for e in range(1, 6):
+                q = p ** e
+                roots = {}  # r^2 + beta r mod q -> every r in [0, q)
+                for r in range(q):
+                    roots.setdefault((r * r + beta * r) % q, []).append(r)
+                discs = {p ** k * u for k in range(e + 2) for u in range(-12, 13)
+                         if p ** k * u % 4 == beta}
+                for disc in discs:
+                    gamma = (beta - disc) // 4
+                    assert sorted(_local_roots(p, e, beta, disc, {})) == roots.get(-gamma % q, []), (
+                        p, e, disc)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(a=st.integers(1, 7), b=st.integers(-9, 9), c=st.integers(1, 15),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from sievelab import sieve_functions, thresholds
-from sievelab.errors import DomainError, UnsupportedKappaError
+from sievelab.errors import DomainError
 from sievelab.numerics import derivative_central
 from sievelab.sieve_functions import (BETA, EULER_GAMMA, TWO_E_GAMMA, F_lin, _E, _G, _li2,
                                       _phi, _psi, _W, f_lin, hr_upper)
@@ -271,24 +271,18 @@ class TestHalberstamRichertBound:
     def test_values(self):
         # frozen from direct evaluation; consistent with the minimized
         # two-dimensional thresholds reproduced in test_thresholds
-        assert hr_upper(2, 0.19214) == pytest.approx(4.886390570447249, abs=1e-12)
-        assert hr_upper(2, 0.23556) == pytest.approx(4.585884233244685, abs=1e-12)
+        assert hr_upper(0.19214) == pytest.approx(4.886390570447249, abs=1e-12)
+        assert hr_upper(0.23556) == pytest.approx(4.585884233244685, abs=1e-12)
 
     def test_vanishes_at_sifting_limit(self):
         beta2 = BETA[2]
-        assert abs(hr_upper(2, beta2 * (1.0 - 1e-12))) <= 1e-9
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(UnsupportedKappaError):
-            hr_upper(1, 0.5)
-        with pytest.raises(UnsupportedKappaError):
-            hr_upper(3, 0.5)
+        assert abs(hr_upper(beta2 * (1.0 - 1e-12))) <= 1e-9
 
     def test_zeta_domain(self):
         with pytest.raises(DomainError):
-            hr_upper(2, 0.0)
+            hr_upper(0.0)
         with pytest.raises(DomainError):
-            hr_upper(2, BETA[2])
+            hr_upper(BETA[2])
 
 
 class TestConstants:
