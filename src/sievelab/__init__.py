@@ -3,8 +3,8 @@
 Layout:
 
     numerics        Fejer quadrature and Chebyshev primitives, derivatives
-    sieve_functions linear-sieve F(s), f(s), Halberstam-Richert bound
-    thresholds      almost-prime thresholds and constant reproduction
+    sieve_functions linear-sieve F(s), f(s)
+    thresholds      almost-prime thresholds, Halberstam-Richert m(zeta), constants
     quadforms       exact ternary quadratic form arithmetic and isotropy
     binary_forms    binary quadratic representations behind the slices
     localdata       counts and densities mod p, bad primes

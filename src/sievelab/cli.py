@@ -355,13 +355,15 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     """Fold key=value file entries in after the subcommand (explicit flags win).
 
     A key naming an on/off flag (--trend) takes a boolean value: 1, true,
-    yes or on sets the flag; 0, false, no or off leaves it unset.
+    yes or on sets the flag; 0, false, no or off leaves it unset.  A key for
+    another subcommand's flag is skipped; argparse rejects any other key.
     """
     known, _ = _CONFIG_PROBE.parse_known_args(argv)
-    commands = {name for name, *_ in _SUBCOMMANDS}
-    at = next((i for i, tok in enumerate(argv) if tok in commands), None)
+    flags_of = {name: flags.split() for name, _, flags in _SUBCOMMANDS}
+    at = next((i for i, tok in enumerate(argv) if tok in flags_of), None)
     if not known.config or at is None:
         return argv  # without a subcommand argparse reports the error
+    own = flags_of[argv[at]]
     injected = []
     with open(known.config) as fh:
         for line in fh:
@@ -372,7 +374,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                 raise SieveLabError(f"bad config line (want key=value): {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             flag = f"--{key}"
-            if flag in argv or value == "":
+            if flag in argv or value == "" or (key in _FLAGS and key not in own):
                 continue
             if _FLAGS.get(key, {}).get("action") != "store_true":
                 injected.extend([flag, value])

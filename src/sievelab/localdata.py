@@ -26,7 +26,7 @@ the ternary form; N0(p) is inclusion-exclusion over the coordinate
 subspaces on which a sieved coordinate vanishes.  Either costs O(log p);
 p = 2 is counted over its 8 points.  One private routine, `_count`, gives
 both; a table computes the principal minors of f once and calls it twice
-per prime, and the public counts validate p and call it the same way.
+per prime.
 
 When p does not divide d(f) t, d(f) is an integer and |d(f) t| is
 square-free, the rank-3 case is the Cassels count
@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .arith import factorint, is_prime, legendre_raw, primes_up_to, squarefree_part
+from .arith import factorint, legendre_raw, primes_up_to, squarefree_part
 from .errors import DomainError, ResourceError
 from .quadforms import TernaryForm, det_form, eval_form
 
@@ -61,18 +61,6 @@ BAD_SET = frozenset({2, 3, 5, 7})
 # sieves; their number is the sieve dimension kappa.
 SIEVED = {"x1": (0,), "x1x2": (0, 1), "x1x2x3": (0, 1, 2)}
 VARIANTS = tuple(SIEVED)
-
-
-def legendre(n: int, p: int) -> int:
-    """Legendre symbol (n|p) for an odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
-    return legendre_raw(n, p)
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 def _nondegenerate_count(r: int, disc: int, t: int, p: int) -> int:
@@ -136,24 +124,6 @@ def _count(f: TernaryForm, minors: dict, t: int, p: int,
     return total
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-
-
-def count_Vt_mod_p(f: TernaryForm, t: int, p: int) -> int:
-    """#{x in (Z/pZ)^3 : f(x) = t mod p}, exact."""
-    _check_prime(p)
-    return _count(f, _principal_minors(f), t, p)
-
-
-def count_V0_mod_p(f: TernaryForm, t: int, p: int, variant: str) -> int:
-    """Count of points of f = t mod p whose sieved coordinate product is 0 mod p."""
-    _check_variant(variant)
-    _check_prime(p)
-    return _count(f, _principal_minors(f), t, p, SIEVED[variant])
-
-
 def _density(p: int, n: int, n0: int) -> Fraction:
     """omega(p)/p from the counts: 0 on the exceptional set and where N0 = N."""
     return Fraction(0) if p in BAD_SET or n0 == n else Fraction(n0, n)
@@ -167,11 +137,6 @@ def squarefree_primes(d: int, bad_set: frozenset = frozenset()) -> tuple[int, ..
     if any(e > 1 for e in factors.values()) or not bad_set.isdisjoint(factors):
         return None
     return tuple(factors)
-
-
-def bad_primes(f: TernaryForm, t: int, variant: str, p_max: int) -> set[int]:
-    """Primes p <= p_max at which every local point has sieved product 0."""
-    return build_local_table(f, t, variant, p_max).bad_primes
 
 
 class LocalEntry(NamedTuple):
@@ -214,7 +179,8 @@ class LocalDensityTable:
 def build_local_table(f: TernaryForm, t: int, variant: str,
                       p_max: int) -> LocalDensityTable:
     """Tabulate counts, densities and bad primes for all p <= p_max."""
-    _check_variant(variant)
+    if variant not in VARIANTS:
+        raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if p_max < 7:
         raise DomainError(f"p_max must be >= 7, got {p_max}")
     if p_max > 10 ** 4:

@@ -61,10 +61,6 @@ class TernaryForm(_Coefficients):
         return cls(*iterable)
 
     @classmethod
-    def diagonal(cls, d1: int, d2: int, d3: int) -> "TernaryForm":
-        return cls(d1, d2, d3)
-
-    @classmethod
     def from_string(cls, text: str) -> "TernaryForm":
         """Parse 'a11,a22,a33,a12,a13,a23' (comma separated integers)."""
         parts = [p.strip() for p in text.split(",")]

@@ -72,10 +72,6 @@ from .numerics import _chebyshev_primitive
 EULER_GAMMA = 0.5772156649015329
 TWO_E_GAMMA = 2.0 * math.exp(EULER_GAMMA)
 
-# Sifting limits: below beta_kappa the lower function vanishes.  beta_1 = 2
-# is exact; beta_2 is the tabulated two-dimensional value.
-BETA = {1: 2.0, 2: 4.266450}
-
 # B_2k / (2k+1)! for k = 1..8, the coefficients of Li2's series in w.
 _LI2_SERIES = (0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
                -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
@@ -163,13 +159,3 @@ def f_lin(s: float) -> float:
         return 0.0
     return TWO_E_GAMMA / s * (math.log(s - 1.0) + _psi(s) + _E(s))
 
-
-def hr_upper(zeta: float) -> float:
-    """Halberstam-Richert closed upper bound for the weighted-sieve integral
-    in dimension 2: (2 + zeta) log(beta_2 / zeta) - 2 + 2 zeta / beta_2 for
-    0 < zeta < beta_2.
-    """
-    beta = BETA[2]
-    if not 0.0 < zeta < beta:
-        raise DomainError(f"zeta must lie in (0, {beta}), got {zeta}")
-    return (2 + zeta) * math.log(beta / zeta) - 2 + zeta * 2 / beta

@@ -36,11 +36,15 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .numerics import integrate
-from .sieve_functions import BETA, TWO_E_GAMMA, F_lin, _phi, _W, f_lin, hr_upper
+from .sieve_functions import TWO_E_GAMMA, F_lin, _phi, _W, f_lin
 
 # Spectral-gap exponent admissible without hypotheses, and the conjectural one.
 THETA_UNCONDITIONAL = Fraction(7, 64)
 THETA_SELBERG = Fraction(0)
+
+# Sifting limit of the two-dimensional sieve (tabulated): below it the lower
+# function vanishes.  The linear limit beta_1 = 2 is exact and lives in f_lin.
+BETA_2 = 4.266450
 
 
 def tau_from_theta(theta) -> Fraction:
@@ -83,7 +87,6 @@ def linear_threshold(a: float, b: float, tau) -> float:
     Any r strictly above the returned value is admissible; see
     `admissible_r` for the integer choice.
     """
-    _validate_ab(a, b)
     tau = float(tau)
     if tau <= 0:
         raise DomainError("tau must be positive")
@@ -126,15 +129,16 @@ def dh_threshold_linear(tau, u: float, v: float) -> float:
 def m_zeta(mu: float, zeta: float) -> float:
     """Two-dimensional threshold function m(zeta) for exponent mu.
 
-    m(zeta) = tau*mu*u - 1 + [Halberstam-Richert bound], with
-    tau*u = 1 + zeta - zeta/beta_2 folded in.
+    m(zeta) = tau*mu*u - 1 + HR(zeta), with tau*u = 1 + zeta - zeta/beta_2
+    folded in; HR(zeta) = (2 + zeta) log(beta_2/zeta) - 2 + 2 zeta/beta_2 is
+    the Halberstam-Richert closed bound of the weighted-sieve integral.
     """
     if mu <= 0:
         raise DomainError(f"mu must be positive, got {mu}")
-    beta2 = BETA[2]
-    if not 0.0 < zeta < beta2:
-        raise DomainError(f"zeta must lie in (0, {beta2}), got {zeta}")
-    return mu * (1.0 + zeta) - mu * zeta / beta2 - 1.0 + hr_upper(zeta)
+    if not 0.0 < zeta < BETA_2:
+        raise DomainError(f"zeta must lie in (0, {BETA_2}), got {zeta}")
+    return (mu * (1.0 + zeta) - mu * zeta / BETA_2 - 1.0
+            + ((2 + zeta) * math.log(BETA_2 / zeta) - 2 + zeta * 2 / BETA_2))
 
 
 def minimize_m(mu: float) -> tuple[float, float]:
@@ -148,28 +152,26 @@ def minimize_m(mu: float) -> tuple[float, float]:
     """
     if mu <= 2:
         raise DomainError(f"mu must exceed 2 for an interior minimum, got {mu}")
-    beta2 = BETA[2]
-    slope = mu * (1.0 - 1.0 / beta2) + 2.0 / beta2 - 1.0
+    slope = mu * (1.0 - 1.0 / BETA_2) + 2.0 / BETA_2 - 1.0
     lo, hi = 0.0, 2.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if slope + math.log(beta2 / mid) - 2.0 / mid < 0.0:
+        if slope + math.log(BETA_2 / mid) - 2.0 / mid < 0.0:
             lo = mid
         else:
             hi = mid
     return mid, m_zeta(mu, mid)
 
 
-def admissible_r(threshold: float) -> tuple[int | None, bool]:
+def admissible_r(threshold: float) -> int | None:
     """Smallest admissible integer r > threshold.
 
-    Returns (r, flagged).  When the threshold sits within 1e-9 of an integer
-    the choice is ambiguous at working precision: r is None and flagged is
-    True, leaving the call to the reader.
+    When the threshold sits within 1e-9 of an integer the choice is
+    ambiguous at working precision: the result is None, leaving the call
+    to the reader.
     """
-    nearest = round(threshold)
-    if abs(threshold - nearest) < 1e-9:
-        return None, True
-    return math.floor(threshold) + 1, False
+    if abs(threshold - round(threshold)) < 1e-9:
+        return None
+    return math.floor(threshold) + 1
 
 
 class ReportRow(NamedTuple):
@@ -263,8 +265,8 @@ def reproduce_constants(mode: str = "unconditional") -> ThresholdReport:
     threshold = b / ((b - a) * float(tau)) - 1.0 + scale * (i1 + i2 + i3)
     report.add_interval("linear threshold", threshold, *exp["threshold"])
 
-    r_lin, flagged = admissible_r(threshold)
-    report.add_exact("r (one coordinate)", "ambiguous" if flagged else r_lin,
+    r_lin = admissible_r(threshold)
+    report.add_exact("r (one coordinate)", "ambiguous" if r_lin is None else r_lin,
                      exp["r_linear"])
 
     mu = 2.0 / float(tau)
@@ -272,7 +274,7 @@ def reproduce_constants(mode: str = "unconditional") -> ThresholdReport:
     report.add_interval(f"zeta* (mu={mu:.10g})", zeta, *exp["zeta_star"])
     report.add_interval("m(zeta*)", m_star, *exp["m_star"])
 
-    r_quad, flagged = admissible_r(m_star)
-    report.add_exact("r (coordinate product)", "ambiguous" if flagged else r_quad,
+    r_quad = admissible_r(m_star)
+    report.add_exact("r (coordinate product)", "ambiguous" if r_quad is None else r_quad,
                      exp["r_quadratic"])
     return report

@@ -4,7 +4,7 @@ from sievelab.lattice_points import build_sequence
 from sievelab.localdata import build_local_table
 from sievelab.quadforms import TernaryForm
 
-REFERENCE_FORM = TernaryForm.diagonal(1, 1, -3)
+REFERENCE_FORM = TernaryForm(1, 1, -3)
 REFERENCE_T = 1
 
 

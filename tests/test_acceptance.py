@@ -9,15 +9,14 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from sievelab.arith import primes_up_to
+from sievelab.arith import legendre_raw, primes_up_to
 from sievelab.lattice_points import (census, enumerate_points, find_automorphs,
                                      residual_Rd)
-from sievelab.localdata import (BAD_SET, bad_primes, count_V0_mod_p,
-                                count_Vt_mod_p, legendre)
+from sievelab.localdata import BAD_SET, build_local_table
 from sievelab.numerics import derivative_central, integrate
 from sievelab.quadforms import TernaryForm, transform
-from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
-from sievelab.thresholds import (admissible_r, dh_threshold_linear,
+from sievelab.sieve_functions import TWO_E_GAMMA, F_lin, f_lin
+from sievelab.thresholds import (BETA_2, admissible_r, dh_threshold_linear,
                                  linear_threshold, minimize_m, tau_from_theta,
                                  threshold_components)
 
@@ -25,7 +24,7 @@ from test_lattice_points import (A0_T1000, CENSUS_R0_T2000, CENSUS_R6_T2000,
                                  R3_POINTS, RD_BASELINES_T1000, TEN_FORMS,
                                  X_T1000, enumeration_oracle)
 
-DIAG113 = TernaryForm.diagonal(1, 1, -3)
+DIAG113 = TernaryForm(1, 1, -3)
 
 # a0 bound constant: frozen at the T=250 reference run with a fixed 1.5x
 # safety factor (the bound is an order constant, not a sharp value)
@@ -82,23 +81,23 @@ def test_criterion_04_linear_thresholds():
     with criterion(4, "linear thresholds give r = 6 and r = 5"):
         thr = linear_threshold(1.0, 6.6, Fraction(25, 128))
         assert 5.95 <= thr <= 5.997
-        assert admissible_r(thr) == (6, False)
+        assert admissible_r(thr) == 6
         thr = linear_threshold(1.0, 7.0, Fraction(1, 4))
         assert 4.65 <= thr <= 4.677
-        assert admissible_r(thr) == (5, False)
+        assert admissible_r(thr) == 5
 
 
 def test_criterion_05_two_dimensional_minimization():
     with criterion(5, "m(zeta) minima give r = 16 and r = 14"):
-        assert BETA[2] == 4.266450
+        assert BETA_2 == 4.266450
         zeta, m_star = minimize_m(10.24)
         assert abs(zeta - 0.19214) <= 0.001
         assert abs(m_star - 15.6327) <= 0.002
-        assert admissible_r(m_star) == (16, False)
+        assert admissible_r(m_star) == 16
         zeta, m_star = minimize_m(8.0)
         assert abs(zeta - 0.23556) <= 0.001
         assert abs(m_star - 13.0287) <= 0.002
-        assert admissible_r(m_star) == (14, False)
+        assert admissible_r(m_star) == 14
 
 
 def test_criterion_06_proof_identities():
@@ -146,12 +145,13 @@ def test_criterion_07_recursion_residuals():
 def test_criterion_08_local_counts():
     with criterion(8, "Cassels counts, conic shape and bad-prime containment"):
         start = time.perf_counter()
+        entries = build_local_table(DIAG113, 1, "x1", 97).entries
         for p in primes_up_to(97):
             if p < 5 or p == 3:
                 continue
-            assert count_Vt_mod_p(DIAG113, 1, p) == p * p + legendre(3, p) * p, p
-            assert count_V0_mod_p(DIAG113, 1, p, "x1") in (p - 1, p + 1), p
-        assert bad_primes(DIAG113, 1, "x1x2x3", 100) <= BAD_SET
+            assert entries[p].count_V == p * p + legendre_raw(3, p) * p, p
+            assert entries[p].count_V0 in (p - 1, p + 1), p
+        assert build_local_table(DIAG113, 1, "x1x2x3", 100).bad_primes <= BAD_SET
         assert time.perf_counter() - start < 30.0
 
 

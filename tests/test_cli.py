@@ -257,6 +257,22 @@ class TestConfigAndErrors:
         assert code == 0
         assert "11 |" in out and "13 |" not in out
 
+    def test_config_serves_every_subcommand(self, capsys, tmp_path):
+        # a key for another subcommand's flag is skipped; a key no
+        # subcommand takes is still an error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("form=1,1,-3,0,0,0\nt=1\ndmax=30\npmax=20\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "local")
+        assert code == 0
+        assert "form 1,1,-3,0,0,0" in out
+        code, out, err = run(capsys, "--config", str(cfg), "census", "--T", "50")
+        assert (code, err) == (0, "")
+        cfg.write_text("dmax=30\nnosuchkey=1\n")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "--config", str(cfg), "constants")
+        assert exc.value.code == 2
+        assert "--nosuchkey" in capsys.readouterr().err
+
     def test_config_switch_takes_a_boolean(self, capsys, tmp_path):
         # an on/off key sets or leaves its flag; it never passes its value on
         args = ("equidist", "--form", "1,1,-3,0,0,0", "--t", "1", "--T", "50",

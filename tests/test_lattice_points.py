@@ -15,7 +15,7 @@ from sievelab.lattice_points import (_MAX_SLICES, _projection_value, build_seque
 from sievelab.localdata import BAD_SET, VARIANTS, build_local_table
 from sievelab.quadforms import TernaryForm, det_form, eval_form, transform
 
-DIAG113 = TernaryForm.diagonal(1, 1, -3)
+DIAG113 = TernaryForm(1, 1, -3)
 
 R3_POINTS = [(-2, 0, -1), (-2, 0, 1), (-1, 0, 0), (0, -2, -1), (0, -2, 1),
              (0, -1, 0), (0, 1, 0), (0, 2, -1), (0, 2, 1), (1, 0, 0),
@@ -211,8 +211,8 @@ def forms(draw, kind):
 
 
 TEN_FORMS = [
-    DIAG113, TernaryForm.diagonal(1, 1, -1), TernaryForm.diagonal(1, 2, -5),
-    TernaryForm.diagonal(2, 3, -1), TernaryForm(1, 1, -3, 1, 0, 0),
+    DIAG113, TernaryForm(1, 1, -1), TernaryForm(1, 2, -5),
+    TernaryForm(2, 3, -1), TernaryForm(1, 1, -3, 1, 0, 0),
     TernaryForm(1, 1, -1, 0, 1, 1), TernaryForm(0, 0, 0, 1, 1, 1),
     TernaryForm(0, 0, 2, 1, 0, 0), TernaryForm(2, -1, 0, 0, 1, 1),
     TernaryForm(1, -2, 3, 1, -1, 1),
@@ -286,12 +286,12 @@ class TestEnumeration:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError, match="degenerate"):
-            enumerate_points(TernaryForm.diagonal(1, 1, 0), 1, 5)
+            enumerate_points(TernaryForm(1, 1, 0), 1, 5)
 
     def test_python_and_vector_paths_agree(self):
         # 10^9-scale coefficients: the slice equations exceed 64-bit integers
         big = 10 ** 9
-        f = TernaryForm.diagonal(big, big, -big)
+        f = TernaryForm(big, big, -big)
         pts = enumerate_points(f, big, 4)
         assert pts == enumeration_oracle(f, big, 4)
 
@@ -572,7 +572,7 @@ class TestContent:
                             lambda *args: calls.append(args) or reduce(*args))
         reference = enumerate_points(DIAG113, 1, 500)
         reference_calls, calls[:] = list(calls), []
-        scaled = TernaryForm.diagonal(3600, 3600, -10800)
+        scaled = TernaryForm(3600, 3600, -10800)
         assert enumerate_points(scaled, 3600, 500) == reference
         assert calls == reference_calls and len(calls) == 135
 
@@ -580,7 +580,7 @@ class TestContent:
         # 10^9 (x^2 + y^2 - z^2) = 10^9 with no slice scanned: each solved
         # slice n_k = 10^9 (1 + k^2) reduces to 1 + k^2 after the content
         big = 10 ** 9
-        f = TernaryForm.diagonal(big, big, -big)
+        f = TernaryForm(big, big, -big)
         monkeypatch.setattr(lattice_points, "_SCAN_ROWS", 0)
         solved, calls = [], []
         factor, reduce = lattice_points._factor_slices, binary_forms._shortest_vectors
@@ -596,7 +596,7 @@ class TestContent:
     def test_slices_the_content_does_not_divide_have_no_point(self):
         # 2 (x^2 + y^2) - z^2 = 1: n_k = 1 + k^2 is even only for odd k
         assert _factor_slices(1, -1, [0, 1, 2, 3], 2, 0, 2, {}) == {1: {}, 3: {5: 1}}
-        f = TernaryForm.diagonal(2, 2, -1)
+        f = TernaryForm(2, 2, -1)
         for t in (1, 7, -2):
             assert enumerate_points(f, t, 60) == sweep_oracle(f, t, 60)
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab.arith import primes_up_to
+from sievelab.arith import legendre_raw, primes_up_to
 from sievelab.errors import DomainError, ResourceError
-from sievelab.localdata import (BAD_SET, VARIANTS, LocalDensityTable, bad_primes,
-                                build_local_table, count_V0_mod_p,
-                                count_Vt_mod_p, legendre)
+from sievelab.localdata import (BAD_SET, SIEVED, VARIANTS, LocalDensityTable,
+                                _count, _principal_minors, build_local_table)
 from sievelab.quadforms import TernaryForm, eval_form
 
-DIAG113 = TernaryForm.diagonal(1, 1, -3)
+DIAG113 = TernaryForm(1, 1, -3)
 CROSS = TernaryForm(1, 1, -3, 1, 0, 1)
 ODD_PRIMES_TO_61 = primes_up_to(61)[1:]
 
@@ -62,50 +61,39 @@ def _count_sweep(f: TernaryForm, t: int, p: int, variant: str | None = None) -> 
     return total
 
 
-class TestLegendre:
-    def test_examples(self):
-        for p in (3, 5, 7, 11, 97):
-            assert legendre(1, p) == 1
-            assert legendre(p * 5, p) == 0
-        assert legendre(3, 7) == -1  # squares mod 7 are {1, 2, 4}
-        assert legendre(3, 11) == 1  # 5^2 = 25 = 3 mod 11
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            legendre(3, 2)
-        with pytest.raises(DomainError):
-            legendre(3, 15)
+def _tables(f: TernaryForm, t: int, p_max: int) -> dict:
+    """build_local_table's entries for every variant, keyed by variant."""
+    return {variant: build_local_table(f, t, variant, p_max).entries
+            for variant in VARIANTS}
 
 
 class TestCounts:
-    def test_reference_values(self):
-        assert count_Vt_mod_p(DIAG113, 1, 7) == 42
-        assert count_Vt_mod_p(DIAG113, 1, 5) == 20
-        assert count_Vt_mod_p(DIAG113, 1, 2) == 4
+    def test_reference_values(self, ref_table):
+        assert [ref_table.entries[p].count_V for p in (7, 5, 2)] == [42, 20, 4]
 
     @pytest.mark.parametrize("f", [DIAG113, CROSS, TernaryForm(0, 0, 0, 1, 1, 1)])
     def test_against_exhaustive_oracle(self, f):
+        tables = _tables(f, 1, 31)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-            assert count_Vt_mod_p(f, 1, p) == _count_bruteforce(f, 1, p)
-            for variant in ("x1", "x1x2", "x1x2x3"):
-                assert (count_V0_mod_p(f, 1, p, variant)
+            assert tables["x1"][p].count_V == _count_bruteforce(f, 1, p)
+            for variant in VARIANTS:
+                assert (tables[variant][p].count_V0
                         == _count_bruteforce(f, 1, p, variant)), (p, variant)
 
-    def test_sieved_subset_examples(self):
-        assert count_V0_mod_p(DIAG113, 1, 7, "x1") == 8
-        assert count_V0_mod_p(DIAG113, 1, 2, "x1") == 2
+    def test_sieved_subset_examples(self, ref_table):
+        assert ref_table.entries[7].count_V0 == 8
+        assert ref_table.entries[2].count_V0 == 2
 
     def test_variant_containment(self):
+        tables = _tables(DIAG113, 1, 29)
         for p in (5, 11, 17, 29):
-            a = count_V0_mod_p(DIAG113, 1, p, "x1")
-            b = count_V0_mod_p(DIAG113, 1, p, "x1x2")
-            c = count_V0_mod_p(DIAG113, 1, p, "x1x2x3")
-            assert a <= b <= c <= count_Vt_mod_p(DIAG113, 1, p)
+            a, b, c = (tables[variant][p].count_V0 for variant in VARIANTS)
+            assert a <= b <= c <= tables["x1"][p].count_V
 
-    def test_norm_form_shape(self):
+    def test_norm_form_shape(self, ref_table):
         # with x1 = 0 the local count collapses to a conic: p - 1 or p + 1
         for p in (5, 7, 11, 13, 17, 19, 23):
-            assert count_V0_mod_p(DIAG113, 1, p, "x1") in (p - 1, p + 1)
+            assert ref_table.entries[p].count_V0 in (p - 1, p + 1)
 
 
 class TestClosedFormAgainstSweep:
@@ -129,10 +117,11 @@ class TestClosedFormAgainstSweep:
 
     @pytest.mark.parametrize("f,t", CASES)
     def test_every_odd_prime_to_61(self, f, t):
+        tables = _tables(f, t, 61)
         for p in ODD_PRIMES_TO_61:
-            assert count_Vt_mod_p(f, t, p) == _count_sweep(f, t, p), p
+            assert tables["x1"][p].count_V == _count_sweep(f, t, p), p
             for variant in VARIANTS:
-                assert (count_V0_mod_p(f, t, p, variant)
+                assert (tables[variant][p].count_V0
                         == _count_sweep(f, t, p, variant)), (p, variant)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -141,8 +130,7 @@ class TestClosedFormAgainstSweep:
            variant=st.sampled_from((None,) + VARIANTS))
     def test_random_forms(self, coeffs, t, p, variant):
         f = TernaryForm(*coeffs)
-        closed = (count_Vt_mod_p(f, t, p) if variant is None
-                  else count_V0_mod_p(f, t, p, variant))
+        closed = _count(f, _principal_minors(f), t, p, SIEVED.get(variant))
         assert closed == _count_sweep(f, t, p, variant)
 
     def test_sweep_matches_exhaustive_oracle(self):
@@ -159,7 +147,7 @@ class TestCasselsCount:
     def test_matches_enumeration(self, ref_table):
         for p in [q for q in primes_up_to(97) if q not in (2, 3)]:
             e = ref_table.entries[p]
-            assert e.count_V == _count_sweep(DIAG113, 1, p) == p * p + legendre(3, p) * p
+            assert e.count_V == _count_sweep(DIAG113, 1, p) == p * p + legendre_raw(3, p) * p
             assert e.cassels_agree is True, p
 
     def test_closed_form_values(self, ref_table):
@@ -207,8 +195,7 @@ class TestDensities:
     def test_degenerate_local_data(self):
         # 2x^2 + 2y^2 + 2z^2 = 1 has no points mod 2, 11(x^2 + y^2 + z^2) = 1
         # none mod 11: N0 = N = 0 makes a bad entry of density 0
-        for f, p in ((TernaryForm.diagonal(2, 2, 2), 2),
-                     (TernaryForm.diagonal(11, 11, 11), 11)):
+        for f, p in ((TernaryForm(2, 2, 2), 2), (TernaryForm(11, 11, 11), 11)):
             e = build_local_table(f, 1, "x1", 13).entries[p]
             assert e.count_V == e.count_V0 == _count_bruteforce(f, 1, p) == 0
             assert e.is_bad and e.omega_over_p == 0
@@ -256,14 +243,14 @@ class TestOmegaD:
 
 class TestBadPrimes:
     def test_no_bad_primes_for_single_coordinate(self):
-        assert bad_primes(DIAG113, 1, "x1", 100) == set()
+        assert build_local_table(DIAG113, 1, "x1", 100).bad_primes == set()
 
     def test_triple_product_within_exceptional_set(self):
-        assert bad_primes(DIAG113, 1, "x1x2x3", 100) <= BAD_SET
+        assert build_local_table(DIAG113, 1, "x1x2x3", 100).bad_primes <= BAD_SET
 
     def test_pmax_guard(self):
         with pytest.raises(DomainError):
-            bad_primes(DIAG113, 1, "x1", 5)
+            build_local_table(DIAG113, 1, "x1", 5)
 
 
 class TestLocalDensityTable:

@@ -12,7 +12,7 @@ from sievelab.quadforms import (INF, TernaryForm, _slice_frame, det_form,
                                 signature, transform)
 from test_lattice_points import POOL_FORMS
 
-DIAG113 = TernaryForm.diagonal(1, 1, -3)
+DIAG113 = TernaryForm(1, 1, -3)
 
 
 def random_form(rng, bound=5):
@@ -44,7 +44,7 @@ def random_sl3(rng, steps=6):
 class TestEvalAndGram:
     def test_examples(self):
         assert eval_form(DIAG113, (1, 0, 0)) == 1
-        assert eval_form(TernaryForm.diagonal(1, 1, -1), (3, 4, 5)) == 0
+        assert eval_form(TernaryForm(1, 1, -1), (3, 4, 5)) == 0
         assert eval_form(DIAG113, (2, 0, 1)) == 1
 
     def test_coefficients_match_gram(self):
@@ -95,7 +95,7 @@ class TestRecord:
 class TestDeterminant:
     def test_examples(self):
         assert det_form(DIAG113) == -3
-        assert det_form(TernaryForm.diagonal(1, 1, -1)) == -1
+        assert det_form(TernaryForm(1, 1, -1)) == -1
         cross = TernaryForm(0, 0, 1, 1, 0, 0)  # x1 x2 + x3^2
         assert det_form(cross) == Fraction(-1, 4)
         assert det_form(DIAG113).denominator == 1
@@ -126,12 +126,12 @@ CROSS_FORMS = [
 class TestSignatureAndDiagonalize:
     def test_signature_examples(self):
         assert signature(DIAG113) == (2, 1)
-        assert signature(TernaryForm.diagonal(1, 1, 1)) == (3, 0)
-        assert signature(TernaryForm.diagonal(-1, -2, -3)) == (0, 3)
+        assert signature(TernaryForm(1, 1, 1)) == (3, 0)
+        assert signature(TernaryForm(-1, -2, -3)) == (0, 3)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
-            signature(TernaryForm.diagonal(1, 1, 0))
+            signature(TernaryForm(1, 1, 0))
 
     @pytest.mark.parametrize("f", [TernaryForm(1, -1, 0), TernaryForm(0, 0, 0, 1, 0, 0)])
     def test_degenerate_frame_rejected(self, f):
@@ -232,16 +232,16 @@ def isotropy_oracle(f: TernaryForm, height: int = 50):
 
 
 BATTERY = [
-    TernaryForm.diagonal(1, 1, -1), TernaryForm.diagonal(1, 1, -2),
-    TernaryForm.diagonal(1, 1, -3), TernaryForm.diagonal(1, 1, -5),
-    TernaryForm.diagonal(1, 1, -7), TernaryForm.diagonal(1, 2, -3),
-    TernaryForm.diagonal(1, 2, -1), TernaryForm.diagonal(1, 3, -2),
-    TernaryForm.diagonal(1, 5, -2), TernaryForm.diagonal(2, 3, -1),
-    TernaryForm.diagonal(1, 1, -6), TernaryForm.diagonal(1, 1, -10),
-    TernaryForm.diagonal(1, 2, -7), TernaryForm.diagonal(3, 5, -1),
-    TernaryForm.diagonal(1, 7, -2), TernaryForm.diagonal(2, 5, -7),
-    TernaryForm.diagonal(1, -1, 5), TernaryForm.diagonal(1, -2, 6),
-    TernaryForm.diagonal(5, -2, 3), TernaryForm.diagonal(1, -3, 9),
+    TernaryForm(1, 1, -1), TernaryForm(1, 1, -2),
+    TernaryForm(1, 1, -3), TernaryForm(1, 1, -5),
+    TernaryForm(1, 1, -7), TernaryForm(1, 2, -3),
+    TernaryForm(1, 2, -1), TernaryForm(1, 3, -2),
+    TernaryForm(1, 5, -2), TernaryForm(2, 3, -1),
+    TernaryForm(1, 1, -6), TernaryForm(1, 1, -10),
+    TernaryForm(1, 2, -7), TernaryForm(3, 5, -1),
+    TernaryForm(1, 7, -2), TernaryForm(2, 5, -7),
+    TernaryForm(1, -1, 5), TernaryForm(1, -2, 6),
+    TernaryForm(5, -2, 3), TernaryForm(1, -3, 9),
     TernaryForm(1, 1, -3, 1, 0, 0), TernaryForm(1, 1, -1, 0, 1, 0),
     TernaryForm(1, 2, -2, 1, 1, 0), TernaryForm(0, 0, 1, 1, 0, 0),
     TernaryForm(0, 0, 0, 1, 1, 1), TernaryForm(1, -1, 2, 0, 0, 1),
@@ -261,14 +261,14 @@ class TestIsotropy:
         assert (3, -1) in cert.local_data
 
     def test_pythagorean_isotropic(self):
-        f = TernaryForm.diagonal(1, 1, -1)
+        f = TernaryForm(1, 1, -1)
         assert is_isotropic_Q(f).verdict == "isotropic"
         zero = isotropy_oracle(f, height=5)
         assert eval_form(f, zero) == 0
         assert any(c != 0 for c in zero)
 
     def test_simple_witness(self):
-        f = TernaryForm.diagonal(1, 1, -2)
+        f = TernaryForm(1, 1, -2)
         assert is_isotropic_Q(f).verdict == "isotropic"
         assert eval_form(f, isotropy_oracle(f, height=5)) == 0
 
@@ -291,7 +291,7 @@ class TestIsotropy:
                 assert eval_form(f, zero) == 0
 
     def test_definite_forms_anisotropic(self):
-        cert = is_isotropic_Q(TernaryForm.diagonal(1, 1, 1))
+        cert = is_isotropic_Q(TernaryForm(1, 1, 1))
         assert cert.verdict == "anisotropic"
         assert (INF, -1) in cert.local_data
 

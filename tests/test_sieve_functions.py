@@ -9,8 +9,9 @@ from scipy.integrate import IntegrationWarning, quad
 from sievelab import sieve_functions, thresholds
 from sievelab.errors import DomainError
 from sievelab.numerics import derivative_central
-from sievelab.sieve_functions import (BETA, EULER_GAMMA, TWO_E_GAMMA, F_lin, _E, _G, _li2,
-                                      _phi, _psi, _W, f_lin, hr_upper)
+from sievelab.sieve_functions import (EULER_GAMMA, TWO_E_GAMMA, F_lin, _E, _G, _li2,
+                                      _phi, _psi, _W, f_lin)
+from sievelab.thresholds import BETA_2, m_zeta
 
 from test_numerics import LOG_INTEGRAL_2_3
 
@@ -267,25 +268,30 @@ class TestRecursionResiduals:
             assert residual <= 1e-6
 
 
+def _hr_term(mu: float, zeta: float) -> float:
+    """The Halberstam-Richert term of m(zeta): m less its linear part."""
+    return m_zeta(mu, zeta) - (mu * (1.0 + zeta) - mu * zeta / BETA_2 - 1.0)
+
+
 class TestHalberstamRichertBound:
     def test_values(self):
         # frozen from direct evaluation; consistent with the minimized
         # two-dimensional thresholds reproduced in test_thresholds
-        assert hr_upper(0.19214) == pytest.approx(4.886390570447249, abs=1e-12)
-        assert hr_upper(0.23556) == pytest.approx(4.585884233244685, abs=1e-12)
+        assert _hr_term(10.24, 0.19214) == pytest.approx(4.886390570447249, abs=1e-12)
+        assert _hr_term(8.0, 0.23556) == pytest.approx(4.585884233244685, abs=1e-12)
 
     def test_vanishes_at_sifting_limit(self):
-        beta2 = BETA[2]
-        assert abs(hr_upper(beta2 * (1.0 - 1e-12))) <= 1e-9
+        assert abs(_hr_term(10.0, BETA_2 * (1.0 - 1e-12))) <= 1e-9
 
     def test_zeta_domain(self):
         with pytest.raises(DomainError):
-            hr_upper(0.0)
+            m_zeta(10.0, 0.0)
         with pytest.raises(DomainError):
-            hr_upper(BETA[2])
+            m_zeta(10.0, BETA_2)
 
 
 class TestConstants:
     def test_table(self):
-        assert BETA[1] == 2.0
-        assert BETA[2] == pytest.approx(4.266450, abs=1e-9)
+        # beta_1 = 2: the lower linear function vanishes up to s = 2 only
+        assert f_lin(2.0) == 0.0 < f_lin(2.0 + 1e-6)
+        assert BETA_2 == pytest.approx(4.266450, abs=1e-9)

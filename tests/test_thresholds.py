@@ -13,9 +13,9 @@ import pytest
 from sievebench.jobs import job_list
 from sievelab import numerics, sieve_functions, thresholds
 from sievelab.errors import DomainError
-from sievelab.sieve_functions import BETA, TWO_E_GAMMA, F_lin, f_lin
-from sievelab.thresholds import (THETA_SELBERG, THETA_UNCONDITIONAL, ThresholdReport,
-                                 admissible_r, dh_threshold_linear,
+from sievelab.sieve_functions import TWO_E_GAMMA, F_lin, f_lin
+from sievelab.thresholds import (BETA_2, THETA_SELBERG, THETA_UNCONDITIONAL,
+                                 ThresholdReport, admissible_r, dh_threshold_linear,
                                  linear_threshold, m_zeta, minimize_m,
                                  reproduce_constants, tau_from_theta,
                                  threshold_components)
@@ -69,10 +69,10 @@ class TestLinearThreshold:
     def test_published_cutoffs(self):
         thr = linear_threshold(1.0, 6.6, Fraction(25, 128))
         assert 5.95 <= thr <= 5.997
-        assert admissible_r(thr) == (6, False)
+        assert admissible_r(thr) == 6
         thr = linear_threshold(1.0, 7.0, Fraction(1, 4))
         assert 4.65 <= thr <= 4.677
-        assert admissible_r(thr) == (5, False)
+        assert admissible_r(thr) == 5
 
     def test_larger_level_helps(self):
         thr = linear_threshold(1.0, 6.6, Fraction(1, 4))
@@ -162,7 +162,7 @@ class TestTwoDimensionalRoute:
         # C = 1 - 2/beta_2 - mu (1 - 1/beta_2)
         mu = 2.0 / float(tau_from_theta(theta))
         with mpmath.workdps(30):
-            beta2 = mpmath.mpf(BETA[2])
+            beta2 = mpmath.mpf(BETA_2)
             c = 1 - 2 / beta2 - mu * (1 - 1 / beta2)
             oracle = 2 / -mpmath.lambertw(-(2 / beta2) * mpmath.exp(c), -1)
         zeta, m_star = minimize_m(mu)
@@ -179,28 +179,26 @@ class TestTwoDimensionalRoute:
         assert abs(slope) <= 1e-3
 
     def test_log_term_vanishes_at_sifting_limit(self):
-        beta2 = BETA[2]
-        z = beta2 * (1.0 - 1e-12)
-        expected = 10.0 * (1.0 + z) - 10.0 * z / beta2 - 1.0
+        z = BETA_2 * (1.0 - 1e-12)
+        expected = 10.0 * (1.0 + z) - 10.0 * z / BETA_2 - 1.0
         assert m_zeta(10.0, z) == pytest.approx(expected, abs=1e-8)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             m_zeta(10.0, 0.0)
         with pytest.raises(DomainError):
-            m_zeta(10.0, BETA[2] + 0.1)
+            m_zeta(10.0, BETA_2 + 0.1)
         with pytest.raises(DomainError):
             minimize_m(2.0)
 
 
 class TestAdmissibleR:
     def test_regular(self):
-        assert admissible_r(5.996) == (6, False)
-        assert admissible_r(4.676) == (5, False)
+        assert admissible_r(5.996) == 6
+        assert admissible_r(4.676) == 5
 
     def test_near_integer_is_flagged(self):
-        r, flagged = admissible_r(6.0 + 5e-10)
-        assert flagged and r is None
+        assert admissible_r(6.0 + 5e-10) is None
 
 
 class TestReproduceConstants:
