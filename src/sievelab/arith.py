@@ -211,28 +211,36 @@ def _sqrt_unit(u: int, p: int, m: int) -> list[int]:
 
 def _sqrt_mod_p(a: int, p: int) -> int | None:
     """A square root of 0 < a < p modulo the odd prime p, or None (one power
-    for p = 3 mod 4, Atkin's formula for p = 5 mod 8, else Tonelli-Shanks)."""
+    for p = 3 mod 4, Atkin's formula for p = 5 mod 8, else Tonelli-Shanks
+    from one power w = a^((q-1)/2): y = a w, t = y w = a^q)."""
     if p % 4 == 3:
         y = pow(a, (p + 1) // 4, p)
     elif p % 8 == 5:
         v = pow(2 * a, (p - 5) // 8, p)
         y = a * v * (2 * a * v * v - 1) % p
-    elif legendre_raw(a, p) != 1:
-        return None
     else:
         q, s = p - 1, 0
         while q % 2 == 0:
             q //= 2
             s += 1
-        z = 2
-        while legendre_raw(z, p) != -1:
-            z += 1
-        c, t, y = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        w = pow(a, (q - 1) // 2, p)
+        y = a * w % p
+        t = y * w % p
+        c, z = 0, 1  # c = z^q for the least non-residue z, found when first needed
         while t != 1:
             i, t2 = 0, t
             while t2 != 1:
                 t2 = t2 * t2 % p
                 i += 1
+                if i == s:  # t^(2^(s-1)) = a^((p-1)/2) = -1
+                    return None
+            while not c:  # z^q squared s - 1 times is z^((p-1)/2), -1 for a non-residue
+                z += 1
+                c = x = pow(z, q, p)
+                for _ in range(s - 1):
+                    x = x * x % p
+                if x != p - 1:
+                    c = 0
             b = pow(c, 1 << (s - i - 1), p)
             s, c, t, y = i, b * b % p, t * b * b % p, y * b % p
     return y if y * y % p == a else None

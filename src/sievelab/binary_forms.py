@@ -6,10 +6,10 @@ decides whether a slice can have a point: one sieve over k factors every
 n_k and tests its local solvability once per prime.  `_representations`
 solves each slice that passed, in the norm form of the order of
 discriminant b^2 - 4ac (Cohen, A Course in Computational Algebraic Number
-Theory, 5.2): one Gauss reduction for each g^2 | a n_k and each root of
+Theory, 5.2): Cornacchia's algorithm for each g^2 | a n_k and each root of
 the norm form modulo a n_k / g^2 (`_local_roots`, kept per prime power for
-the whole enumeration).  It restores one sign image of each vector
-reduced per orbit of the slice's sign changes (`_restored`).
+the whole enumeration).  It restores one sign image of each vector found
+per orbit of the slice's sign changes (`_restored`).
 """
 
 import math
@@ -86,7 +86,7 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
     return out
 
 
-# The images of a vector (X, Y) that `_representations` reduced: itself, its
+# The images of a vector (X, Y) that `_representations` found: itself, its
 # negative, its mirror and the mirror's negative, as the sign changes of z
 # they are when b = 0.
 _IMAGES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
@@ -116,7 +116,7 @@ def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
     g (X', Y') with g^2 | m = a n and X' = r Y' modulo m / g^2 for a root r
     (a g leaving a prime power with no root is skipped); root -beta - r
     gives the mirror (X + beta Y, -Y), so only 2r + beta <= m / g^2 is
-    reduced, and the images `restore` names are restored.
+    solved, and the images `restore` names are restored.
     """
     beta = b % 2
     disc = b * b - 4 * a * c
@@ -164,22 +164,21 @@ def _local_roots(p: int, e: int, beta: int, disc: int, memo: dict) -> list[int]:
 
 def _shortest_vectors(m: int, r: int, beta: int, gamma: int) -> list[tuple[int, int]]:
     """The vectors of norm m = X^2 + beta X Y + gamma Y^2 in the lattice X = r Y
-    (mod m), up to sign.  Every norm there is a multiple of m and the Gram
-    determinant is m^2 |D|/4, so after Lagrange reduction norm m is reached by
-    the reduced basis u, v and, for D = -3 only, by u - v or u + v as well."""
-    u, nu = (r, 1), r * r + beta * r + gamma
-    v, nv = (m, 0), m * m
-    while True:
-        if nu > nv:
-            u, nu, v, nv = v, nv, u, nu
-        polar = 2 * u[0] * v[0] + beta * (u[0] * v[1] + u[1] * v[0]) + 2 * gamma * u[1] * v[1]
-        q = (polar + nu) // (2 * nu)
-        if q == 0:
-            break
-        v = (v[0] - q * u[0], v[1] - q * u[1])
-        nv = v[0] * v[0] + beta * v[0] * v[1] + gamma * v[1] * v[1]
-    out = [w for w, nw in ((u, nu), (v, nv)) if nw == m]
-    if len(out) == 2 and abs(polar) == m:
-        sign = 1 if polar > 0 else -1
-        out.append((u[0] - sign * v[0], u[1] - sign * v[1]))
-    return out
+    (mod m), up to sign, by Cornacchia's algorithm (Cohen, A Course in
+    Computational Algebraic Number Theory, 1.5.2-1.5.3).  For U = 2X + beta Y
+    and D = beta^2 - 4 gamma the norm is m exactly when U^2 + |D| Y^2 = 4m,
+    and the lattice is U = (2r + beta) Y (mod 2m).  Euclid's remainders U on
+    (2m, 2r + beta), each with its cofactor Y, stay in the lattice; a vector
+    of norm m, if any, is the first one with U <= 2 sqrt(m) ((2m, 0) for m =
+    1).  Only D = -4 and -3 (gamma = 1) have more: its images under the
+    units, (-Y, X), or (-Y, X + Y) and (-X - Y, X)."""
+    u, y, w, z = 2 * r + beta, 1, 2 * m, 0  # the first step swaps them
+    while w * w > 4 * m:
+        q = u // w
+        u, y, w, z = w, z, u - q * w, y - q * z
+    x = (w - beta * z) // 2
+    if x * x + beta * x * z + gamma * z * z != m:
+        return []
+    if gamma != 1:
+        return [(x, z)]
+    return [(x, z), (-z, x)] if beta == 0 else [(x, z), (-z, x + z), (-x - z, x)]

@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 from .errors import SieveLabError
 from .lattice_points import (build_sequence, census, enumerate_points, find_automorphs,
@@ -75,23 +76,24 @@ def _parse_inputs(args) -> None:
 
 
 def _emit(args, views: dict) -> None:
-    """Build the requested view and write it to --out or stdout.
+    """Build the requested view and write it to --out or stdout, line by line.
 
     A view is a zero-argument function returning text lines ("text"), a
-    JSON-ready payload ("json") or a CSV header line and rows ("csv").
+    JSON-ready payload ("json") or a CSV header line and an iterable of
+    rows ("csv"), each row written as it comes.
     """
     kind = getattr(args, "output", None) or next(iter(views))
     data = views[kind]()
     if kind == "json":
-        text = json.dumps(data, indent=2, sort_keys=True)
+        lines = [json.dumps(data, indent=2, sort_keys=True)]
     elif kind == "csv":
         header, rows = data
-        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)])
+        lines = chain([header], (",".join(map(str, row)) for row in rows))
     else:
-        text = "\n".join(data)
+        lines = data
     fh = open(args.out, "w") if args.out else sys.stdout
     try:
-        fh.write(text + "\n")
+        fh.writelines(line + "\n" for line in lines)
     finally:
         if args.out:
             fh.close()
@@ -275,9 +277,9 @@ def cmd_enumerate(args) -> tuple[int, dict]:
     points = enumerate_points(args.form, args.t, radius)
 
     def as_csv():
-        return "x1,x2,x3,weight", [
+        return "x1,x2,x3,weight", (
             (*x, "" if args.T is None else _fmt(weight_FT(x, args.T, args.c0)))
-            for x in points]
+            for x in points)
 
     return 0, {"csv": as_csv}
 

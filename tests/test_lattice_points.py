@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sievelab import arith, binary_forms, cli, lattice_points
 from sievelab.arith import factorint, primes_up_to
 from sievelab.errors import DomainError, ResourceError
-from sievelab.binary_forms import _factor_slices, _local_roots, _representations, _restored
+from sievelab.binary_forms import (_factor_slices, _local_roots, _representations, _restored,
+                                   _shortest_vectors)
 from sievelab.lattice_points import (_MAX_SLICES, _projection_value, build_sequence, census,
                                      enumerate_orbits, enumerate_points, find_automorphs,
                                      level_statistic, residual_Rd, weight_FT)
@@ -74,6 +75,29 @@ def representations_oracle(a, b, c, n):
         for root in {s, -s} if s * s == rad else ():
             if (root - b * z2) % (2 * a) == 0:
                 out.add(((root - b * z2) // (2 * a), z2))
+    return out
+
+
+def lagrange_oracle(m, r, beta, gamma):
+    """The vectors of norm m = X^2 + beta X Y + gamma Y^2 in the lattice X = r Y
+    (mod m), up to sign, by Lagrange reduction.  Every norm there is a
+    multiple of m and the Gram determinant is m^2 |D|/4, so norm m is reached
+    by the reduced basis u, v and, for D = -3 only, by u - v or u + v as well."""
+    u, nu = (r, 1), r * r + beta * r + gamma
+    v, nv = (m, 0), m * m
+    while True:
+        if nu > nv:
+            u, nu, v, nv = v, nv, u, nu
+        polar = 2 * u[0] * v[0] + beta * (u[0] * v[1] + u[1] * v[0]) + 2 * gamma * u[1] * v[1]
+        q = (polar + nu) // (2 * nu)
+        if q == 0:
+            break
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        nv = v[0] * v[0] + beta * v[0] * v[1] + gamma * v[1] * v[1]
+    out = [w for w, nw in ((u, nu), (v, nv)) if nw == m]
+    if len(out) == 2 and abs(polar) == m:
+        sign = 1 if polar > 0 else -1
+        out.append((u[0] - sign * v[0], u[1] - sign * v[1]))
     return out
 
 
@@ -402,6 +426,25 @@ class TestRepresentations:
         for n in ns:
             for m in (n, square * n):
                 assert self.solve(a, b, c, m, roots) == representations_oracle(a, b, c, m)
+
+    @pytest.mark.parametrize("disc", [-3, -4, -7, -19, -20, -23, -56, -103])
+    def test_shortest_vectors_against_lagrange(self, disc):
+        # every root r of r^2 + beta r + gamma mod m for m <= 400, m = 1 and
+        # m with square factors among them; the vector sets agree up to sign
+        beta = disc % 2
+        gamma = (beta - disc) // 4
+        hits = 0
+        for m in range(1, 401):
+            for r in range(m):
+                if (r * r + beta * r + gamma) % m:
+                    continue
+                found = _shortest_vectors(m, r, beta, gamma)
+                up_to_sign = {max(w, (-w[0], -w[1])) for w in found}
+                assert len(up_to_sign) == len(found), (m, r)
+                assert up_to_sign == {max(w, (-w[0], -w[1]))
+                                      for w in lagrange_oracle(m, r, beta, gamma)}, (m, r)
+                hits += bool(found)
+        assert hits > 10
 
     def test_every_reduction_hits_on_a_class_number_one_frame(self, monkeypatch):
         # 1,-1,5,-1,1,0 has the frame x^2 + xy + 5y^2, D = -19, h(-19) = 1:
