@@ -211,8 +211,8 @@ def _sqrt_unit(u: int, p: int, m: int) -> list[int]:
 
 def _sqrt_mod_p(a: int, p: int) -> int | None:
     """A square root of 0 < a < p modulo the odd prime p, or None (one power
-    for p = 3 mod 4, Atkin's formula for p = 5 mod 8, else Tonelli-Shanks
-    from one power w = a^((q-1)/2): y = a w, t = y w = a^q)."""
+    for p = 3 mod 4, Atkin's formula for p = 5 mod 8, else Tonelli-Shanks on
+    p - 1 = q 2^s from one power w = a^((q-1)/2): y = a w and t = y w = a^q)."""
     if p % 4 == 3:
         y = pow(a, (p + 1) // 4, p)
     elif p % 8 == 5:

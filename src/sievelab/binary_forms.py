@@ -172,7 +172,7 @@ def _shortest_vectors(m: int, r: int, beta: int, gamma: int) -> list[tuple[int, 
     of norm m, if any, is the first one with U <= 2 sqrt(m) ((2m, 0) for m =
     1).  Only D = -4 and -3 (gamma = 1) have more: its images under the
     units, (-Y, X), or (-Y, X + Y) and (-X - Y, X)."""
-    u, y, w, z = 2 * r + beta, 1, 2 * m, 0  # the first step swaps them
+    u, y, w, z = 2 * r + beta, 1, 2 * m, 0  # (2m, 0) first; q = 0 then brings (2r + beta, 1)
     while w * w > 4 * m:
         q = u // w
         u, y, w, z = w, z, u - q * w, y - q * z
