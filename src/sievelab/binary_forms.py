@@ -3,13 +3,14 @@
 On slice k the quadric becomes a z1^2 + b z1 z2 + c z2^2 = n_k (a > 0,
 b^2 - 4ac < 0, n_k = n0 - k^2 m0).  `_factor_slices` is the one place that
 decides whether a slice can have a point: one sieve over k factors every
-n_k and tests its local solvability once per prime.  `_representations`
-solves each slice that passed, in the norm form of the order of
-discriminant b^2 - 4ac (Cohen, A Course in Computational Algebraic Number
-Theory, 5.2): Cornacchia's algorithm for each g^2 | a n_k and each root of
-the norm form modulo a n_k / g^2 (`_local_roots`, kept per prime power for
-the whole enumeration).  It restores one sign image of each vector found
-per orbit of the slice's sign changes (`_restored`).
+n_k and looks up each sieve prime's local verdict once, for every slice it
+divides.  `_representations` solves each slice that passed, in the norm
+form of the order of discriminant b^2 - 4ac (Cohen, A Course in
+Computational Algebraic Number Theory, 5.2): Cornacchia's algorithm for each
+g^2 | a n_k and each root of the norm form modulo a n_k / g^2
+(`_local_roots`, kept per prime power for the whole enumeration).  As each
+vector is found it restores one sign image of it per orbit of the slice's
+sign changes (`_restored`).
 """
 
 import math
@@ -33,7 +34,8 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
     n0/m0 modulo p and for p | m0 is every k or none.
     Each prime up to B = min(sqrt(max n_k / g), _SIEVE_PER_SLICE |slices|)
     is divided out in full wherever it hits.  A cofactor left <= B^2 is 1 or
-    a prime; a larger one goes to factorint.
+    a prime; a larger one goes to factorint.  Either way its primes go into
+    the slice's own factor dict.
 
     Write (a, b, c) / g as N(X, Y) / a, as in `_representations`, with
     D = b^2 - 4ac.  A slice is dropped, and not divided further, unless
@@ -42,8 +44,9 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
       4N = (2X + beta Y)^2 (mod p);
     * each prime inert for D divides n_k / g to an even power.  Such a
       prime does not divide a (D is a square modulo 4a; Cox, Primes of the
-      Form x^2 + ny^2, Lemma 2.5).  `_local_roots(p, 1)` gives the verdict
-      and keeps the roots in `roots` for the solver.
+      Form x^2 + ny^2, Lemma 2.5).  `_local_roots(p, 1)` gives the verdict,
+      looked up once per sieve prime at its first odd power, and keeps the
+      roots in `roots` for the solver.
     """
     g = math.gcd(a, b, c)
     a, b, c = a // g, b // g, c // g
@@ -66,6 +69,7 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
             classes, step = [0] if n0 % p == 0 else [], 1
         else:
             classes, step = _sqrt_mod_prime_power(n0 * pow(m0, -1, p), p, 1), p
+        split = None  # _local_roots(p, 1), looked up at p's first odd power
         for r in classes:
             for k in range(r, top + 1, step):
                 v = rest.get(k)
@@ -74,16 +78,19 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
                 e = 0
                 while v % p == 0:
                     v, e = v // p, e + 1
-                if e % 2 and not _local_roots(p, 1, beta, disc, roots):
+                if e % 2 and split is None:
+                    split = _local_roots(p, 1, beta, disc, roots)
+                if e % 2 and not split:
                     del rest[k], factors[k]
                 elif e:
                     rest[k], factors[k][p] = v, e
-    out = {}
     for k, v in rest.items():
-        tail = factorint(v) if v > bound * bound else {v: 1} if v > 1 else {}
-        if all(e % 2 == 0 or _local_roots(p, 1, beta, disc, roots) for p, e in tail.items()):
-            out[k] = factors[k] | tail
-    return out
+        for p, e in factorint(v).items() if v > bound * bound else ((v, 1),) if v > 1 else ():
+            if e % 2 and not _local_roots(p, 1, beta, disc, roots):
+                del factors[k]
+                break
+            factors[k][p] = e
+    return factors
 
 
 # The images of a vector (X, Y) that `_representations` found: itself, its
@@ -114,36 +121,45 @@ def _representations(a: int, b: int, c: int, n: int, n_factors: dict[int, int],
     beta)/2) z2, Y = z2; `n_factors` and `inflation` factor n and a, and
     `roots` is the enumeration's memo of `_local_roots`.  Each solution is
     g (X', Y') with g^2 | m = a n and X' = r Y' modulo m / g^2 for a root r
-    (a g leaving a prime power with no root is skipped); root -beta - r
-    gives the mirror (X + beta Y, -Y), so only 2r + beta <= m / g^2 is
-    solved, and the images `restore` names are restored.
+    (a g leaving a prime power with no root is skipped, and a prime power
+    that no g leaves with a root ends the search: no solution); root
+    -beta - r gives the mirror (X + beta Y, -Y), so only 2r + beta <= m / g^2
+    is solved, and each vector found has the images `restore` names
+    restored at once.  Neither factorization is written to.
     """
     beta = b % 2
     disc = b * b - 4 * a * c
     gamma, shift = (beta - disc) // 4, (b - beta) // 2
-    factors = dict(inflation)
-    for p, e in n_factors.items():
-        factors[p] = factors.get(p, 0) + e
-    choices = []  # per p^e: (p^j, p^(e - 2j), its roots) for each j
+    factors = n_factors if not inflation else {
+        p: inflation.get(p, 0) + n_factors.get(p, 0) for p in inflation | n_factors}
+    choices = []  # per p^e: (p^j, (p^(e - 2j), its roots)) for each j with roots
     for p, e in factors.items():
-        options = [(p ** j, p ** (e - 2 * j), _local_roots(p, e - 2 * j, beta, disc, roots)
-                    if e > 2 * j else [0]) for j in range(e // 2 + 1)]
-        choices.append([option for option in options if option[2]])
+        options = []
+        for j in range(e // 2 + 1):
+            local = _local_roots(p, e - 2 * j, beta, disc, roots) if e > 2 * j else [0]
+            if local:
+                options.append((p ** j, (p ** (e - 2 * j), local)))
+        if not options:
+            return set()
+        choices.append(options)
     m = a * n
-    found = set()
-    for combo in product(*choices):
-        g = math.prod(option[0] for option in combo)
-        mg = m // (g * g)
-        for r in crt_roots([(q, local) for _, q, local in combo if q > 1]):
-            if 2 * r + beta <= mg:
-                found.update((g * x, g * y) for x, y in _shortest_vectors(mg, r, beta, gamma))
     out = set()
-    for x, y in found:
-        images = ((x, y), (-x, -y), (x + beta * y, -y), (-x - beta * y, y))
-        for i in restore:
-            sx, sy = images[i]
-            if (sx - shift * sy) % a == 0:
-                out.add(((sx - shift * sy) // a, sy))
+    for combo in product(*choices):
+        g, local = 1, []
+        for gp, option in combo:
+            g *= gp
+            if option[0] > 1:
+                local.append(option)
+        mg = m // (g * g)
+        for r in crt_roots(local):
+            if 2 * r + beta <= mg:
+                for x, y in _shortest_vectors(mg, r, beta, gamma):
+                    x, y = g * x, g * y
+                    images = ((x, y), (-x, -y), (x + beta * y, -y), (-x - beta * y, y))
+                    for i in restore:
+                        sx, sy = images[i]
+                        if (sx - shift * sy) % a == 0:
+                            out.add(((sx - shift * sy) // a, sy))
     return out
 
 

@@ -345,6 +345,12 @@ class TestEnumeration:
         assert enumerate_points(f, t, R) == sweep_oracle(f, t, R)
 
 
+# The groups of sign changes of z that a slice can keep, as in
+# `test_one_z_per_orbit_of_the_flips`; all but the first two need b = 0.
+FLIP_GROUPS = [{(1, 1)}, {(1, 1), (-1, -1)}, {(1, 1), (1, -1)}, {(1, 1), (-1, 1)},
+               {(1, 1), (-1, -1), (1, -1), (-1, 1)}]
+
+
 class TestRepresentations:
     """`_representations` against a row-by-row search of the ellipse."""
 
@@ -416,16 +422,27 @@ class TestRepresentations:
                     assert sorted(_local_roots(p, e, beta, disc, {})) == roots.get(-gamma % q, []), (
                         p, e, disc)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # 750 examples: the two groups of +-1 alone keep the drawn b, in about
+    # 300 of them; the other three set b = 0
+    @settings(max_examples=750, deadline=None, derandomize=True, database=None)
     @given(a=st.integers(1, 7), b=st.integers(-9, 9), c=st.integers(1, 15),
            ns=st.lists(st.integers(1, 3000), min_size=1, max_size=6),
-           square=st.sampled_from((1, 4, 9, 25, 49)))
-    def test_against_row_search(self, a, b, c, ns, square):
+           square=st.sampled_from((1, 4, 9, 25, 49)), flips=st.sampled_from(FLIP_GROUPS))
+    def test_against_row_search(self, a, b, c, ns, square, flips):
+        if not flips <= {(1, 1), (-1, -1)}:
+            b = 0  # only b = 0 keeps a sign change of one coordinate
         assume(b * b < 4 * a * c)
-        roots = {}
+        restore, roots = _restored(flips), {}
         for n in ns:
             for m in (n, square * n):
-                assert self.solve(a, b, c, m, roots) == representations_oracle(a, b, c, m)
+                n_factors, inflation = factorint(m), factorint(a)
+                copies = dict(n_factors), dict(inflation)
+                found = _representations(a, b, c, m, n_factors, inflation, roots, restore)
+                # with a = 1 the solver works on n_factors itself: it must not write to it
+                assert (n_factors, inflation) == copies
+                oracle = representations_oracle(a, b, c, m)
+                assert found <= oracle
+                assert {(s1 * z1, s2 * z2) for s1, s2 in flips for z1, z2 in found} == oracle
 
     @pytest.mark.parametrize("disc", [-3, -4, -7, -19, -20, -23, -56, -103])
     def test_shortest_vectors_against_lagrange(self, disc):
@@ -464,11 +481,17 @@ def sieve_oracle(n0, m0, ks, a, b, c):
     has no representation (by the row search up to n_k = 10^6, past it by
     `_representations`, itself checked against the row search)."""
     g = math.gcd(a, b, c)
-    kept = _factor_slices(n0, m0, ks, a, b, c, {})
+    roots = {}
+    kept = _factor_slices(n0, m0, ks, a, b, c, roots)
+    assert len({id(factors) for factors in kept.values()}) == len(kept)  # a dict per slice
+    inflation = factorint(a // g)
     for k in ks:
         n = n0 - k * k * m0
         if k in kept:
             assert kept[k] == factorint(n // g), k
+            # the solver, as the enumeration calls it, leaves both factorizations alone
+            _representations(a // g, b // g, c // g, n // g, kept[k], inflation, roots, (0,))
+            assert kept[k] == factorint(n // g) and inflation == factorint(a // g), k
         elif n <= 10 ** 6:
             assert representations_oracle(a, b, c, n) == set(), k
         elif n % g == 0:
@@ -533,6 +556,24 @@ class TestSliceSieve:
         assert _factor_slices(9 * inert, 0, [0], 1, 0, 1, {}) == {}
         assert calls == [inert]
         assert _factor_slices(45, 0, [0], 1, 0, 1, {}) == {0: {3: 2, 5: 1}}
+
+    def test_each_verdict_is_looked_up_once(self, monkeypatch):
+        # n_k = 6 + k^2 on x^2 + y^2 (D = -4): inert 3 divides n_k once for
+        # every k = 0 (mod 3), split 5 divides it to an odd power for k = 2, 3
+        # (mod 5); both reach several slices that pass the test modulo 8
+        n0, m0, ks = 6, -1, list(range(60))
+        bound = math.isqrt(n0 - ks[-1] ** 2 * m0)  # below 8 |ks|: the sieve's B
+        odd = {p: [k for k in ks if (n0 + k * k) % 8 in (1, 2, 5)
+                   and factorint(n0 + k * k).get(p, 0) % 2] for p in (3, 5)}
+        assert len(odd[3]) > 1 and len(odd[5]) > 1
+        kept = sieve_oracle(n0, m0, ks, 1, 0, 1)
+        assert not set(odd[3]) & set(kept) and set(odd[5]) & set(kept)
+        calls = []
+        monkeypatch.setattr(binary_forms, "_local_roots",
+                            lambda p, e, *args: calls.append((p, e)) or _local_roots(p, e, *args))
+        assert _factor_slices(n0, m0, ks, 1, 0, 1, {}) == kept
+        sieved = [p for p, e in calls if e == 1 and p <= bound]
+        assert {3, 5} <= set(sieved) and len(sieved) == len(set(sieved))
 
     @pytest.mark.parametrize("form,t", POOL_FORMS)
     def test_dropped_slices_have_no_representation(self, form, t, monkeypatch):
