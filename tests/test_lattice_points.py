@@ -477,7 +477,8 @@ class TestRepresentations:
 
 def sieve_oracle(n0, m0, ks, a, b, c):
     """`_factor_slices` on (n0, m0, ks) checked slice by slice: a kept slice
-    carries the factorization of n_k / g, g = gcd(a, b, c), and a dropped one
+    carries the factorization of n_k / g, g = gcd(a, b, c), in a dict of its
+    own that `_representations` leaves as it is, and a dropped one
     has no representation (by the row search up to n_k = 10^6, past it by
     `_representations`, itself checked against the row search)."""
     g = math.gcd(a, b, c)
@@ -563,7 +564,7 @@ class TestSliceSieve:
         # (mod 5); both reach several slices that pass the test modulo 8
         n0, m0, ks = 6, -1, list(range(60))
         bound = math.isqrt(n0 - ks[-1] ** 2 * m0)  # below 8 |ks|: the sieve's B
-        odd = {p: [k for k in ks if (n0 + k * k) % 8 in (1, 2, 5)
+        odd = {p: [k for k in ks if (n0 + k * k) % 8 in (0, 1, 2, 4, 5)
                    and factorint(n0 + k * k).get(p, 0) % 2] for p in (3, 5)}
         assert len(odd[3]) > 1 and len(odd[5]) > 1
         kept = sieve_oracle(n0, m0, ks, 1, 0, 1)
