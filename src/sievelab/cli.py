@@ -12,6 +12,8 @@ Subcommands:
 Each subcommand computes its data once and returns its exit code with one
 view per output format it supports: text lines, a JSON payload, or a CSV
 header and rows.  `_emit` builds only the requested view and writes it.
+`_json` lays out the JSON view from the C encoder, byte for byte as
+`json.dumps(indent=2, sort_keys=True)`, its oracle in tests/test_cli.py.
 equidist's rows, level statistic and trend come from one `residual_Rd`
 call per sequence.
 
@@ -79,13 +81,13 @@ def _emit(args, views: dict) -> None:
     """Build the requested view and write it to --out or stdout, line by line.
 
     A view is a zero-argument function returning text lines ("text"), a
-    JSON-ready payload ("json") or a CSV header line and an iterable of
-    rows ("csv"), each row written as it comes.
+    JSON-ready payload with str keys ("json", see `_json`) or a CSV header
+    line and an iterable of rows ("csv"), each row written as it comes.
     """
     kind = getattr(args, "output", None) or next(iter(views))
     data = views[kind]()
     if kind == "json":
-        lines = [json.dumps(data, indent=2, sort_keys=True)]
+        lines = [_json(data)]
     elif kind == "csv":
         header, rows = data
         lines = chain([header], (",".join(map(str, row)) for row in rows))
@@ -97,6 +99,34 @@ def _emit(args, views: dict) -> None:
     finally:
         if args.out:
             fh.close()
+
+
+# C-coded encoders by item separator, one per indent level of `_json`.
+_ENCODERS: dict[str, json.JSONEncoder] = {}
+
+
+def _json(data, pad: str = "\n") -> str:
+    """`json.dumps(data, indent=2, sort_keys=True)` byte for byte, str keys only.
+
+    pad is the newline and indent before data's closing bracket.  Scalars,
+    and containers of scalars and empty containers, take one C-encoder call
+    whose item separator carries the indent; nested containers recurse.
+    """
+    inner = pad + "  "
+    enc = _ENCODERS.get(inner) or _ENCODERS.setdefault(
+        inner, json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True))
+    if not data or not isinstance(data, (list, tuple, dict)):
+        return enc.encode(data)
+    for v in data.values() if isinstance(data, dict) else data:
+        if isinstance(v, (list, tuple, dict)) and v:
+            break
+    else:
+        flat = enc.encode(data)
+        return flat[0] + inner + flat[1:-1] + pad + flat[-1]
+    if isinstance(data, dict):
+        parts = [f"{enc.encode(k)}: {_json(data[k], inner)}" for k in sorted(data)]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    return "[" + inner + ("," + inner).join([_json(v, inner) for v in data]) + pad + "]"
 
 
 def _fmt(x: float) -> str:

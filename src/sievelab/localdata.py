@@ -23,18 +23,23 @@ takes the value t at p^(n-r) N_r points, where
 
 with v(t) = p - 1 if t = 0 mod p and -1 otherwise.  N(p) is this count for
 the ternary form; N0(p) is inclusion-exclusion over the coordinate
-subspaces on which a sieved coordinate vanishes.  Either costs O(log p);
-p = 2 is counted over its 8 points.  One private routine, `_count`, gives
-both; a table computes the principal minors of f once and calls it twice
-per prime.
+subspaces on which a sieved coordinate vanishes.  One private routine,
+`_count`, gives both from a count plan that a table builds once: the
+signed coordinate subspaces of N(p) or of N0(p), each with its principal
+minors in rank order.  Per prime and subspace the first minor nonzero mod
+p gives the rank and the discriminant, so a count costs one Legendre
+symbol per subspace; p = 2 is counted over its 8 points.
 
 When p does not divide d(f) t, d(f) is an integer and |d(f) t| is
 square-free, the rank-3 case is the Cassels count
 
     N(p) = p^2 + legendre(-d(f) t, p) * p,
 
-which local tables report beside N(p).  The O(p^2) residue-table sweep and
-the O(p^3) exhaustive count are kept as oracles in tests/test_localdata.py.
+which local tables report beside N(p).  That column cannot disagree: where
+it is computed, p is odd and prime to d(f) t, so the rank-3 minor det(2G) =
+8 d(f) is a unit mod p and `_count` gives p^2 + legendre(-64 d(f) t, p) * p,
+the same symbol.  The independent oracles are the O(p^2) residue-table
+sweep and the O(p^3) exhaustive count in tests/test_localdata.py.
 
 `build_local_table` is the one path from counts to densities: its
 entries hold omega(p)/p, and `LocalDensityTable.omega_d` extends them to
@@ -82,20 +87,20 @@ def _principal_minors(f: TernaryForm) -> dict[tuple, int]:
             (0, 1, 2): a * b * c + 2 * u * v * w - a * u * u - b * v * v - c * w * w}
 
 
-def _subspace_count(minors: dict, coords: tuple, t: int, p: int) -> int:
-    """#{x mod p : f(x) = t, x supported on coords}, p odd.
+def _count_plan(f: TernaryForm, sieved: tuple | None = None) -> list[tuple]:
+    """The signed coordinate subspaces whose counts sum to N(p), or to N0(p).
 
-    The rank r of the restriction is the size of its largest principal minor
-    that is nonzero mod p; that minor times 2^r is its discriminant modulo
-    squares, and the other len(coords) - r variables are free.
+    N(p) has one, all of (Z/pZ)^3; N0(p) is inclusion-exclusion over those
+    on which a sieved coordinate vanishes.  Each is (sign, dimension,
+    minors): its principal minors, each times 2^r, largest rank r first.
     """
-    for r in range(len(coords), 0, -1):
-        for sub in combinations(coords, r):
-            minor = minors[sub] % p
-            if minor:
-                return p ** (len(coords) - r) * _nondegenerate_count(
-                    r, minor * 2 ** r, t, p)
-    return p ** len(coords) if t % p == 0 else 0
+    minors = _principal_minors(f)
+    zeros = [((), 1)] if sieved is None else [
+        (zero, (-1) ** (k + 1))
+        for k in range(1, len(sieved) + 1) for zero in combinations(sieved, k)]
+    frees = [(sign, [i for i in range(3) if i not in zero]) for zero, sign in zeros]
+    return [(sign, len(free), [(r, minors[sub] * 2 ** r) for r in range(len(free), 0, -1)
+                               for sub in combinations(free, r)]) for sign, free in frees]
 
 
 def _count_mod_2(f: TernaryForm, t: int, sieved: tuple | None = None) -> int:
@@ -105,22 +110,24 @@ def _count_mod_2(f: TernaryForm, t: int, sieved: tuple | None = None) -> int:
                and (sieved is None or not all(x[i] for i in sieved)))
 
 
-def _count(f: TernaryForm, minors: dict, t: int, p: int,
+def _count(f: TernaryForm, plan: list, t: int, p: int,
            sieved: tuple | None = None) -> int:
-    """N(p), or N0(p) for the sieved coordinates; p prime, minors of f.
+    """N(p), or N0(p) for the sieved coordinates; p prime, plan of f.
 
-    For odd p, N0 is inclusion-exclusion over the coordinate subspaces on
-    which some sieved coordinate vanishes.
+    For odd p, the rank r of each subspace's restriction is that of its
+    first minor nonzero mod p, which times 2^r is its discriminant modulo
+    squares; the other coordinates of the subspace are free.
     """
     if p == 2:
         return _count_mod_2(f, t, sieved)
-    if sieved is None:
-        return _subspace_count(minors, (0, 1, 2), t, p)
     total = 0
-    for k in range(1, len(sieved) + 1):
-        for zero in combinations(sieved, k):
-            free = tuple(i for i in range(3) if i not in zero)
-            total += (-1) ** (k + 1) * _subspace_count(minors, free, t, p)
+    for sign, n, minors in plan:
+        for r, disc in minors:
+            if disc % p:
+                total += sign * p ** (n - r) * _nondegenerate_count(r, disc, t, p)
+                break
+        else:  # rank 0
+            total += sign * p ** n if t % p == 0 else 0
     return total
 
 
@@ -191,12 +198,12 @@ def build_local_table(f: TernaryForm, t: int, variant: str,
     dt = int(d) * t if d.denominator == 1 else 0  # 0: no Cassels column
     dt_squarefree = dt != 0 and squarefree_part(dt) == dt
 
-    minors = _principal_minors(f)
     sieved = SIEVED[variant]
+    plan_V, plan_V0 = _count_plan(f), _count_plan(f, sieved)
     table = LocalDensityTable(form=f, t=t, variant=variant)
     for p in primes_up_to(p_max):
-        n = _count(f, minors, t, p)
-        n0 = _count(f, minors, t, p, sieved)
+        n = _count(f, plan_V, t, p)
+        n0 = _count(f, plan_V0, t, p, sieved)
         is_bad = n0 == n
         agree = None
         if dt_squarefree and p != 2 and dt % p != 0:

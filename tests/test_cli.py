@@ -1,10 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import CASES as GOLDEN_CASES
 
 from sievelab import cli, lattice_points
 from sievelab.lattice_points import enumerate_orbits
@@ -240,6 +244,45 @@ class TestAutomorphs:
         assert out.strip().splitlines() == [
             "m11,m12,m13,m21,m22,m23,m31,m32,m33",
             "1,0,0,0,1,0,0,0,1"]
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(2 ** 64, 2 ** 200) | st.integers(-2 ** 200, -2 ** 64)
+    | st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16])
+    | st.text() | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\n\t\x7f", "é€𝄞\u2028"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=30)
+
+
+def _keys(payload) -> set:
+    """The types of every dict key in a JSON-ready payload."""
+    if isinstance(payload, dict):
+        return {type(k) for k in payload}.union(*map(_keys, payload.values()))
+    if isinstance(payload, (list, tuple)):
+        return set().union(*map(_keys, payload))
+    return set()
+
+
+class TestJsonView:
+    """`_json` against its oracle, `json.dumps(indent=2, sort_keys=True)`."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(value=_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("case", [c for c, argv in GOLDEN_CASES.items()
+                                      if "json" in argv])
+    def test_golden_payloads_have_str_keys(self, case, capsys, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli, "_json", lambda data: payloads.append(data) or "")
+        cli.main(list(GOLDEN_CASES[case]))
+        [payload] = payloads
+        assert _keys(payload) == {str}
 
 
 class TestConfigAndErrors:

@@ -1,14 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievelab import localdata
 from sievelab.arith import legendre_raw, primes_up_to
 from sievelab.errors import DomainError, ResourceError
 from sievelab.localdata import (BAD_SET, SIEVED, VARIANTS, LocalDensityTable,
-                                _count, _principal_minors, build_local_table)
+                                _count, _count_plan, build_local_table)
 from sievelab.quadforms import TernaryForm, eval_form
 
 DIAG113 = TernaryForm(1, 1, -3)
@@ -130,7 +132,8 @@ class TestClosedFormAgainstSweep:
            variant=st.sampled_from((None,) + VARIANTS))
     def test_random_forms(self, coeffs, t, p, variant):
         f = TernaryForm(*coeffs)
-        closed = _count(f, _principal_minors(f), t, p, SIEVED.get(variant))
+        sieved = SIEVED.get(variant)
+        closed = _count(f, _count_plan(f, sieved), t, p, sieved)
         assert closed == _count_sweep(f, t, p, variant)
 
     def test_sweep_matches_exhaustive_oracle(self):
@@ -248,9 +251,25 @@ class TestBadPrimes:
     def test_triple_product_within_exceptional_set(self):
         assert build_local_table(DIAG113, 1, "x1x2x3", 100).bad_primes <= BAD_SET
 
-    def test_pmax_guard(self):
-        with pytest.raises(DomainError):
-            build_local_table(DIAG113, 1, "x1", 5)
+
+class TestCountPlan:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_built_once_per_table(self, variant, monkeypatch):
+        # the subspaces and their minors come from `combinations` once per
+        # table, so the number of calls does not grow with p_max
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return combinations(*args)
+
+        monkeypatch.setattr(localdata, "combinations", counting)
+        counts = []
+        for p_max in (50, 1000):
+            calls.clear()
+            build_local_table(CROSS, 1, variant, p_max)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestLocalDensityTable:
