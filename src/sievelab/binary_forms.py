@@ -17,6 +17,7 @@ import math
 from itertools import product
 
 from .arith import _sqrt_mod_prime_power, crt_roots, factorint, legendre_raw, primes_up_to
+from .errors import DomainError
 
 # The slice sieve's primes stop at this many times its slice count, about as
 # many primes as slices; more would cost more than the factorizations saved.
@@ -26,8 +27,9 @@ _SIEVE_PER_SLICE = 8
 def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
                    roots: dict) -> dict[int, dict[int, int]]:
     """{k: factorization of n_k / g} for the k of ks (all >= 0, n_k = n0 -
-    k^2 m0 >= 1) at which a z1^2 + b z1 z2 + c z2^2 = n_k passes every local
-    test; g = gcd(a, b, c).
+    k^2 m0) at which a z1^2 + b z1 z2 + c z2^2 = n_k passes every local
+    test; g = gcd(a, b, c).  A k with n_k < 1 is refused (DomainError): the
+    sieve would divide n_k = 0 by its first prime forever.
 
     One sieve over k: p | n_k exactly when k^2 m0 = n0 (mod p), which for
     p prime to m0 (2 included) is the classes k = r of the roots r of r^2 =
@@ -55,7 +57,10 @@ def _factor_slices(n0: int, m0: int, ks: list[int], a: int, b: int, c: int,
     norms = {(x * x + beta * x * y + gamma * y * y) % 8 for x in range(8) for y in range(8)}
     rest = {}
     for k in ks:
-        n, rem = divmod(n0 - k * k * m0, g)
+        n = n0 - k * k * m0
+        if n < 1:
+            raise DomainError(f"slice k = {k} has n_k = {n}; the sieve needs n_k >= 1")
+        n, rem = divmod(n, g)
         if rem == 0 and a * n % 8 in norms:
             rest[k] = n
     factors = {k: {} for k in rest}

@@ -17,14 +17,14 @@ disc:
   float-safe margin is skipped.  Points are found up to E_U, the sign
   changes of x that keep f and change only the signs of y: -I maps slice k
   to -k, so only k >= 0 is solved, and those keeping y3 let a slice's row
-  scan take y2 >= 0 or one root and its solver one z per orbit.  An orbit
-  is kept as its largest point and its size m.
+  scan take y2 >= 0 or one root and its solver one z per orbit.  Each orbit
+  goes into one table {x: m}, under its largest point x, with its size m.
 * Representations.  A slice whose ellipse spans few rows (at most
-  max(32, n_k^(1/4)), below the cost of a factorization) is scanned row by
-  row.  The others go to `binary_forms`: one sieve over k factors them and
-  drops each slice that fails a local test, and the rest are solved in the
-  norm form of the order of discriminant b^2 - 4ac.  Each point is checked
-  with eval_form.
+  max(32, n_k^(1/4)), below the cost of a factorization), or is the one
+  point z = 0 (n_k = 0), is scanned row by row.  The others go to
+  `binary_forms`: one sieve over k factors them and drops each slice that
+  fails a local test, and the rest are solved in the norm form of the order
+  of discriminant b^2 - 4ac.  Each point is checked with eval_form.
 
 The former O(R^2) sweep of the (x1, x2) disc is kept in the tests as the
 oracle (tests/test_lattice_points.py, `sweep_oracle`).
@@ -180,11 +180,10 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     restore = _restored(in_slice)
     # E_U is generated by -I and the x_i it flips alone (n_i = 1), so an
     # orbit's largest point takes |x_i| there and makes the other coordinates
-    # lexicographically positive; with none, it is x or -x.
+    # lexicographically positive; with none, it is max(x, -x).
     n1 = 1 if (-1, 1, 1) in flips else -1
     n2 = 1 if (1, -1, 1) in flips else -1
     n3 = 1 if (1, 1, -1) in flips else -1
-    alone = max(n1, n2, n3) > 0
     full = len(flips)  # the size of every orbit without a zero coordinate
 
     nn = sum(e * e for e in w[2])  # w[2] is the slice normal: y3 = w[2].x
@@ -195,7 +194,7 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     r2 = R * R
     kmax = math.isqrt(int(r2 * nn)) + 1
     ymax = math.isqrt(int(r2 * sum(e * e for e in w[1]))) + 1
-    orbits, short = {}, {}  # orbits of |E_U| points, and the shorter ones: x -> m
+    orbits, points = {}, 0  # x -> m, and the sum of the m
 
     (u11, u12, u13), (u21, u22, u23), (u31, u32, u33) = u
     # On slice k, x = k v + U12 z / delta with v = u3 - U12 h, and v.n = 1, so
@@ -217,25 +216,24 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
     limit = (1 + 1e-9) * r2 + 1e-9  # margin for float rounding
 
     def keep(y1, y2, k):  # the orbit of x, under its largest point
+        nonlocal points
         x1 = u11 * y1 + u12 * y2 + u13 * k
         x2 = u21 * y1 + u22 * y2 + u23 * k
         x3 = u31 * y1 + u32 * y2 + u33 * k
         if x1 * x1 + x2 * x2 + x3 * x3 <= r2:
-            if alone:
-                x = (abs(x1) if n1 > 0 else x1, abs(x2) if n2 > 0 else x2,
-                     abs(x3) if n3 > 0 else x3)
-                y = (n1 * x[0], n2 * x[1], n3 * x[2])
-                if y > x:
-                    x = y
-            else:
-                x = (x1, x2, x3) if (x1, x2, x3) > (0, 0, 0) else (-x1, -x2, -x3)
-            if x1 and x2 and x3:
-                orbits[x] = full
-            else:
-                short[x] = len({(e1 * x1, e2 * x2, e3 * x3) for e1, e2, e3 in flips})
+            x = (abs(x1) if n1 > 0 else x1, abs(x2) if n2 > 0 else x2,
+                 abs(x3) if n3 > 0 else x3)
+            y = (n1 * x[0], n2 * x[1], n3 * x[2])
+            if y > x:
+                x = y
+            if x not in orbits:
+                m = full if x1 and x2 and x3 else len(
+                    {(e1 * x1, e2 * x2, e3 * x3) for e1, e2, e3 in flips})
+                orbits[x] = m
+                points += m
 
     def check_points():  # once per slice
-        if full * len(orbits) + sum(short.values()) > _MAX_POINTS:
+        if points > _MAX_POINTS:
             raise ResourceError(f"radius {R:g} holds more than {_MAX_POINTS} points, "
                                 "the limit of one enumeration")
 
@@ -252,7 +250,8 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
             continue
         top = math.isqrt(4 * a * n // disc)  # |z2| <= top on the ellipse
         rows = min(2 * top // delta + 1, 2 * ymax + 1)
-        if rows > max(_SCAN_ROWS, math.isqrt(math.isqrt(n // content))):
+        # n_k = 0 has the one point z = 0, and the sieve takes only n_k >= 1
+        if n and rows > max(_SCAN_ROWS, math.isqrt(math.isqrt(n // content))):
             solved.append(k)
             continue
         # 4a q(z) = (2a z1 + b z2)^2 + disc z2^2
@@ -279,7 +278,6 @@ def enumerate_orbits(f: TernaryForm, t: int, R: float) -> dict[tuple[int, int, i
                 keep(y1 // delta, y2 // delta, k)
         check_points()
 
-    orbits.update(short)
     for x in orbits:  # each eps in E_U keeps f, so x checks its whole orbit
         if eval_form(f, x) != t:
             raise ArithmeticError(f"enumeration produced a non-solution {x}")
@@ -300,14 +298,12 @@ class WeightedSequence(NamedTuple):
     form: TernaryForm
     t: int
     T: float
-    c0: float
     projection: str
     values: dict[int, float]          # n >= 1 -> a_n (sparse; missing = 0)
     counts: dict[int, int]            # n >= 1 -> number of weight>0 points
     witnesses: dict[int, tuple]       # n >= 1 -> one of those points
     X: float                          # sum_{n>=1} a_n
     a0: float
-    point_total: int
 
 
 def build_sequence(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
@@ -330,14 +326,13 @@ def build_sequence(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
     seqs = []
     for T in Ts:
         r2, cut = (c0 * T) * (c0 * T), c0 * T < radius
-        weights, counts, witnesses, a0_parts, total = {}, {}, {}, [], 0
+        weights, counts, witnesses, a0_parts = {}, {}, {}, []
         for x, m in orbits.items():
             if cut and x[0] * x[0] + x[1] * x[1] + x[2] * x[2] > r2:
                 continue
             w = _weight_radial(x, T, c0)  # T and c0 were checked above
             if w <= 0.0:
                 continue
-            total += m
             n = _projection_value(x, projection)
             if n == 0:
                 a0_parts.append(w * m)
@@ -347,11 +342,10 @@ def build_sequence(f: TernaryForm, t: int, Ts: list[float], c0: float = 2.0,
             else:
                 weights[n], counts[n], witnesses[n] = [w * m], m, x
 
-        values = {n: math.fsum(ws) for n, ws in sorted(weights.items())}
-        seqs.append(WeightedSequence(form=f, t=t, T=T, c0=c0, projection=projection,
+        values = {n: math.fsum(ws) for n, ws in weights.items()}
+        seqs.append(WeightedSequence(form=f, t=t, T=T, projection=projection,
                                      values=values, counts=counts, witnesses=witnesses,
-                                     X=math.fsum(values.values()),
-                                     a0=math.fsum(a0_parts), point_total=total))
+                                     X=math.fsum(values.values()), a0=math.fsum(a0_parts)))
     return seqs
 
 
@@ -405,7 +399,7 @@ def census(seq: WeightedSequence, r: int) -> tuple[float, int]:
     omega = [0] * (top + 1)  # omega[m]: prime factors of m outside B
     for m in range(2, top + 1):
         omega[m] = omega[m // spf[m]] + (spf[m] not in BAD_SET)
-    qualifying = [n for n in sorted(seq.values)
+    qualifying = [n for n in seq.values
                   if sum(omega[abs(v)] for v in seq.witnesses[n][:width]) <= r]
     weighted = math.fsum(seq.values[n] for n in qualifying)
     raw = sum(seq.counts[n] for n in qualifying)

@@ -102,7 +102,7 @@ def lagrange_oracle(m, r, beta, gamma):
 
 
 def sequence_oracle(points, T, c0, projection):
-    """(values, counts, X, a0, point_total) of build_sequence, weighing every
+    """(values, counts, X, a0) of build_sequence, weighing every
     point one by one; `points` come from `sweep_oracle` at radius c0 T, which
     shares no code with the orbits build_sequence weighs."""
     weights, a0 = {}, []
@@ -114,7 +114,7 @@ def sequence_oracle(points, T, c0, projection):
     values = {n: math.fsum(ws) for n, ws in sorted(weights.items())}
     x_mass = math.fsum(values[n] for n in sorted(values))
     counts = {n: len(ws) for n, ws in weights.items()}
-    return values, counts, x_mass, math.fsum(a0), len(a0) + sum(counts.values())
+    return values, counts, x_mass, math.fsum(a0)
 
 
 def mass_oracle(seq, d):
@@ -558,6 +558,14 @@ class TestSliceSieve:
         assert calls == [inert]
         assert _factor_slices(45, 0, [0], 1, 0, 1, {}) == {0: {3: 2, 5: 1}}
 
+    def test_refuses_slices_below_one(self):
+        # the frame of 1,-3,-2,0,0,0 at t = 1: n_k = k^2 - 1 is -1 at k = 0
+        # and 0 at k = 1, which the sieve would divide by 2 forever
+        with pytest.raises(DomainError, match="n_k = -1"):
+            _factor_slices(-1, -1, [0, 1, 2], 2, 0, 3, {})
+        with pytest.raises(DomainError, match="n_k = 0"):
+            _factor_slices(-1, -1, list(range(1, 60)), 2, 0, 3, {})
+
     def test_each_verdict_is_looked_up_once(self, monkeypatch):
         # n_k = 6 + k^2 on x^2 + y^2 (D = -4): inert 3 divides n_k once for
         # every k = 0 (mod 3), split 5 divides it to an odd power for k = 2, 3
@@ -678,6 +686,16 @@ class TestContent:
         assert solved == sorted({abs(x[2]) for x in points}) == [0, 1, 2]
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("form,count", [((1, -3, -2), 174), ((1, -2, -5), 118)])
+    def test_slice_at_n_k_zero_is_scanned(self, form, count, monkeypatch):
+        # with every slice routed to the sieve but n_k = 0, the slice k = 1 of
+        # these pool forms (t = 1) still goes to the row scan: its one point
+        # is z = 0
+        monkeypatch.setattr(lattice_points, "_SCAN_ROWS", 0)
+        f = TernaryForm(*form)
+        points = enumerate_points(f, 1, 60)
+        assert points == sweep_oracle(f, 1, 60) and len(points) == count
+
     def test_slices_the_content_does_not_divide_have_no_point(self):
         # 2 (x^2 + y^2) - z^2 = 1: n_k = 1 + k^2 is even only for odd k
         assert _factor_slices(1, -1, [0, 1, 2, 3], 2, 0, 2, {}) == {1: {}, 3: {5: 1}}
@@ -734,8 +752,7 @@ class TestInvariance:
                        for x in enumerate_points(f, t, 30))
         assert enumerate_points(g, t, 30) == moved
         [a], [b] = (build_sequence(h, t, [12.5], 2.0, "x1x2x3") for h in (f, g))
-        assert (a.values, a.counts, a.X, a.a0, a.point_total) == (
-            b.values, b.counts, b.X, b.a0, b.point_total)
+        assert (a.values, a.counts, a.X, a.a0) == (b.values, b.counts, b.X, b.a0)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), steps=st.lists(st.tuples(st.sampled_from(
@@ -775,15 +792,9 @@ class TestBuildSequence:
         total = math.fsum(weight_FT(x, 50.0, 2.0) for x in pts)
         assert seq.X + seq.a0 == pytest.approx(total, abs=1e-9)
 
-    def test_point_total_consistency(self):
-        [seq] = build_sequence(DIAG113, 1, [50.0], 2.0, "x1")
-        zero_proj = seq.point_total - sum(seq.counts.values())
-        assert zero_proj >= 0
-        assert sum(seq.counts.values()) <= seq.point_total
-
     def test_budget_guard(self, monkeypatch):
         [seq] = build_sequence(DIAG113, 1, [8000.0], 2.0, "x1")  # c0*T = 16,000
-        assert seq.point_total > 0
+        assert seq.X > 0
         # DIAG113 slices along a coordinate normal: c0*T + 2 slices
         sieved = []
         monkeypatch.setattr(lattice_points, "_factor_slices",
@@ -812,7 +823,7 @@ def assert_sequence_matches_sweep(f, t, T, c0=2.0):
     points = sweep_oracle(f, t, c0 * T)
     for projection in VARIANTS:
         [seq] = build_sequence(f, t, [T], c0, projection)
-        assert (seq.values, seq.counts, seq.X, seq.a0, seq.point_total) == sequence_oracle(
+        assert (seq.values, seq.counts, seq.X, seq.a0) == sequence_oracle(
             points, T, c0, projection), (f, t, T, projection)
 
 

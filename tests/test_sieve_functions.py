@@ -11,7 +11,7 @@ from sievelab.errors import DomainError
 from sievelab.numerics import derivative_central
 from sievelab.sieve_functions import (EULER_GAMMA, TWO_E_GAMMA, F_lin, _E, _G, _li2,
                                       _phi, _psi, _W, f_lin)
-from sievelab.thresholds import BETA_2, m_zeta
+from sievelab.thresholds import BETA_2
 
 from test_numerics import LOG_INTEGRAL_2_3
 
@@ -266,28 +266,6 @@ class TestRecursionResiduals:
         assert residual <= 1e-3
         if u - 2.0 >= 2 * self.H:
             assert residual <= 1e-6
-
-
-def _hr_term(mu: float, zeta: float) -> float:
-    """The Halberstam-Richert term of m(zeta): m less its linear part."""
-    return m_zeta(mu, zeta) - (mu * (1.0 + zeta) - mu * zeta / BETA_2 - 1.0)
-
-
-class TestHalberstamRichertBound:
-    def test_values(self):
-        # frozen from direct evaluation; consistent with the minimized
-        # two-dimensional thresholds reproduced in test_thresholds
-        assert _hr_term(10.24, 0.19214) == pytest.approx(4.886390570447249, abs=1e-12)
-        assert _hr_term(8.0, 0.23556) == pytest.approx(4.585884233244685, abs=1e-12)
-
-    def test_vanishes_at_sifting_limit(self):
-        assert abs(_hr_term(10.0, BETA_2 * (1.0 - 1e-12))) <= 1e-9
-
-    def test_zeta_domain(self):
-        with pytest.raises(DomainError):
-            m_zeta(10.0, 0.0)
-        with pytest.raises(DomainError):
-            m_zeta(10.0, BETA_2)
 
 
 class TestConstants:

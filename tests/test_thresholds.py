@@ -181,15 +181,30 @@ class TestTwoDimensionalRoute:
     def test_log_term_vanishes_at_sifting_limit(self):
         z = BETA_2 * (1.0 - 1e-12)
         expected = 10.0 * (1.0 + z) - 10.0 * z / BETA_2 - 1.0
-        assert m_zeta(10.0, z) == pytest.approx(expected, abs=1e-8)
+        assert m_zeta(10.0, z) == pytest.approx(expected, abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             m_zeta(10.0, 0.0)
         with pytest.raises(DomainError):
+            m_zeta(10.0, BETA_2)
+        with pytest.raises(DomainError):
             m_zeta(10.0, BETA_2 + 0.1)
         with pytest.raises(DomainError):
             minimize_m(2.0)
+
+
+def _hr_term(mu: float, zeta: float) -> float:
+    """The Halberstam-Richert term of m(zeta): m less its linear part."""
+    return m_zeta(mu, zeta) - (mu * (1.0 + zeta) - mu * zeta / BETA_2 - 1.0)
+
+
+class TestHalberstamRichertBound:
+    def test_values(self):
+        # frozen from direct evaluation; consistent with the minimized
+        # two-dimensional thresholds of TestTwoDimensionalRoute
+        assert _hr_term(10.24, 0.19214) == pytest.approx(4.886390570447249, abs=1e-12)
+        assert _hr_term(8.0, 0.23556) == pytest.approx(4.585884233244685, abs=1e-12)
 
 
 class TestAdmissibleR:
