@@ -2,8 +2,8 @@
 
 Layout:
 
-    numerics        Fejer quadrature and Chebyshev primitives, derivatives
-    sieve_functions linear-sieve F(s), f(s)
+    numerics        Fejer quadrature, central differences
+    sieve_functions linear-sieve F(s), f(s) from Li2 and constant Chebyshev tables
     thresholds      almost-prime thresholds, Halberstam-Richert m(zeta), constants
     quadforms       exact ternary quadratic form arithmetic and isotropy
     binary_forms    binary quadratic representations behind the slices

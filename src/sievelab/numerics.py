@@ -1,20 +1,19 @@
-"""Deterministic real-analysis engine: two Chebyshev rules and derivatives.
+"""Deterministic real-analysis engine: one Chebyshev rule and derivatives.
 
-Both rules sample a function at the _CHEB_N first-kind Chebyshev points
-mid + half cos(_ANGLES[j]) of an interval (L. N. Trefethen, Approximation
-Theory and Approximation Practice, 2013, ch. 3 and 19):
-
-* `integrate` is Fejer's first rule (L. Fejer, 1933; J. Waldvogel, BIT 46
-  (2006) 195-202), the integral of the interpolant through those points:
-  a fixed weighted sum of 32 values, exact for polynomials of degree up
-  to 31.  On a function analytic in the Bernstein ellipse of parameter
-  rho about the interval, its error is O(rho^(-32)).  Every integrand of
-  `thresholds` is singular no nearer than one unit outside an interval at
-  most 4 long (the pieces of the general route are cut at the joints of
-  F), so rho >= 2.6; on the `constants` pair grid each integral agrees
-  with QUADPACK at 1e-14 to within 1e-14 (tests/test_thresholds.py).
-* `_chebyshev_primitive` is the interpolant's primitive, a Chebyshev
-  series that `sieve_functions` evaluates anywhere on the interval.
+`integrate` is Fejer's first rule (L. Fejer, 1933; J. Waldvogel, BIT 46
+(2006) 195-202) on the _CHEB_N first-kind Chebyshev points mid + half
+cos(_ANGLES[j]) of an interval (L. N. Trefethen, Approximation Theory and
+Approximation Practice, 2013, ch. 3 and 19): the integral of the
+interpolant through those points, a fixed weighted sum of 32 values, exact
+for polynomials of degree up to 31.  On a function analytic in the
+Bernstein ellipse of parameter rho about the interval, its error is
+O(rho^(-32)).  Every integrand of `thresholds` is singular no nearer than
+one unit outside an interval at most 4 long (the pieces of the general
+route are cut at the joints of F), so rho >= 2.6; on the `constants` pair
+grid each integral agrees with QUADPACK at 1e-14 to within 1e-14
+(tests/test_thresholds.py).  The same points carry the Chebyshev tables of
+`sieve_functions`, built from them by the oracle in the tests.
+`derivative_central` is the central difference.
 
 The weights are computed once, at import, so every run evaluates the same
 abscissae in the same order and results are bit-identical across runs.
@@ -26,7 +25,7 @@ from typing import Callable
 
 from .errors import DomainError, EvaluationError
 
-# Chebyshev samples per rule.
+# Chebyshev samples of the rule.
 _CHEB_N = 32
 _ANGLES = [math.pi * (j + 0.5) / _CHEB_N for j in range(_CHEB_N)]
 _NODES = [math.cos(a) for a in _ANGLES]
@@ -52,30 +51,6 @@ def integrate(fn: Callable[[float], float], lo: float, hi: float) -> float:
             raise EvaluationError("integrand returned a non-finite value", t)
         total += w * v
     return half * total
-
-
-def _chebyshev_primitive(fn, lo: float, hi: float):
-    """x -> int_lo^x fn on [lo, hi], as a Chebyshev series.
-
-    fn's coefficients come from a DCT of its values at the _CHEB_N
-    Chebyshev points; the primitive's from int T_k = T_(k+1)/(2(k+1)) -
-    T_(k-1)/(2(k-1)), and the returned function sums them by Clenshaw.
-    """
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    values = [fn(mid + half * x) for x in _NODES]
-    c = [2.0 / _CHEB_N * sum(v * math.cos(k * a) for v, a in zip(values, _ANGLES))
-         for k in range(_CHEB_N)] + [0.0, 0.0]
-    b = [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(_CHEB_N, 0, -1)]
-    b0 = sum(bk if k % 2 else -bk for k, bk in zip(range(_CHEB_N, 0, -1), b))
-
-    def primitive(x: float) -> float:
-        y = (x - mid) / half
-        y2, b1, b2 = 2.0 * y, 0.0, 0.0
-        for bk in b:
-            b1, b2 = bk + y2 * b1 - b2, b1
-        return b0 + y * b1 - b2
-
-    return primitive
 
 
 def derivative_central(fn: Callable[[float], float], x: float, h: float) -> float:

@@ -35,14 +35,21 @@ Psi(s-1)/(s-1), and (s f(s))' = F(s-1) gives Psi'(s) = Phi(s-2)/(s-1) on
 Phi is a closed form in the dilogarithm Li2 (L. Lewin, Polylogarithms and
 Associated Functions, 1981, ch. 1): G(x) = (1/2) log^2 x + Li2(1/x) has G'
 = log(x-1)/x for x >= 2 and G(2) = pi^2/12, so Phi(x) = G(x) - pi^2/12.
-Psi, W and E are Chebyshev series (`numerics._chebyshev_primitive`),
-built on first use from 32 samples of their integrands, in chain order:
+Psi, W and E are Chebyshev series, constant tables summed by Clenshaw's
+rule (`_clenshaw`).  Each is the primitive of the interpolant through its
+integrand at the 32 Chebyshev points of `numerics`, built in chain order:
 Psi on [4, 6] and on [6, 8], W on [5, 7] from the first, E on [6, 8] from
 W.  Phi continues analytically to x > 1, so each integrand's nearest
 singularity lies one unit left of its length-2 interval: the integrand is
 analytic in the Bernstein ellipse of parameter 2 + sqrt(3) about it, and
-its coefficients fall to rounding level (~1e-16) before the 28th.  No
-evaluation of F or f calls `integrate`.
+its coefficients fall to rounding level (~1e-16) before the 28th; all 32
+are kept, so the tables are the build's to the last bit.  The build is
+their oracle in tests/test_sieve_functions.py, which prints them in this
+file's layout by
+
+    PYTHONPATH=src:tests python -c "import test_sieve_functions as t; t.print_tables()"
+
+No evaluation of F or f calls `integrate`.
 
 `_li2` evaluates Li2 on [-1/2, 1/2] by the Bernoulli series
 Li2(z) = w - w^2/4 + sum_{k>=1} B_2k w^(2k+1)/(2k+1)! in w = -log(1-z),
@@ -62,11 +69,9 @@ that both functions are within a few 1e-6 of their limit 1 and further
 windows would not change any downstream constant.
 """
 
-import functools
 import math
 
 from .errors import DomainError
-from .numerics import _chebyshev_primitive
 
 # Euler-Mascheroni constant, full double precision.
 EULER_GAMMA = 0.5772156649015329
@@ -104,39 +109,85 @@ def _phi(x: float) -> float:
     return _G(x) - _PI2_12
 
 
-@functools.cache
-def _primitives() -> tuple:
-    """(Psi on [4, 6], Psi - Psi(6) on [6, 8], W, E), built once on first use,
-    each series from the one before it (module docstring).
+# Psi on [4, 6], Psi - Psi(6) on [6, 8], W and E, each b0 + sum_k b_k T_k(y) at
+# y = (x - mid)/half as (mid, half, b0, b), b listing b_32 .. b_1 for `_clenshaw`.
+_PSI_LO_SERIES = (5.0, 1.0, 0.026381275441921995, (
+    -4.8065135718809365e-19, 5.636624544715933e-19, 1.1233797796346604e-18,
+    -1.3412606524836836e-19, -6.621963374520292e-19, -2.1071170015710058e-19,
+    -7.216826534049427e-19, 2.4273459565413437e-19, -6.139290700261965e-18,
+    2.5973298901873755e-17, -1.0868817072406084e-16, 4.807312794995091e-16,
+    -2.139060978695394e-15, 9.625695031303417e-15, -4.38686159745472e-14,
+    2.0283500746907277e-13, -9.529457589931366e-13, 4.556370196026082e-12,
+    -2.2203452012662123e-11, 1.1039697617043944e-10, -5.603606297254497e-10,
+    2.902759274839207e-09, -1.5321294985215847e-08, 8.211662141966748e-08,
+    -4.4412435584876254e-07, 2.3971162659496276e-06, -1.2641968794356418e-05,
+    6.21543961776239e-05, -0.0002467124873803337, 0.0002016961449814299,
+    0.011260428853836069, 0.037115557018397374))
+_PSI_HI_SERIES = (7.0, 1.0, 0.10539630568470078, (
+    -2.335269835580106e-18, 3.9083739604921005e-18, 3.5082975298010115e-18,
+    -3.904997135038308e-18, 9.0801931945661e-19, 7.228014483236697e-19,
+    -3.1692063503422436e-18, -3.968179951296946e-18, 4.87890977618477e-19,
+    3.507158331866154e-18, -5.913830031739115e-19, -1.466254366599444e-18,
+    4.445228907190568e-19, 8.559490835411877e-19, -8.1917497476682555e-19,
+    6.887872625202028e-18, -4.03594258707729e-17, 3.9375331698880224e-16,
+    -3.787815175602751e-15, 3.6461318739885365e-14, -3.498712459794791e-13,
+    3.331288567284061e-12, -3.126595479914507e-11, 2.859281739327202e-10,
+    -2.492438338293386e-09, 1.9707675958110177e-08, -1.209219569279126e-07,
+    7.476130030065892e-08, 1.6358591874771587e-05, -0.0004157900126193592,
+    0.006871145321571834, 0.11269938140647924))
+_W_SERIES = (6.0, 1.0, 0.002505253643032359, (
+    -6.385707841847425e-20, 5.732269901711024e-20, 1.3347569947760335e-19,
+    7.125341055793042e-21, -8.113436799477477e-20, -6.341573741935059e-20,
+    -1.679650818015172e-20, -1.5692205897974235e-19, 1.5963731268292652e-19,
+    -7.335896085750108e-19, 3.994882460525634e-18, -1.8542301183615247e-17,
+    8.877275184814888e-17, -4.3237582717171233e-16, 2.1474548006735075e-15,
+    -1.088952922075482e-14, 5.6467821331486994e-14, -2.9974608124386346e-13,
+    1.629137295387056e-12, -9.057109454897102e-12, 5.137159361769552e-11,
+    -2.9586241061560087e-10, 1.7167471686882031e-09, -9.911818690211025e-09,
+    5.576164369653523e-08, -2.938179261390428e-07, 1.320552873609559e-06,
+    -3.4838334043847957e-06, -1.6950541402099315e-05, 0.0002783275239698994,
+    0.0016125588938639122, 0.003827700424228008))
+_E_SERIES = (7.0, 1.0, 0.00016220591852787074, (
+    -5.812699018389332e-21, 2.6067870884405154e-21, 1.0555809565218525e-20,
+    2.8637564345284626e-21, -5.083118450750233e-21, -4.935365018878779e-21,
+    -1.811131767631564e-21, -6.892102396495665e-21, -6.4685749302346795e-21,
+    3.0590540217296317e-20, -1.112451656775328e-19, 5.895858143985841e-19,
+    -3.068097851136951e-18, 1.633897291785367e-17, -8.915371209217713e-17,
+    4.993535503895058e-16, -2.871459756157752e-15, 1.6931684063576866e-14,
+    -1.020778572320947e-13, 6.25980092300787e-13, -3.873445707300581e-12,
+    2.3893921730878003e-11, -1.442140745386137e-10, 8.252110583985849e-10,
+    -4.2044696291828906e-09, 1.6042296775425567e-08, -8.187657031466619e-09,
+    -5.42560049881606e-07, 3.5829086648439757e-06, 3.751484723706032e-05,
+    0.00013232165003623192, 0.00026110875767736174))
 
-    They depend on no input: a table like _LI2_SERIES, not a memo.
-    """
-    def psi_rate(t):
-        return _phi(t - 2.0) / (t - 1.0)
 
-    psi_lo = _chebyshev_primitive(psi_rate, 4.0, 6.0)
-    psi_hi = _chebyshev_primitive(psi_rate, 6.0, 8.0)
-    w = _chebyshev_primitive(lambda t: psi_lo(t - 1.0) / (t - 1.0), 5.0, 7.0)
-    e = _chebyshev_primitive(lambda t: w(t - 1.0) / (t - 1.0), 6.0, 8.0)
-    return psi_lo, psi_hi, w, e
+def _clenshaw(series: tuple, x: float) -> float:
+    """The Chebyshev series (mid, half, b0, b) summed at x by Clenshaw's rule."""
+    mid, half, b0, b = series
+    y = (x - mid) / half
+    y2, b1, b2 = 2.0 * y, 0.0, 0.0
+    for bk in b:
+        b1, b2 = bk + y2 * b1 - b2, b1
+    return b0 + y * b1 - b2
 
 
 def _W(s: float) -> float:
     """int_5^s Psi(t-1)/(t-1) dt, the term of F's third window; zero for s <= 5."""
-    return _primitives()[2](s) if s > 5.0 else 0.0
+    return _clenshaw(_W_SERIES, s) if s > 5.0 else 0.0
 
 
 def _psi(s: float) -> float:
     """int_4^s Phi(t-2)/(t-1) dt, the term of f's second window; zero for s <= 4."""
     if s <= 4.0:
         return 0.0
-    psi_lo, psi_hi, _, _ = _primitives()
-    return psi_lo(s) if s <= 6.0 else psi_lo(6.0) + psi_hi(s)
+    if s <= 6.0:
+        return _clenshaw(_PSI_LO_SERIES, s)
+    return _clenshaw(_PSI_LO_SERIES, 6.0) + _clenshaw(_PSI_HI_SERIES, s)
 
 
 def _E(s: float) -> float:
     """int_6^s W(t-1)/(t-1) dt, the term of f's third window; zero for s <= 6."""
-    return _primitives()[3](s) if s > 6.0 else 0.0
+    return _clenshaw(_E_SERIES, s) if s > 6.0 else 0.0
 
 
 def F_lin(s: float) -> float:

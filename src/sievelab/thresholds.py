@@ -49,7 +49,10 @@ BETA_2 = 4.266450
 
 def tau_from_theta(theta) -> Fraction:
     """Equidistribution level 1/4 - theta/2, exactly, for 0 <= theta < 1/2."""
-    theta = Fraction(theta)  # exact for ints, strings, floats and Rationals
+    try:
+        theta = Fraction(theta)  # exact for ints, strings, floats and Rationals
+    except (ValueError, OverflowError) as exc:  # nan, inf or a malformed string
+        raise DomainError(f"theta must be a finite rational, got {theta!r}") from exc
     if not 0 <= theta < Fraction(1, 2):
         raise DomainError(f"theta must lie in [0, 1/2), got {theta}")
     return Fraction(1, 4) - theta / 2
@@ -88,8 +91,8 @@ def linear_threshold(a: float, b: float, tau) -> float:
     `admissible_r` for the integer choice.
     """
     tau = float(tau)
-    if tau <= 0:
-        raise DomainError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
     i1, i2, i3 = threshold_components(a, b)
     return b / ((b - a) * tau) - 1.0 + TWO_E_GAMMA / f_lin(b) * (i1 + i2 + i3)
 
@@ -101,8 +104,8 @@ def dh_threshold_linear(tau, u: float, v: float) -> float:
     splitting the integral where tau*v - s crosses the window joints of F.
     """
     tau = float(tau)
-    if tau <= 0:
-        raise DomainError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
     if not u > 1.0 / tau:
         raise DomainError(f"violated: u > 1/tau (u={u}, 1/tau={1.0 / tau})")
     if not u <= v:
@@ -133,8 +136,8 @@ def m_zeta(mu: float, zeta: float) -> float:
     folded in; HR(zeta) = (2 + zeta) log(beta_2/zeta) - 2 + 2 zeta/beta_2 is
     the Halberstam-Richert closed bound of the weighted-sieve integral.
     """
-    if mu <= 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"mu must be positive and finite, got {mu}")
     if not 0.0 < zeta < BETA_2:
         raise DomainError(f"zeta must lie in (0, {BETA_2}), got {zeta}")
     return (mu * (1.0 + zeta) - mu * zeta / BETA_2 - 1.0
@@ -150,8 +153,8 @@ def minimize_m(mu: float) -> tuple[float, float]:
     - 1 > 0 on [2, beta_2).  So zeta* is its one root, found by bisection on
     (0, 2) down to adjacent doubles.
     """
-    if mu <= 2:
-        raise DomainError(f"mu must exceed 2 for an interior minimum, got {mu}")
+    if not 2.0 < mu < math.inf:
+        raise DomainError(f"mu must be finite and exceed 2 for an interior minimum, got {mu}")
     slope = mu * (1.0 - 1.0 / BETA_2) + 2.0 / BETA_2 - 1.0
     lo, hi = 0.0, 2.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from sievelab import sieve_functions, thresholds
+from sievelab import numerics, sieve_functions, thresholds
 from sievelab.errors import DomainError
 from sievelab.numerics import derivative_central
-from sievelab.sieve_functions import (EULER_GAMMA, TWO_E_GAMMA, F_lin, _E, _G, _li2,
-                                      _phi, _psi, _W, f_lin)
+from sievelab.sieve_functions import (EULER_GAMMA, TWO_E_GAMMA, F_lin, _clenshaw, _E, _G,
+                                      _li2, _phi, _psi, _W, f_lin)
 from sievelab.thresholds import BETA_2
 
 from test_numerics import LOG_INTEGRAL_2_3
@@ -75,6 +75,61 @@ def use_oracle(monkeypatch):
         monkeypatch.setattr(module, "_W", W_oracle)
     monkeypatch.setattr(sieve_functions, "_psi", psi_oracle)
     monkeypatch.setattr(sieve_functions, "_E", E_oracle)
+
+
+def chebyshev_primitive(fn, lo, hi):
+    """(mid, half, b0, b): x -> int_lo^x fn on [lo, hi] as a Chebyshev series.
+
+    fn's coefficients come from a DCT of its values at the 32 Chebyshev
+    points of `numerics`; the primitive's from int T_k = T_(k+1)/(2(k+1)) -
+    T_(k-1)/(2(k-1)), listed b_32 .. b_1 for `_clenshaw`, and b0 makes the
+    sum vanish at lo.
+    """
+    n = numerics._CHEB_N
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = [fn(mid + half * x) for x in numerics._NODES]
+    c = [2.0 / n * sum(v * math.cos(k * a) for v, a in zip(values, numerics._ANGLES))
+         for k in range(n)] + [0.0, 0.0]
+    b = tuple(half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(n, 0, -1))
+    b0 = sum(bk if k % 2 else -bk for k, bk in zip(range(n, 0, -1), b))
+    return mid, half, b0, b
+
+
+def build_tables():
+    """The four series tables of `sieve_functions`, rebuilt in chain order:
+    Psi on [4, 6] and [6, 8] from Phi, W from the first, E from W."""
+    def psi_rate(t):
+        return _phi(t - 2.0) / (t - 1.0)
+
+    psi_lo = chebyshev_primitive(psi_rate, 4.0, 6.0)
+    psi_hi = chebyshev_primitive(psi_rate, 6.0, 8.0)
+    w = chebyshev_primitive(lambda t: _clenshaw(psi_lo, t - 1.0) / (t - 1.0), 5.0, 7.0)
+    e = chebyshev_primitive(lambda t: _clenshaw(w, t - 1.0) / (t - 1.0), 6.0, 8.0)
+    return {"_PSI_LO_SERIES": psi_lo, "_PSI_HI_SERIES": psi_hi,
+            "_W_SERIES": w, "_E_SERIES": e}
+
+
+def print_tables():
+    """Print the rebuilt tables in their source layout in `sieve_functions`."""
+    for name, (mid, half, b0, b) in build_tables().items():
+        print(f"{name} = ({mid!r}, {half!r}, {b0!r}, (")
+        rows = [", ".join(map(repr, b[i:i + 3])) for i in range(0, len(b), 3)]
+        print(",\n".join("    " + row for row in rows) + "))")
+
+
+class TestSeriesTables:
+    """The tables of Psi, W and E equal their build from the integrands, by
+    `float.hex`.  They are printed in their source layout by
+
+        PYTHONPATH=src:tests python -c "import test_sieve_functions as t; t.print_tables()"
+    """
+
+    def test_tables_rebuild_bit_for_bit(self):
+        for name, built in build_tables().items():
+            mid, half, b0, b = getattr(sieve_functions, name)
+            assert len(b) == len(built[3]) == numerics._CHEB_N
+            assert ([v.hex() for v in (mid, half, b0, *b)]
+                    == [v.hex() for v in (*built[:3], *built[3])]), name
 
 
 CLOSED_FORM_TOL = 1e-13

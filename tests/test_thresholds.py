@@ -23,6 +23,9 @@ from sievelab.thresholds import (BETA_2, THETA_SELBERG, THETA_UNCONDITIONAL,
 from test_sieve_functions import CLOSED_FORM_TOL, oracle_quad, use_oracle
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
 class TestTau:
     def test_published_levels(self):
         assert tau_from_theta(Fraction(7, 64)) == Fraction(25, 128)
@@ -38,6 +41,13 @@ class TestTau:
             tau_from_theta(Fraction(1, 2))
         with pytest.raises(DomainError):
             tau_from_theta(-1)
+        for x in NON_FINITE:
+            with pytest.raises(DomainError, match="theta must"):
+                tau_from_theta(x)
+            with pytest.raises(DomainError, match="tau must"):
+                linear_threshold(1.0, 6.6, x)
+            with pytest.raises(DomainError, match="tau must"):
+                dh_threshold_linear(x, 33.0, 33.0)
 
 
 class TestComponents:
@@ -192,6 +202,13 @@ class TestTwoDimensionalRoute:
             m_zeta(10.0, BETA_2 + 0.1)
         with pytest.raises(DomainError):
             minimize_m(2.0)
+        for x in NON_FINITE:
+            with pytest.raises(DomainError, match="mu must"):
+                m_zeta(x, 0.2)
+            with pytest.raises(DomainError, match="mu must"):
+                minimize_m(x)
+            with pytest.raises(DomainError, match="zeta must"):
+                m_zeta(10.0, x)
 
 
 def _hr_term(mu: float, zeta: float) -> float:
@@ -313,7 +330,6 @@ class TestQuadratureNesting:
         return depths
 
     def test_F_and_f_make_no_call(self, depths):
-        sieve_functions._primitives.cache_clear()  # the first build counts too
         for k in range(1, 801):
             if k <= 700:
                 F_lin(0.01 * k)
@@ -329,18 +345,18 @@ class TestQuadratureNesting:
         reproduce_constants("selberg")
         assert depths and max(depths) == 1
 
-    def test_only_constants_builds_the_primitives(self):
+    def test_first_calls_build_no_series(self):
+        # a fresh process: the first F_lin(6.5) evaluates only its own
+        # Phi(5.5), and f_lin(7.5) no Phi at all; Psi, W and E are tables
         src = Path(sieve_functions.__file__).resolve().parent.parent
-        code = ("import contextlib, io\n"
-                "import sievelab.cli as cli\n"
-                "from sievelab.sieve_functions import _primitives\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    cli.main(['local', '--form=1,1,-3,0,0,0', '--t', '1', '--pmax', '13'])\n"
-                "    cli.main(['enumerate', '--form=1,1,-3,0,0,0', '--t', '1', '--R', '3'])\n"
-                "    before = _primitives.cache_info().misses\n"
-                "    cli.main(['constants'])\n"
-                "print(before, _primitives.cache_info().misses)\n")
+        code = ("from sievelab import sieve_functions as sf\n"
+                "calls, li2 = [], sf._li2\n"
+                "sf._li2 = lambda z: calls.append(z) or li2(z)\n"
+                "sf.F_lin(6.5)\n"
+                "first = len(calls)\n"
+                "sf.f_lin(7.5)\n"
+                "print(first, len(calls) - first)\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "1"]
+        assert done.stdout.split() == ["1", "0"]
